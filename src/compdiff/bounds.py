@@ -547,7 +547,6 @@ def hs_norm(phi: Symbol, psi: Symbol, rel_tol: float = 1e-6,
     octaves, per_octave = 8, 8
     prev_value = None
     prev_delta = None
-    strikes = 0
     samples = 0
     for round_idx in range(max_rounds):
         m = np.arange(octaves * per_octave + 1, dtype=float)
@@ -564,15 +563,10 @@ def hs_norm(phi: Symbol, psi: Symbol, rel_tol: float = 1e-6,
             if value > 1e12:
                 return HsIntegral(value=math.inf, diverged=True, converged=False,
                                   rounds=round_idx + 1, samples=samples)
-            if prev_delta is not None and delta > 0 and prev_delta > 0:
-                if delta >= 0.8 * prev_delta and delta >= 1e-3 * abs(value):
-                    strikes += 1
-                    if strikes >= 1:
-                        return HsIntegral(value=math.inf, diverged=True,
-                                          converged=False,
-                                          rounds=round_idx + 1, samples=samples)
-                else:
-                    strikes = 0
+            if (prev_delta is not None and delta > 0 and prev_delta > 0
+                    and delta >= 0.8 * prev_delta and delta >= 1e-3 * abs(value)):
+                return HsIntegral(value=math.inf, diverged=True, converged=False,
+                                  rounds=round_idx + 1, samples=samples)
             prev_delta = delta
         prev_value = value
         if octaves < 192:

@@ -6,6 +6,14 @@ truncated Cauchy products of the base coefficient vector (column-wise
 recursion, never boundary-FFT extraction, whose ``r**-j`` factor would
 amplify errors for maps that touch the circle).
 
+Real symbols get real arithmetic.  When the Taylor coefficients of the map
+and of the weight have imaginary parts that are exactly zero (for these
+expression trees: every ``Const`` is real), the power table is built with
+real convolutions / ``rfft`` and stored as float64, and the SVD runs in real
+arithmetic, about a quarter of the complex flops.  The test is exact, never a
+tolerance; everything else stays complex128, and a real matrix combined with
+a complex one promotes to complex as numpy does.
+
 The n-th singular value of the N x N truncation approximates the n-th
 approximation number from below; every spectrum carries a stability horizon
 ``n*`` up to which values move by less than 1% when N doubles, and nothing
@@ -63,7 +71,10 @@ class TruncatedOperator:
     weight_name: Optional[str] = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        # float64 stays real, everything else becomes complex128; asarray
+        # (never astype) so that a matrix of the right dtype is not copied
+        m = np.asarray(self.matrix)
+        m = np.asarray(m, dtype=float if m.dtype == np.float64 else complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("expected a square matrix")
         m.setflags(write=False)
@@ -108,23 +119,32 @@ class SingularSpectrum:
 # matrix builders
 # ---------------------------------------------------------------------------
 
-def _power_columns(base: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
-    """Columns first, first*base, first*base^2, ... truncated to n coefficients."""
-    out = np.empty((n, n), dtype=complex)
+def _power_columns(base: np.ndarray, first: np.ndarray, n: int,
+                   cols: Optional[int] = None) -> np.ndarray:
+    """Columns first, first*base, first*base^2, ... truncated to n coefficients.
+
+    ``cols`` columns (default n); float64 when both inputs have exactly zero
+    imaginary parts, complex128 otherwise.
+    """
+    cols = n if cols is None else cols
+    real = not (np.any(np.imag(base)) or np.any(np.imag(first)))
+    if real:
+        base, first = np.real(base), np.real(first)
+    out = np.empty((n, cols), dtype=float if real else complex)
     out[:, 0] = first
-    if n == 1:
-        return out
     if n <= 128:
         col = first
-        for k in range(1, n):
+        for k in range(1, cols):
             col = np.convolve(col, base)[:n]
             out[:, k] = col
         return out
     size = 1 << (2 * n - 1).bit_length()
-    fbase = np.fft.fft(base, size)
+    # size is even, so irfft's default output length is size
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    fbase = fft(base, size)
     col = first
-    for k in range(1, n):
-        col = np.fft.ifft(np.fft.fft(col, size) * fbase)[:n]
+    for k in range(1, cols):
+        col = ifft(fft(col, size) * fbase)[:n]
         out[:, k] = col
     return out
 
@@ -135,7 +155,7 @@ def composition_matrix(phi: Symbol, n: int) -> TruncatedOperator:
         raise ValueError("truncation order must be at least 2")
     ensure_self_map(phi)
     base = taylor_array(phi, n)
-    first = np.zeros(n, dtype=complex)
+    first = np.zeros(n)
     first[0] = 1.0
     return TruncatedOperator(_power_columns(base, first, n), phi.name)
 

@@ -8,7 +8,8 @@ import pytest
 
 import compdiff as cd
 from compdiff.errors import WindowExceedsHorizon, ZeroInWindow
-from compdiff.experiments import (_run_glued, _run_split, _run_triangular,
+from compdiff.experiments import (_derive_verdicts, _kronecker_mismatch,
+                                  _run_glued, _run_split, _run_triangular,
                                   fit_series, glued_difference_matrix, recheck)
 
 
@@ -176,6 +177,24 @@ class TestBidiscSplit:
         # for the square-index rate fit
         assert "square_index_stretched" in result.fits
         assert result.verdicts["square_index_rate"]
+
+    def test_kronecker_check_recorded(self):
+        result = _run_split(c=0.01, n_trunc=128, count=512)
+        assert 0 <= result.details["kronecker_max_mismatch"] <= 1e-10
+
+    def test_perturbed_factor_spectrum_fails_kronecker_check(self):
+        d = cd.difference_matrix(cd.corner_map(), cd.corner_perturbation(0.01), 8)
+        f = cd.composition_matrix(cd.dilation(0.5), 8)
+        sd, sf = cd.singular_spectrum(d), cd.singular_spectrum(f)
+        assert _kronecker_mismatch(d.matrix, f.matrix, sd, sf) <= 1e-10
+        bumped = sf.values.copy()
+        bumped[1] *= 1 + 1e-6
+        mismatch = _kronecker_mismatch(d.matrix, f.matrix, sd,
+                                       cd.SingularSpectrum(bumped, order=8))
+        assert mismatch > 1e-10
+        verdicts = _derive_verdicts("bidisc_split", {}, {}, {},
+                                    {"kronecker_max_mismatch": mismatch})
+        assert verdicts == {"tensor_products_exact": False}
 
     def test_recheck_round_trip(self, tmp_path):
         result = _run_split(c=0.01, n_trunc=128, count=512)

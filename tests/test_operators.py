@@ -44,6 +44,33 @@ class TestCompositionMatrix:
                                            atol=1e-12, err_msg=f"{symbol.name} k={k}")
 
 
+    @pytest.mark.parametrize("n", [64, 256])  # convolve and FFT paths
+    def test_real_symbols_build_float64(self, n):
+        ops = [cd.composition_matrix(cd.corner_map(), n),
+               cd.composition_matrix(cd.half_map(), n),
+               cd.weighted_composition_matrix(cd.weight_power(2),
+                                              cd.dilation(0.5), n)]
+        for op in ops:
+            assert op.matrix.dtype == np.float64, op.symbol_name
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_complex_symbols_build_complex128(self, n):
+        ops = [cd.composition_matrix(cd.power_perturbation(3, 0.005), n),
+               cd.composition_matrix(cd.dilation(0.4 + 0.3j), n),
+               cd.difference_matrix(cd.half_map(), cd.dilation(0.4 + 0.3j), n)]
+        for op in ops:
+            assert op.matrix.dtype == np.complex128, op.symbol_name
+
+    def test_no_copy_of_float64_or_complex128(self):
+        for dtype in (np.float64, np.complex128):
+            m = np.eye(4, dtype=dtype)
+            op = cd.TruncatedOperator(m, "eye")
+            assert op.matrix.dtype == dtype
+            assert np.shares_memory(op.matrix, m)
+        as_int = cd.TruncatedOperator(np.eye(4, dtype=int), "eye")
+        assert as_int.matrix.dtype == np.complex128
+
+
 class TestWeightedMatrix:
     def test_unit_weight_reduces(self):
         w = cd.weighted_composition_matrix(cd.weight_power(0), cd.half_map(), 16)
@@ -90,6 +117,23 @@ class TestSpectra:
         bound = (cd.operator_norm_bound(cd.identity())
                  + cd.operator_norm_bound(cd.dilation(0.999)))
         assert s.sigma(1) <= bound
+
+    @pytest.mark.parametrize("n", [64, 256])  # convolve and FFT paths
+    def test_real_svd_matches_complex_svd(self, n):
+        # a backward-stable SVD moves each value by O(eps * sigma_1), so the
+        # real and complex SVDs agree relatively only where sigma_n is not tiny
+        ops = [cd.composition_matrix(cd.corner_map(), n),
+               cd.composition_matrix(cd.half_map(), n),
+               cd.difference_matrix(cd.corner_map(),
+                                    cd.corner_perturbation(0.01), n),
+               cd.weighted_composition_matrix(cd.weight_power(1),
+                                              cd.half_map(), n)]
+        for op in ops:
+            real = cd.singular_spectrum(op).values
+            cplx = np.linalg.svd(op.matrix.astype(complex), compute_uv=False)
+            np.testing.assert_allclose(real, cplx, rtol=1e-13,
+                                       atol=1e-13 * cplx[0],
+                                       err_msg=op.symbol_name)
 
     def test_non_increasing(self):
         s = cd.singular_spectrum(cd.composition_matrix(cd.half_map(), 64))
