@@ -22,7 +22,10 @@ of degree n-1: with ``w(z) = rho(phi(z), psi(z))``,
 All unspecified absolute constants are dropped: every certificate carries a
 ``constants: unspecified`` flag and downstream comparisons are rate (slope)
 comparisons, never absolute dominations.  Boundary suprema are dense-grid
-samples with one refinement doubling and a 2% stability flag.
+samples with one refinement doubling and a 2% stability flag.  The coarse
+grid is a subset of the fine one, bit for bit, so the Blaschke suprema are
+evaluated once, on the fine-grid points with |phi| <= r, and the coarse pass
+is read off them.
 """
 
 from __future__ import annotations
@@ -376,6 +379,48 @@ def _blaschke_peak_candidates(zeros: np.ndarray, curve: np.ndarray) -> np.ndarra
     return re + 1j * im
 
 
+@functools.lru_cache(maxsize=8)
+def _coarse_positions(side: int) -> np.ndarray:
+    """Mask of the ``sup_grid(side)`` points inside ``sup_grid(2 * side)``.
+
+    Coarse exponent m / (side/128) equals fine exponent 2m / (2 side/128)
+    exactly, so coarse point i sits at fine position 2i on the negative half
+    and at 2 side + 2i + 1 on the positive half, bit for bit.
+    """
+    mask = np.zeros(4 * side, dtype=bool)
+    mask[0:2 * side:2] = True
+    mask[2 * side + 1::2] = True
+    mask.setflags(write=False)
+    return mask
+
+
+def _blaschke_sups(zeros: BlaschkeProduct, symbol: Symbol, r: float,
+                   side: int) -> tuple:
+    """sup of |B o symbol| over {|symbol| <= r} on the coarse and fine grids.
+
+    B is evaluated once, on the kept points of the fine grid
+    ``sup_grid(2 * side)``; the coarse sup is read off the kept points that
+    also lie on ``sup_grid(side)``.  Peak candidates between consecutive
+    zeros along the ordered level curve keep both sups honest where the grid
+    is coarse; they count wherever the grid keeps a point.  Returns
+    ``(coarse, fine, empty)`` with ``empty`` true when the fine grid keeps
+    nothing (both sups are then 0).
+    """
+    values = _sup_values(symbol, 2 * side)
+    inside = np.abs(values) <= r
+    moduli = np.abs(blaschke_eval(zeros, values[inside]))
+    coarse_moduli = moduli[_coarse_positions(side)[inside]]
+    fine = float(moduli.max()) if moduli.size else 0.0
+    coarse = float(coarse_moduli.max()) if coarse_moduli.size else 0.0
+    if moduli.size:
+        cand = _blaschke_peak_candidates(zeros.zeros, _level_curve(symbol, r))
+        peak = float(np.abs(blaschke_eval(zeros, cand)).max())
+        fine = max(fine, peak)
+        if coarse_moduli.size:
+            coarse = max(coarse, peak)
+    return coarse, fine, not moduli.size
+
+
 def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
                       zeros: BlaschkeProduct,
                       samples_per_side: int = _SUP_SAMPLES) -> UpperCertificate:
@@ -389,32 +434,20 @@ def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
 
-    def sups(side: int):
-        phi_v = _sup_values(phi, side)
-        psi_v = _sup_values(psi, side)
-        in_phi = np.abs(phi_v) <= r
-        in_psi = np.abs(psi_v) <= r
+    def w_sups(side: int):
         w = _w_values(phi, psi, side)
-        s1 = _masked_sup(np.abs(blaschke_eval(zeros, phi_v)), in_phi)
-        s2 = _masked_sup(np.abs(blaschke_eval(zeros, psi_v)), in_psi)
-        s3 = _masked_sup(w, ~in_phi)
-        s4 = _masked_sup(w, ~in_psi)
-        # peak candidates between consecutive zeros along the ordered level
-        # curves keep the B-suprema honest where the grid is coarse
-        for sym, inside, slot in ((phi, in_phi, 0), (psi, in_psi, 1)):
-            if np.any(inside):
-                cand = _blaschke_peak_candidates(zeros.zeros,
-                                                 _level_curve(sym, r))
-                peak = float(np.abs(blaschke_eval(zeros, cand)).max())
-                if slot == 0:
-                    s1 = max(s1, peak)
-                else:
-                    s2 = max(s2, peak)
-        return np.array([s1, s2, s3, s4]), (not np.any(in_phi), not np.any(in_psi),
-                                            not np.any(~in_phi), not np.any(~in_psi))
+        out_phi = ~(np.abs(_sup_values(phi, side)) <= r)
+        out_psi = ~(np.abs(_sup_values(psi, side)) <= r)
+        return (_masked_sup(w, out_phi), _masked_sup(w, out_psi),
+                not np.any(out_phi), not np.any(out_psi))
 
-    coarse, _ = sups(samples_per_side)
-    fine, empties = sups(2 * samples_per_side)
+    c1, s1, empty_phi = _blaschke_sups(zeros, phi, r, samples_per_side)
+    c2, s2, empty_psi = _blaschke_sups(zeros, psi, r, samples_per_side)
+    c3, c4, _, _ = w_sups(samples_per_side)
+    s3, s4, empty_w_phi, empty_w_psi = w_sups(2 * samples_per_side)
+    coarse = np.array([c1, c2, c3, c4])
+    fine = np.array([s1, s2, s3, s4])
+    empties = (empty_phi, empty_psi, empty_w_phi, empty_w_psi)
     stable = bool(np.all(np.abs(fine - coarse) <= _SUP_STABILITY
                          * np.maximum(fine, 1e-300)))
 
@@ -646,20 +679,16 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
     if zeros.degree != n - 1:
         raise ValueError(f"need a degree {n - 1} product, got degree {zeros.degree}")
 
-    def sups(side: int):
+    def delta0_sup(side: int):
         phi_v = _sup_values(phi, side)
-        inside = np.abs(phi_v) <= r
-        sup_b = _masked_sup(np.abs(blaschke_eval(zeros, phi_v)), inside)
-        if np.any(inside):
-            cand = _blaschke_peak_candidates(zeros.zeros, _level_curve(phi, r))
-            sup_b = max(sup_b, float(np.abs(blaschke_eval(zeros, cand)).max()))
+        outside = ~(np.abs(phi_v) <= r)
         omega_phi = np.abs(eval_array(omega, phi_v))
-        delta0 = _masked_sup(np.where(np.isfinite(omega_phi), omega_phi, 0.0),
-                             ~inside)
-        return sup_b, delta0, not np.any(inside), not np.any(~inside)
+        return (_masked_sup(np.where(np.isfinite(omega_phi), omega_phi, 0.0),
+                            outside), not np.any(outside))
 
-    c_b, c_d, _, _ = sups(samples_per_side)
-    sup_b, delta0, empty_in, empty_out = sups(2 * samples_per_side)
+    c_b, sup_b, empty_in = _blaschke_sups(zeros, phi, r, samples_per_side)
+    c_d, _ = delta0_sup(samples_per_side)
+    delta0, empty_out = delta0_sup(2 * samples_per_side)
     stable = (abs(sup_b - c_b) <= _SUP_STABILITY * max(sup_b, 1e-300)
               and abs(delta0 - c_d) <= _SUP_STABILITY * max(delta0, 1e-300))
 
@@ -679,6 +708,22 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
         n=n, r=r, sup_b=sup_b, delta0=delta0, omega_sup=omega_sup,
         norm_phi=norm_phi, norm_t=norm_t, value=float(value), flags=flags,
     )
+
+
+def _best_weighted_upper(omega: Symbol, phi: Symbol, n: int,
+                         r_grid: Sequence[float]) -> WeightedUpperCertificate:
+    """Smallest weighted upper certificate over ``r_grid``, zeros on the
+    level curve of phi; r is tried in the given order and the first minimum
+    wins."""
+    best = None
+    for r in r_grid:
+        zeros = blaschke_zeros_for_symbol(phi, r, n)
+        cert = weighted_upper_certificate(omega, phi, n, r, zeros)
+        if best is None or cert.value < best.value:
+            best = cert
+    if best is None:
+        raise ValueError("empty r grid")
+    return best
 
 
 @dataclass(frozen=True)

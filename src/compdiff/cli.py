@@ -253,8 +253,8 @@ def cmd_hs_norm(args) -> int:
 
 
 def cmd_weighted(args) -> int:
-    from .bounds import (blaschke_zeros_for_symbol, sequence_boundary_pinch,
-                         weighted_lower_certificate, weighted_upper_certificate)
+    from .bounds import (_best_weighted_upper, sequence_boundary_pinch,
+                         weighted_lower_certificate)
     from .operators import (convergence_horizon, spectrum_to_csv,
                             weighted_composition_matrix)
     from .series import parse_symbol
@@ -275,12 +275,7 @@ def cmd_weighted(args) -> int:
     lower = weighted_lower_certificate(omega, phi,
                                        sequence_boundary_pinch(2 * args.n))
     certs["lower"] = [lower.to_dict()]
-    best = None
-    for r in parse_r_grid(args.r_grid):
-        zeros = blaschke_zeros_for_symbol(phi, r, args.n)
-        cert = weighted_upper_certificate(omega, phi, args.n, r, zeros)
-        if best is None or cert.value < best.value:
-            best = cert
+    best = _best_weighted_upper(omega, phi, args.n, parse_r_grid(args.r_grid))
     certs["upper"] = [best.to_dict()]
     _write_json(out / "certificates.json", certs)
     _print_spectrum_head(spectrum, f"{omega.name} * C[{phi.name}]")
@@ -296,12 +291,7 @@ def cmd_bidisc(args) -> int:
     if args.dry_run:
         print(f"dry-run: bidisc kind={args.kind} c={args.c} N={args.N}")
         return 0
-    params = {"c": args.c}
-    if args.kind in ("split", "triangular"):
-        params["n_trunc"] = args.N
-    if args.kind == "glued":
-        params["n_trunc"] = args.N
-    result = run_bidisc(args.kind, **params)
+    result = run_bidisc(args.kind, c=args.c, n_trunc=args.N)
     out = resolve_outdir(args)
     path = result.write(out)
     print(f"bidisc {args.kind}: verdicts {result.verdicts}")

@@ -26,13 +26,12 @@ import numpy as np
 from .errors import WindowExceedsHorizon, ZeroInWindow
 from . import series as sym
 from .bounds import (
-    blaschke_zeros_for_symbol,
+    _best_weighted_upper,
     lower_certificate,
     optimize_upper,
     sequence_boundary_pinch,
     triangular_bound,
     weighted_lower_certificate,
-    weighted_upper_certificate,
 )
 from .operators import (
     SingularSpectrum,
@@ -518,12 +517,7 @@ def run_weighted_power(alpha: float, n_trunc: int = 1024,
                 omega, phi, sequence_boundary_pinch(2 * n))
             lower_series.append((n, cert.value_constant_free))
             lower_docs.append(cert.to_dict())
-            best = None
-            for r in r_grid:
-                zeros = blaschke_zeros_for_symbol(phi, r, n)
-                cert_u = weighted_upper_certificate(omega, phi, n, r, zeros)
-                if best is None or cert_u.value < best.value:
-                    best = cert_u
+            best = _best_weighted_upper(omega, phi, n, r_grid)
             upper_series.append((n, best.value))
             upper_docs.append(best.to_dict())
         result.certificates = {"lower": lower_docs, "upper": upper_docs}
@@ -650,13 +644,20 @@ def _run_glued(c: float = 0.01, n_trunc: int = 256,
     spectrum = convergence_horizon(lambda m: difference_matrix(phi, psi, m),
                                    max(n_trunc, 16))
 
-    glued = glued_difference_matrix(phi, psi, check_order)
+    m = check_order
+    glued = glued_difference_matrix(phi, psi, m)
     # basis packing is index = (z1 degree) * m + (z2 degree); the invariant
-    # subspace z2-degree 0 picks rows and columns at multiples of m
-    idx = np.arange(check_order) * check_order
+    # subspace z2-degree 0 picks rows and columns at multiples of m.  Its
+    # column j must hold the coefficients of phi**j - psi**j, here taken from
+    # the series module's powers (repeated squaring), independent of the
+    # column recursion that builds the glued matrix
+    idx = np.arange(m) * m
     restricted = glued[np.ix_(idx, idx)]
-    one_dim = difference_matrix(phi, psi, check_order).matrix
-    err = float(np.abs(restricted - one_dim).max())
+    oracle = np.stack([
+        sym.taylor_array(sym.Symbol("phi^j", sym.IntPower(phi.expr, j)), m)
+        - sym.taylor_array(sym.Symbol("psi^j", sym.IntPower(psi.expr, j)), m)
+        for j in range(m)], axis=1)
+    err = float(np.abs(restricted - oracle).max())
 
     result = ExperimentResult(
         name="bidisc_glued",

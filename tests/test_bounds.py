@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import compdiff as cd
-from compdiff.bounds import _level_curve, split_zeros
+from compdiff import bounds
+from compdiff.bounds import _level_curve, _sup_values, split_zeros
 from compdiff.errors import (CollidingImages, DisconnectedLevelSet, EmptyRange,
                              HorizonExceeded, ImageOnBoundary, WeightTooLarge)
-from compdiff.series import eval_array
+from compdiff.series import Const, Product, Sum, Var, eval_array, sup_grid
 
 
 class TestSequences:
@@ -159,6 +160,182 @@ class TestUpperCertificate:
             values.append(cd.upper_certificate(phi, phi, n, 0.9, zeros).value)
         for a, b in zip(values, values[1:]):
             assert b <= a * 1.02  # monotone within sampling noise
+
+
+def _coarse_of_fine(fine: np.ndarray, side: int) -> np.ndarray:
+    """The sup_grid(side) positions inside a sup_grid(2 * side) array."""
+    return np.concatenate([fine[0:2 * side:2], fine[2 * side + 1::2]])
+
+
+def _two_pass_sups(zeros, phi, psi, r, side):
+    """Reference: the Blaschke/w suprema as two independent grid passes.
+
+    Evaluates B on every point of sup_grid(side) and sup_grid(2 * side) and
+    masks afterwards.  Returns the coarse and fine sups, each ordered
+    (B_phi, B_psi, w_phi, w_psi), and the fine grid's four empty flags.
+    """
+    def sups(s):
+        phi_v, psi_v = _sup_values(phi, s), _sup_values(psi, s)
+        in_phi, in_psi = np.abs(phi_v) <= r, np.abs(psi_v) <= r
+        w = bounds._w_values(phi, psi, s)
+        out = [bounds._masked_sup(np.abs(cd.blaschke_eval(zeros, v)), m)
+               for v, m in ((phi_v, in_phi), (psi_v, in_psi))]
+        out += [bounds._masked_sup(w, ~in_phi), bounds._masked_sup(w, ~in_psi)]
+        for slot, (sym, inside) in enumerate(((phi, in_phi), (psi, in_psi))):
+            if np.any(inside):
+                cand = bounds._blaschke_peak_candidates(zeros.zeros,
+                                                        _level_curve(sym, r))
+                out[slot] = max(out[slot],
+                                float(np.abs(cd.blaschke_eval(zeros, cand)).max()))
+        return np.array(out), (not np.any(in_phi), not np.any(in_psi),
+                               not np.any(~in_phi), not np.any(~in_psi))
+
+    coarse, _ = sups(side)
+    fine, empties = sups(2 * side)
+    return coarse, fine, empties
+
+
+def _two_pass_weighted(omega, phi, zeros, r, side):
+    """Reference for ``weighted_upper_certificate``: (sup_b, delta0) on the
+    coarse and the fine grid, and the two empty flags of the fine grid."""
+    def sups(s):
+        phi_v = _sup_values(phi, s)
+        inside = np.abs(phi_v) <= r
+        sup_b = bounds._masked_sup(np.abs(cd.blaschke_eval(zeros, phi_v)), inside)
+        if np.any(inside):
+            cand = bounds._blaschke_peak_candidates(zeros.zeros,
+                                                    _level_curve(phi, r))
+            sup_b = max(sup_b, float(np.abs(cd.blaschke_eval(zeros, cand)).max()))
+        om = np.abs(eval_array(omega, phi_v))
+        delta0 = bounds._masked_sup(np.where(np.isfinite(om), om, 0.0), ~inside)
+        return (sup_b, delta0), (not np.any(inside), not np.any(~inside))
+
+    coarse, _ = sups(side)
+    fine, empties = sups(2 * side)
+    return coarse, fine, empties
+
+
+def _stable(coarse, fine):
+    coarse, fine = np.asarray(coarse), np.asarray(fine)
+    return bool(np.all(np.abs(fine - coarse) <= 0.02 * np.maximum(fine, 1e-300)))
+
+
+SMOOTH_PAIR = (cd.half_map(), cd.power_perturbation(3, 0.005))
+# (n, r) pairs from the default r grid's range plus both extremes
+N_R_PAIRS = ((8, 0.6), (12, 0.9), (16, 0.99), (24, 0.999), (8, 1 - 1e-5))
+
+
+class TestFineGridSups:
+    @pytest.mark.parametrize("side", [64, 8192])
+    def test_coarse_grid_nests_in_fine_grid(self, side):
+        fine_t = sup_grid(2 * side)
+        assert np.array_equal(_coarse_of_fine(fine_t, side), sup_grid(side))
+        assert np.array_equal(fine_t[bounds._coarse_positions(side)],
+                              sup_grid(side))
+        for symbol in (*SMOOTH_PAIR, cd.corner_map()):
+            assert np.array_equal(
+                _coarse_of_fine(_sup_values(symbol, 2 * side), side),
+                _sup_values(symbol, side)), symbol.name
+
+    @pytest.mark.parametrize("n,r", N_R_PAIRS)
+    def test_upper_matches_two_pass_reference(self, n, r):
+        phi, psi = SMOOTH_PAIR
+        side = bounds._SUP_SAMPLES
+        for zeros in bounds._candidate_zero_layouts(phi, psi, n, r):
+            coarse, fine, empties = _two_pass_sups(zeros, phi, psi, r, side)
+            for slot, sym in enumerate((phi, psi)):
+                assert bounds._blaschke_sups(zeros, sym, r, side) == (
+                    coarse[slot], fine[slot], empties[slot])
+            cert = cd.upper_certificate(phi, psi, n, r, zeros)
+            assert [cert.sup_b_phi, cert.sup_b_psi, cert.sup_w_phi,
+                    cert.sup_w_psi] == list(fine)
+            assert cert.flags["stable_within_2pct"] == _stable(coarse, fine)
+            assert cert.flags["empty_sets"] == [
+                name for name, e in zip(["B_phi", "B_psi", "w_phi", "w_psi"],
+                                        empties) if e]
+
+    @pytest.mark.parametrize("r", [0.3, 0.6])
+    def test_upper_matches_reference_with_empty_sets(self, r):
+        # |dilation(0.5)| = 0.5 on the circle: nothing inside at r = 0.3,
+        # nothing outside at r = 0.6
+        phi, psi = cd.half_map(), cd.dilation(0.5)
+        zeros = cd.BlaschkeProduct(np.array([0.1, -0.2j, 0.3 + 0.1j]))
+        coarse, fine, empties = _two_pass_sups(zeros, phi, psi, r, 512)
+        cert = cd.upper_certificate(phi, psi, 4, r, zeros, samples_per_side=512)
+        assert [cert.sup_b_phi, cert.sup_b_psi, cert.sup_w_phi,
+                cert.sup_w_psi] == list(fine)
+        assert cert.flags["stable_within_2pct"] == _stable(coarse, fine)
+        expected = [name for name, e in zip(["B_phi", "B_psi", "w_phi", "w_psi"],
+                                            empties) if e]
+        assert cert.flags["empty_sets"] == expected
+        assert expected == (["B_psi"] if r == 0.3 else ["w_psi"])
+
+    @pytest.mark.parametrize("n,r", N_R_PAIRS + ((8, 0.5),))
+    def test_weighted_matches_two_pass_reference(self, n, r):
+        for omega, phi in ((cd.weight_power(1), cd.half_map()),
+                           (cd.weight_power(2), cd.half_map()),
+                           (cd.weight_power(1), cd.dilation(0.3))):
+            zeros = cd.blaschke_zeros_for_symbol(phi, r, n)
+            coarse, fine, empties = _two_pass_weighted(omega, phi, zeros, r,
+                                                       bounds._SUP_SAMPLES)
+            cert = cd.weighted_upper_certificate(omega, phi, n, r, zeros)
+            assert (cert.sup_b, cert.delta0) == fine
+            assert cert.flags["stable_within_2pct"] == _stable(coarse, fine)
+            assert cert.flags["empty_sets"] == [
+                name for name, e in zip(["B_phi", "delta0"], empties) if e]
+
+    def test_sublevel_set_seen_only_by_the_fine_grid(self):
+        # phi = (z - e^{i t0}) / 2 with t0 a fine-grid angle between two
+        # coarse ones: at r = 0.01 the fine grid keeps one point and the
+        # coarse grid none, so the peak candidates count for the fine sup only
+        side = 512
+        t0 = sup_grid(2 * side)[-2]
+        assert not bounds._coarse_positions(side)[-2]
+        phi = cd.Symbol("notch", Product((Const(0.5), Sum((Var(), Const(
+            -np.exp(1j * t0)))))))
+        zeros = cd.BlaschkeProduct(np.array([0.5, 0.2j]))
+        coarse, fine, empties = _two_pass_weighted(cd.weight_power(1), phi,
+                                                   zeros, 0.01, side)
+        assert coarse[0] == 0 < fine[0] and empties == (False, False)
+        assert bounds._blaschke_sups(zeros, phi, 0.01, side) == (
+            coarse[0], fine[0], False)
+        cert = cd.weighted_upper_certificate(cd.weight_power(1), phi, 3, 0.01,
+                                             zeros, samples_per_side=side)
+        assert (cert.sup_b, cert.delta0) == fine
+        assert not cert.flags["stable_within_2pct"]
+
+    def test_grid_points_passed_to_blaschke_lie_in_sublevel_set(self, monkeypatch):
+        calls, candidates = [], []
+        real_eval = bounds.blaschke_eval
+        real_candidates = bounds._blaschke_peak_candidates
+
+        def spy_eval(product, z):
+            calls.append(np.asarray(z))
+            return real_eval(product, z)
+
+        def spy_candidates(zeros, curve):
+            out = real_candidates(zeros, curve)
+            candidates.append(out)
+            return out
+
+        monkeypatch.setattr(bounds, "blaschke_eval", spy_eval)
+        monkeypatch.setattr(bounds, "_blaschke_peak_candidates", spy_candidates)
+        phi, psi = SMOOTH_PAIR
+        side = bounds._SUP_SAMPLES
+        for n, r in N_R_PAIRS:
+            calls.clear()
+            candidates.clear()
+            cd.upper_certificate(phi, psi, n, r, split_zeros(phi, psi, n, r))
+            cd.weighted_upper_certificate(cd.weight_power(1), phi, n, r,
+                                          cd.blaschke_zeros_for_symbol(phi, r, n))
+            grid_calls = [z for z in calls
+                          if not any(z is c for c in candidates)]
+            assert len(grid_calls) == 3  # B o phi, B o psi, then B o phi again
+            assert len(calls) == 3 + len(candidates)
+            for z, sym in zip(grid_calls, (phi, psi, phi)):
+                assert np.all(np.abs(z) <= r), (n, r, sym.name)
+                assert len(z) == np.count_nonzero(
+                    np.abs(_sup_values(sym, 2 * side)) <= r)
 
 
 class TestOptimizeUpper:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--csv", "x.csv", "--model", "sine"])
         assert exc.value.code == 2
+
+
+class TestWeighted:
+    def test_certificates_bytes_pinned(self, tmp_path):
+        # the r optimiser keeps the grid order and the first minimum, so the
+        # certificates of a fixed configuration never change
+        code = run(["weighted", "--omega", "weight_power(alpha=1)",
+                    "--phi", "half_map", "--N", "64", "--n", "8"], tmp_path)
+        assert code == 0
+        expected = (Path(__file__).parent / "data"
+                    / "weighted_certificates_N64_n8.json").read_text()
+        assert (tmp_path / "certificates.json").read_text() == expected
 
 
 class TestDryRunEverywhere:

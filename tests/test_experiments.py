@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import compdiff as cd
+from compdiff import experiments
 from compdiff.errors import WindowExceedsHorizon, ZeroInWindow
 from compdiff.experiments import (_derive_verdicts, _kronecker_mismatch,
                                   _run_glued, _run_split, _run_triangular,
@@ -207,6 +208,18 @@ class TestBidiscGlued:
         result = _run_glued(c=0.01, n_trunc=32, check_order=8)
         assert result.verdicts["restriction_identity"]
         assert result.details["restriction_max_error"] <= 1e-12
+
+    def test_mispacked_matrix_fails_restriction(self, monkeypatch):
+        # pack the basis as (z2 degree) * m + (z1 degree) instead: the
+        # z2-degree-0 block then reads the vanishing rows
+        def mispacked(phi, psi, m):
+            perm = np.arange(m * m).reshape(m, m).T.ravel()
+            return glued_difference_matrix(phi, psi, m)[np.ix_(perm, perm)]
+
+        monkeypatch.setattr(experiments, "glued_difference_matrix", mispacked)
+        result = _run_glued(c=0.01, n_trunc=32, check_order=8)
+        assert not result.verdicts["restriction_identity"]
+        assert result.details["restriction_max_error"] > 1e-3
 
     def test_glued_matrix_shape(self):
         m = glued_difference_matrix(cd.corner_map(), cd.corner_perturbation(0.01), 4)
