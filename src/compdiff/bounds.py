@@ -413,7 +413,12 @@ def _blaschke_sups(zeros: BlaschkeProduct, symbol: Symbol, r: float,
     fine = float(moduli.max()) if moduli.size else 0.0
     coarse = float(coarse_moduli.max()) if coarse_moduli.size else 0.0
     if moduli.size:
-        cand = _blaschke_peak_candidates(zeros.zeros, _level_curve(symbol, r))
+        try:
+            curve = _level_curve(symbol, r)
+        except ValueError:
+            # the default curve grid is empty; take the grid that kept points
+            curve = _level_curve(symbol, r, 2 * side)
+        cand = _blaschke_peak_candidates(zeros.zeros, curve)
         peak = float(np.abs(blaschke_eval(zeros, cand)).max())
         fine = max(fine, peak)
         if coarse_moduli.size:

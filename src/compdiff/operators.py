@@ -18,6 +18,16 @@ The n-th singular value of the N x N truncation approximates the n-th
 approximation number from below; every spectrum carries a stability horizon
 ``n*`` up to which values move by less than 1% when N doubles, and nothing
 beyond the horizon should be fed into fits or certificates.
+
+The horizon compares the N0 spectrum (a full dense SVD) with the leading
+values of the 2*N0 truncation A.  Those come from randomized subspace
+iteration (Halko, Martinsson & Tropp 2011, Alg. 4.4) with a fixed seed:
+for an orthonormal Q, B = Q^H A and E = A - Q B give A^H A = B^H B + E^H E,
+so by Weyl's inequality sigma_j(A) lies in [sigma_j(B), sqrt(sigma_j(B)**2
++ ||E||_F**2)].  A comparison is decided only when the 1% test gives one
+answer over the whole interval; when one up to index horizon+1 is not, the
+sketch doubles, and once it would reach N0 a full SVD of A decides.  The
+horizon therefore always equals the full-SVD one.
 """
 
 from __future__ import annotations
@@ -41,6 +51,14 @@ from .series import Symbol, eval_boundary, boundary_grid, evaluate, taylor_array
 
 _VALIDATION_SAMPLES = 2048
 _HORIZON_RTOL = 1e-2
+_HORIZON_FLOOR = 1e-14  # relative to sigma_1 of the 2*N0 spectrum
+# leading values of the 2*N0 matrix: first sketch size, power iterations,
+# fixed sketch seed, and the rounding slack (relative to sigma_1) that widens
+# every certified interval
+_SKETCH_RANK = 128
+_POWER_ITERATIONS = 2
+_SKETCH_SEED = 0
+_ROUNDING_SLACK = 1e-13
 
 
 @functools.lru_cache(maxsize=256)
@@ -149,15 +167,19 @@ def _power_columns(base: np.ndarray, first: np.ndarray, n: int,
     return out
 
 
-def composition_matrix(phi: Symbol, n: int) -> TruncatedOperator:
-    """N x N truncation of C_phi : f -> f o phi; column k = taylor(phi**k, N)."""
+def _composition_columns(phi: Symbol, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("truncation order must be at least 2")
     ensure_self_map(phi)
     base = taylor_array(phi, n)
     first = np.zeros(n)
     first[0] = 1.0
-    return TruncatedOperator(_power_columns(base, first, n), phi.name)
+    return _power_columns(base, first, n)
+
+
+def composition_matrix(phi: Symbol, n: int) -> TruncatedOperator:
+    """N x N truncation of C_phi : f -> f o phi; column k = taylor(phi**k, N)."""
+    return TruncatedOperator(_composition_columns(phi, n), phi.name)
 
 
 def weighted_composition_matrix(omega: Symbol, phi: Symbol, n: int) -> TruncatedOperator:
@@ -173,9 +195,13 @@ def weighted_composition_matrix(omega: Symbol, phi: Symbol, n: int) -> Truncated
 
 
 def difference_matrix(phi: Symbol, psi: Symbol, n: int) -> TruncatedOperator:
-    a = composition_matrix(phi, n)
-    b = composition_matrix(psi, n)
-    return TruncatedOperator(a.matrix - b.matrix, f"{phi.name} - {psi.name}")
+    a = _composition_columns(phi, n)
+    b = _composition_columns(psi, n)
+    # in place, into whichever operand already has the result's dtype: two
+    # N x N buffers at the peak instead of three, with the same values
+    out = a if a.dtype == np.result_type(a, b) else b
+    return TruncatedOperator(np.subtract(a, b, out=out),
+                             f"{phi.name} - {psi.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +258,100 @@ def tensor_spectrum(s: SingularSpectrum, t: SingularSpectrum,
     return SingularSpectrum(values, order=s.order * t.order, horizon=horizon)
 
 
+def _leading_values(matrix: np.ndarray, k: int) -> tuple:
+    """Leading singular values of a square matrix A, with a certified error.
+
+    Randomized subspace iteration (Halko, Martinsson & Tropp, SIAM Rev. 53,
+    2011, Alg. 4.4): a fixed-seed Gaussian sketch, ``_POWER_ITERATIONS``
+    passes through A^H and A, and a QR after every product, give an
+    orthonormal Q with k columns.  With B = Q^H A and E = A - Q B,
+    A^H A = B^H B + E^H E exactly, so by Weyl's inequality sigma_j(A) lies in
+    [s_j, sqrt(s_j**2 + e**2)], where s = sigma(B) (s_j = 0 for j > k) and
+    e = ||E||_F.  Returns ``(s, e)``; E is formed in column blocks.
+    """
+    n = matrix.shape[1]
+    rng = np.random.default_rng(_SKETCH_SEED)
+    q, _ = np.linalg.qr(matrix @ rng.standard_normal((n, k)))
+    for _ in range(_POWER_ITERATIONS):
+        # A^H Q as (Q^H A)^H, so A itself is never conjugated
+        q, _ = np.linalg.qr((q.conj().T @ matrix).conj().T)
+        q, _ = np.linalg.qr(matrix @ q)
+    b = q.conj().T @ matrix
+    e_sq = 0.0
+    for start in range(0, n, k):
+        block = matrix[:, start:start + k] - q @ b[:, start:start + k]
+        e_sq += float(np.linalg.norm(block)) ** 2
+    return np.linalg.svd(b, compute_uv=False), math.sqrt(e_sq)
+
+
+def _passes(a: float, b: float, floor: float) -> bool:
+    return abs(a - b) <= _HORIZON_RTOL * max(b, floor)
+
+
+def _certified_horizon(small: np.ndarray, s: np.ndarray,
+                       e: float) -> Optional[int]:
+    """Horizon of ``small`` against Weyl intervals of the 2*N0 values, or None.
+
+    Each comparison is evaluated at both ends of its widened interval, the
+    floor at both ends of sigma_1's.  The pass set of the 1% test is an
+    interval in b that contains a and grows with the floor, so a comparison
+    that passes at both ends (lowest floor), or fails at both ends on the
+    same side of a (highest floor), is decided for every value inside.
+    Returns None when a comparison before the first decided failure is not
+    decided.
+    """
+    hi_1 = math.sqrt(s[0] ** 2 + e ** 2)
+    slack = _ROUNDING_SLACK * hi_1
+    floor_lo = _HORIZON_FLOOR * max(s[0] - slack, 1e-300)
+    floor_hi = _HORIZON_FLOOR * max(hi_1 + slack, 1e-300)
+    for n, a in enumerate(small):
+        s_n = s[n] if n < len(s) else 0.0
+        lo = max(s_n - slack, 0.0)
+        hi = math.sqrt(s_n ** 2 + e ** 2) + slack
+        if _passes(a, lo, floor_lo) and _passes(a, hi, floor_lo):
+            continue
+        if (not _passes(a, lo, floor_hi) and not _passes(a, hi, floor_hi)
+                and not lo <= a <= hi):
+            return n
+        return None
+    return len(small)
+
+
 def convergence_horizon(build: Callable[[int], TruncatedOperator],
                         n0: int) -> SingularSpectrum:
     """Build at N0 and 2*N0; annotate the N0 spectrum with its stability horizon.
 
     The horizon is the largest n* such that sigma_n agrees within 1% between
-    the two truncations for every n <= n*.
+    the two truncations for every n <= n*.  The N0 spectrum is a full dense
+    SVD.  Of the 2*N0 matrix A only the leading k values are computed
+    (:func:`_leading_values`, k = 128 first): each sigma_n(A) is known to lie
+    in [s_n, sqrt(s_n**2 + e**2)], widened by 1e-13 sigma_1 for rounding.
+    The scan decides a comparison only when the 1% test gives the same answer
+    over the whole interval, so the horizon is the one a full SVD of A gives.
+    When a comparison up to index horizon+1 is not decided, k doubles; once
+    k >= N0 (always for N0 <= 128), the 2*N0 spectrum is a full dense SVD.
     """
     if n0 < 16:
         raise ValueError("doubling diagnostics start at N0 >= 16")
     s_small = singular_spectrum(build(n0))
-    s_big = singular_spectrum(build(2 * n0))
-    floor = 1e-14 * max(s_big.values[0], 1e-300)
+    big = build(2 * n0)
+    # a non-finite matrix goes straight to singular_spectrum, which raises
+    k = _SKETCH_RANK if np.all(np.isfinite(big.matrix)) else n0
+    while k < n0:
+        try:
+            s, e = _leading_values(big.matrix, k)
+        except np.linalg.LinAlgError:
+            break
+        horizon = _certified_horizon(s_small.values, s, e)
+        if horizon is not None:
+            return replace(s_small, horizon=horizon)
+        k *= 2
+    s_big = singular_spectrum(big)
+    floor = _HORIZON_FLOOR * max(s_big.values[0], 1e-300)
     horizon = 0
     for n in range(len(s_small)):
         a, b = s_small.values[n], s_big.values[n]
-        if abs(a - b) <= _HORIZON_RTOL * max(b, floor):
+        if _passes(a, b, floor):
             horizon += 1
         else:
             break

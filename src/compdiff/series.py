@@ -232,16 +232,6 @@ def _eval_mp(expr: Expr, z, mp):
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
-def evaluate_boundary_mp(symbol: Symbol, t: float, dps: int = 60):
-    """Extended-precision boundary evaluation (mpmath), for samples where
-    double precision loses the defect 1 - |value|^2 to cancellation."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        z = mpmath.exp(1j * mpmath.mpf(t))
-        return _eval_mp(symbol.expr, z, mpmath.mp)
-
-
 def boundary_rho_mp(phi: Symbol, psi: Symbol, t: float, dps: int = 60) -> float:
     """Pseudohyperbolic distance of boundary values in extended precision.
 

@@ -304,6 +304,26 @@ class TestFineGridSups:
         assert (cert.sup_b, cert.delta0) == fine
         assert not cert.flags["stable_within_2pct"]
 
+    def test_peak_candidates_from_the_grid_that_kept_points(self):
+        # at the default side the fine grid sup_grid(16384) is finer than the
+        # 4096-sample level curve; with t0 off that curve's grid the curve is
+        # empty at r = 0.001 while the fine grid keeps phi(e^{i t0}) = 0
+        t0 = sup_grid(2 * bounds._SUP_SAMPLES)[-2]
+        phi = cd.Symbol("probe", Product((Const(0.5), Sum((Var(), Const(
+            -np.exp(1j * t0)))))))
+        with pytest.raises(ValueError, match="empty"):
+            _level_curve(phi, 0.001)
+        cert = cd.upper_certificate(phi, cd.half_map(), 2, 0.001,
+                                    cd.BlaschkeProduct([0]))
+        assert cert.sup_b_phi == 0.0 and cert.flags["empty_sets"] == []
+        # a zero at 0.5 gives |B(0)| = 0.5 at the one kept point, seen by the
+        # fine grid only
+        weighted = cd.weighted_upper_certificate(
+            cd.weight_power(1), phi, 2, 0.001, cd.BlaschkeProduct([0.5]))
+        assert weighted.sup_b == pytest.approx(0.5, rel=1e-15)
+        assert weighted.flags["empty_sets"] == []
+        assert not weighted.flags["stable_within_2pct"]
+
     def test_grid_points_passed_to_blaschke_lie_in_sublevel_set(self, monkeypatch):
         calls, candidates = [], []
         real_eval = bounds.blaschke_eval

@@ -55,6 +55,17 @@ class TestDiffSpectrum:
         spectrum = spectrum_from_csv((tmp_path / "spectrum.csv").read_text())
         assert spectrum.sigma(1) == pytest.approx(0.25, abs=1e-12)
 
+    def test_corner_csv_bytes_pinned(self, tmp_path):
+        # N=256 decides the horizon on the leading 2*N0 values; the file was
+        # written when that horizon still came from a full SVD
+        code = run(["diff-spectrum", "--phi", "corner_map",
+                    "--psi", "corner_perturbation(c=0.01)", "--N", "256"],
+                   tmp_path)
+        assert code == 0
+        expected = (Path(__file__).parent / "data"
+                    / "diff_spectrum_corner_N256.csv").read_bytes()
+        assert (tmp_path / "spectrum.csv").read_bytes() == expected
+
 
 class TestHsNorm:
     def test_matches_parseval_oracle(self, tmp_path, capsys):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import compdiff as cd
-from compdiff.errors import (BoundaryFixedOrigin, HorizonExceeded, NotSelfMap)
+from compdiff import operators
+from compdiff.errors import (BoundaryFixedOrigin, HorizonExceeded, NotSelfMap,
+                             NumericalBreakdown)
 from compdiff.series import IntPower, Symbol
 
 RNG_SEED = 911
@@ -69,6 +71,19 @@ class TestCompositionMatrix:
             assert np.shares_memory(op.matrix, m)
         as_int = cd.TruncatedOperator(np.eye(4, dtype=int), "eye")
         assert as_int.matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_difference_equals_difference_of_compositions(self, n):
+        # real - real, real - complex and complex - real
+        for phi, psi in ((cd.corner_map(), cd.corner_perturbation(0.01)),
+                         (cd.half_map(), cd.power_perturbation(3, 0.005)),
+                         (cd.power_perturbation(3, 0.005), cd.half_map())):
+            a = cd.composition_matrix(phi, n).matrix
+            b = cd.composition_matrix(psi, n).matrix
+            d = cd.difference_matrix(phi, psi, n).matrix
+            assert d.dtype == np.result_type(a, b)
+            assert np.array_equal(d, a - b)
+            assert not d.flags.writeable
 
 
 class TestWeightedMatrix:
@@ -142,7 +157,6 @@ class TestSpectra:
 
 class TestErrorPaths:
     def test_non_finite_matrix_breaks_down(self):
-        from compdiff.errors import NumericalBreakdown
         bad = cd.TruncatedOperator(np.full((3, 3), np.nan, dtype=complex), "bad")
         with pytest.raises(NumericalBreakdown):
             cd.singular_spectrum(bad)
@@ -230,6 +244,156 @@ class TestHorizon:
         with pytest.raises(ValueError):
             cd.convergence_horizon(
                 lambda m: cd.composition_matrix(cd.identity(), m), 8)
+
+
+def _full_svd_horizon(small, big):
+    """The horizon scan against a full SVD of the 2*N0 matrix."""
+    full = np.linalg.svd(big, compute_uv=False)
+    floor = 1e-14 * max(full[0], 1e-300)
+    horizon = 0
+    for a, b in zip(small, full):
+        if abs(a - b) > 1e-2 * max(b, floor):
+            break
+        horizon += 1
+    return horizon, full
+
+
+def _diagonal_build(values_at):
+    return lambda m: cd.TruncatedOperator(np.diag(values_at(m)), "diag")
+
+
+_CORNER_PAIR = (cd.corner_map(), cd.corner_perturbation(0.01))
+CERTIFIED_CASES = {
+    "corner single": lambda m: cd.composition_matrix(_CORNER_PAIR[0], m),
+    "corner perturbed": lambda m: cd.composition_matrix(_CORNER_PAIR[1], m),
+    "corner diff": lambda m: cd.difference_matrix(*_CORNER_PAIR, m),
+    **{f"smooth {alpha}": (lambda m, alpha=alpha: cd.difference_matrix(
+        cd.half_map(), cd.power_perturbation(alpha, 0.005), m))
+       for alpha in (2.5, 3.0, 4.0)},
+    **{f"weighted {alpha}": (lambda m, alpha=alpha: cd.weighted_composition_matrix(
+        cd.weight_power(alpha), cd.half_map(), m))
+       for alpha in (1.0, 2.0)},
+}
+
+
+def _spy_on_spectra(mp):
+    """Record the sketch sizes and the SVD orders convergence_horizon uses."""
+    calls = {"leading": [], "svd": []}
+    real_leading = operators._leading_values
+    real_svd = operators.singular_spectrum
+
+    def spy_leading(matrix, k):
+        out = real_leading(matrix, k)
+        calls["leading"].append((k, out))
+        return out
+
+    def spy_svd(op):
+        calls["svd"].append(op.order)
+        return real_svd(op)
+
+    mp.setattr(operators, "_leading_values", spy_leading)
+    mp.setattr(operators, "singular_spectrum", spy_svd)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def certified_runs():
+    """convergence_horizon at N0 = 256 and 512, against a full 2*N0 SVD."""
+    runs = {}
+    for n0 in (256, 512):
+        for name, build in CERTIFIED_CASES.items():
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _spy_on_spectra(mp)
+                spectrum = cd.convergence_horizon(build, n0)
+            horizon, full = _full_svd_horizon(spectrum.values,
+                                              build(2 * n0).matrix)
+            runs[name, n0] = (spectrum, calls, horizon, full)
+    return runs
+
+
+class TestCertifiedHorizon:
+    @pytest.mark.parametrize("n0", [256, 512])
+    @pytest.mark.parametrize("name", list(CERTIFIED_CASES))
+    def test_horizon_equals_full_svd_path(self, certified_runs, name, n0):
+        spectrum, calls, horizon, _ = certified_runs[name, n0]
+        assert spectrum.horizon == horizon
+        # decided on the first sketch, without an SVD of the 2*N0 matrix
+        assert [k for k, _ in calls["leading"]] == [operators._SKETCH_RANK]
+        assert calls["svd"] == [n0]
+
+    @pytest.mark.parametrize("n0", [256, 512])
+    @pytest.mark.parametrize("name", list(CERTIFIED_CASES))
+    def test_full_svd_values_inside_weyl_intervals(self, certified_runs,
+                                                   name, n0):
+        _, calls, _, full = certified_runs[name, n0]
+        (k, (s, e)), = calls["leading"]
+        slack = 1e-13 * full[0]
+        assert np.all(full[:k] >= s - slack)
+        assert np.all(full[:k] <= np.sqrt(s ** 2 + e ** 2) + slack)
+        assert np.all(full[k:] <= e + slack)
+
+    def test_complex_and_real_sketches(self):
+        rng = np.random.default_rng(RNG_SEED)
+        u = np.linalg.qr(rng.normal(size=(300, 300))
+                         + 1j * rng.normal(size=(300, 300)))[0]
+        values = 0.9 ** np.arange(300)
+        for matrix in (u * values, np.real(u) * values):
+            s, e = operators._leading_values(matrix, 128)
+            full = np.linalg.svd(matrix, compute_uv=False)
+            assert s.dtype == np.float64 and len(s) == 128
+            assert np.all(full[:128] >= s - 1e-13)
+            assert np.all(full[:128] <= np.sqrt(s ** 2 + e ** 2) + 1e-13)
+
+    def test_slow_tail_doubles_then_falls_back(self, monkeypatch):
+        calls = _spy_on_spectra(monkeypatch)
+        def values_at(m):
+            # a flat tail of 1e-3 past index 128 and the same values at both
+            # orders: the first 128 comparisons pass, and at index 129 the
+            # interval [0, e] holds sigma_129 while failing at both ends
+            v = np.full(m, 1e-3)
+            v[:128] = 0.99 ** np.arange(128)
+            return v
+
+        spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
+        assert [k for k, _ in calls["leading"]] == [128]
+        assert calls["svd"] == [256, 512]
+        assert spectrum.horizon == 256
+
+    def test_vanishing_tail_decided_after_one_doubling(self, monkeypatch):
+        calls = _spy_on_spectra(monkeypatch)
+
+        def values_at(m):
+            # rank 200; the N0 truncation moves sigma_190 by 10%
+            v = np.zeros(m)
+            v[:200] = 0.98 ** np.arange(200)
+            if m == 512:
+                v[189] *= 0.9
+            return v
+
+        spectrum = cd.convergence_horizon(_diagonal_build(values_at), 512)
+        assert [k for k, _ in calls["leading"]] == [128, 256]
+        assert calls["svd"] == [512]
+        assert spectrum.horizon == 189
+
+    def test_non_finite_2n0_matrix_raises(self):
+        def values_at(m):
+            v = np.ones(m)
+            v[-1] = np.nan if m == 512 else 1.0
+            return v
+
+        with pytest.raises(NumericalBreakdown):
+            cd.convergence_horizon(_diagonal_build(values_at), 256)
+
+    def test_deterministic_and_leaves_global_rng_alone(self):
+        build = CERTIFIED_CASES["corner diff"]
+        np.random.seed(RNG_SEED)
+        state = np.random.get_state()
+        first = cd.convergence_horizon(build, 256)
+        second = cd.convergence_horizon(build, 256)
+        assert first.horizon == second.horizon == 6
+        after = np.random.get_state()
+        assert state[0] == after[0] and np.array_equal(state[1], after[1])
+        assert state[2:] == after[2:]
 
 
 class TestAlgebra:
