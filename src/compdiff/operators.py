@@ -25,9 +25,9 @@ iteration (Halko, Martinsson & Tropp 2011, Alg. 4.4) with a fixed seed:
 for an orthonormal Q, B = Q^H A and E = A - Q B give A^H A = B^H B + E^H E,
 so by Weyl's inequality sigma_j(A) lies in [sigma_j(B), sqrt(sigma_j(B)**2
 + ||E||_F**2)].  A comparison is decided only when the 1% test gives one
-answer over the whole interval; when one up to index horizon+1 is not, the
-sketch doubles, and once it would reach N0 a full SVD of A decides.  The
-horizon therefore always equals the full-SVD one.
+answer over the whole interval; when one up to index horizon+1 is not, or
+N0 <= k, a full SVD of A decides.  The horizon therefore always equals the
+full-SVD one.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .series import Symbol, eval_boundary, boundary_grid, evaluate, taylor_array
 _VALIDATION_SAMPLES = 2048
 _HORIZON_RTOL = 1e-2
 _HORIZON_FLOOR = 1e-14  # relative to sigma_1 of the 2*N0 spectrum
-# leading values of the 2*N0 matrix: first sketch size, power iterations,
+# leading values of the 2*N0 matrix: sketch size, power iterations,
 # fixed sketch seed, and the rounding slack (relative to sigma_1) that widens
 # every certified interval
 _SKETCH_RANK = 128
@@ -324,28 +324,32 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
     The horizon is the largest n* such that sigma_n agrees within 1% between
     the two truncations for every n <= n*.  The N0 spectrum is a full dense
     SVD.  Of the 2*N0 matrix A only the leading k values are computed
-    (:func:`_leading_values`, k = 128 first): each sigma_n(A) is known to lie
-    in [s_n, sqrt(s_n**2 + e**2)], widened by 1e-13 sigma_1 for rounding.
-    The scan decides a comparison only when the 1% test gives the same answer
+    (:func:`_leading_values`, k = 128): each sigma_n(A) is known to lie in
+    [s_n, sqrt(s_n**2 + e**2)], widened by 1e-13 sigma_1 for rounding.  The
+    scan decides a comparison only when the 1% test gives the same answer
     over the whole interval, so the horizon is the one a full SVD of A gives.
-    When a comparison up to index horizon+1 is not decided, k doubles; once
-    k >= N0 (always for N0 <= 128), the 2*N0 spectrum is a full dense SVD.
+    When a comparison up to index horizon+1 is not decided, or N0 <= 128,
+    the 2*N0 spectrum is a full dense SVD and the scan runs on it.  A pass
+    can be certified only while sigma_n stays above about 1e-11 sigma_1
+    (the slack over the 1% tolerance), so a horizon that reaches past that
+    level (a dilation's exact truncations) costs one sketch on top of the
+    full SVD.
     """
     if n0 < 16:
         raise ValueError("doubling diagnostics start at N0 >= 16")
     s_small = singular_spectrum(build(n0))
     big = build(2 * n0)
-    # a non-finite matrix goes straight to singular_spectrum, which raises
-    k = _SKETCH_RANK if np.all(np.isfinite(big.matrix)) else n0
-    while k < n0:
+    # one sketch; a non-finite matrix goes straight to singular_spectrum,
+    # which raises
+    if n0 > _SKETCH_RANK and np.all(np.isfinite(big.matrix)):
         try:
-            s, e = _leading_values(big.matrix, k)
+            s, e = _leading_values(big.matrix, _SKETCH_RANK)
         except np.linalg.LinAlgError:
-            break
-        horizon = _certified_horizon(s_small.values, s, e)
-        if horizon is not None:
-            return replace(s_small, horizon=horizon)
-        k *= 2
+            pass
+        else:
+            horizon = _certified_horizon(s_small.values, s, e)
+            if horizon is not None:
+                return replace(s_small, horizon=horizon)
     s_big = singular_spectrum(big)
     floor = _HORIZON_FLOOR * max(s_big.values[0], 1e-300)
     horizon = 0

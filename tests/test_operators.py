@@ -344,12 +344,14 @@ class TestCertifiedHorizon:
             assert np.all(full[:128] >= s - 1e-13)
             assert np.all(full[:128] <= np.sqrt(s ** 2 + e ** 2) + 1e-13)
 
-    def test_slow_tail_doubles_then_falls_back(self, monkeypatch):
+    def test_slow_tail_falls_back(self, monkeypatch):
         calls = _spy_on_spectra(monkeypatch)
+
         def values_at(m):
             # a flat tail of 1e-3 past index 128 and the same values at both
             # orders: the first 128 comparisons pass, and at index 129 the
-            # interval [0, e] holds sigma_129 while failing at both ends
+            # interval [0, e] holds sigma_129 while failing at both ends, so
+            # the fallback runs on the 2*N0 matrix
             v = np.full(m, 1e-3)
             v[:128] = 0.99 ** np.arange(128)
             return v
@@ -359,21 +361,18 @@ class TestCertifiedHorizon:
         assert calls["svd"] == [256, 512]
         assert spectrum.horizon == 256
 
-    def test_vanishing_tail_decided_after_one_doubling(self, monkeypatch):
+    @pytest.mark.parametrize("n0", [256, 512])
+    def test_dilation_falls_back_after_one_sketch(self, monkeypatch, n0):
+        # exact truncations: sigma_n = 0.5**n at both orders, so the passes
+        # reach below the level (about 1e-11 sigma_1) where the rounding
+        # slack lets a pass be certified; one sketch, then the full SVD
         calls = _spy_on_spectra(monkeypatch)
-
-        def values_at(m):
-            # rank 200; the N0 truncation moves sigma_190 by 10%
-            v = np.zeros(m)
-            v[:200] = 0.98 ** np.arange(200)
-            if m == 512:
-                v[189] *= 0.9
-            return v
-
-        spectrum = cd.convergence_horizon(_diagonal_build(values_at), 512)
-        assert [k for k, _ in calls["leading"]] == [128, 256]
-        assert calls["svd"] == [512]
-        assert spectrum.horizon == 189
+        build = lambda m: cd.composition_matrix(cd.dilation(0.5), m)
+        spectrum = cd.convergence_horizon(build, n0)
+        assert [k for k, _ in calls["leading"]] == [operators._SKETCH_RANK]
+        assert calls["svd"] == [n0, 2 * n0]
+        horizon, _ = _full_svd_horizon(spectrum.values, build(2 * n0).matrix)
+        assert spectrum.horizon == horizon > 37
 
     def test_non_finite_2n0_matrix_raises(self):
         def values_at(m):
