@@ -10,6 +10,8 @@ import pytest
 from compdiff.cli import main
 from compdiff.operators import spectrum_from_csv
 
+DATA = Path(__file__).parent / "data"
+
 
 def run(args, tmp_path, extra=()):
     return main([*args, "--out", str(tmp_path), *extra])
@@ -97,6 +99,26 @@ class TestBounds:
         assert doc["n"] == 6 and doc["r"] in (0.9, 0.99)
         assert len(doc["trace"]) == 2
 
+    @pytest.mark.parametrize("extra, fname", [
+        (["--n", "12"], "lower_bound_pinch_n12.json"),
+        (["--n", "40", "--sequence", "radial"], "lower_bound_radial_n40.json"),
+    ])
+    def test_lower_bound_bytes_pinned(self, tmp_path, extra, fname):
+        code = run(["lower-bound", "--phi", "half_map",
+                    "--psi", "power_perturbation(alpha=3, c=0.005)", *extra],
+                   tmp_path)
+        assert code == 0
+        expected = (DATA / fname).read_bytes()
+        assert (tmp_path / "lower_bound.json").read_bytes() == expected
+
+    def test_upper_bound_bytes_pinned(self, tmp_path):
+        code = run(["upper-bound", "--phi", "half_map",
+                    "--psi", "power_perturbation(alpha=3, c=0.005)",
+                    "--n", "12"], tmp_path)
+        assert code == 0
+        expected = (DATA / "upper_bound_n12.json").read_bytes()
+        assert (tmp_path / "upper_bound.json").read_bytes() == expected
+
     def test_colliding_images_exit_3(self, tmp_path):
         code = run(["lower-bound", "--phi", "half_map", "--psi", "half_map",
                     "--n", "8"], tmp_path)
@@ -113,6 +135,15 @@ class TestExperimentAndFit:
         payload = json.loads((tmp_path / "result.json").read_text())
         assert payload["name"] == "smooth_perturbation"
         assert (tmp_path / "certificates.json").exists()
+
+    def test_smooth_driver_bytes_pinned(self, tmp_path):
+        from compdiff.experiments import run_smooth_perturbation
+
+        run_smooth_perturbation(3.0, 0.005, 64, window=(2, 8),
+                                r_grid=(0.9, 0.99)).write(tmp_path)
+        for name in ("result.json", "certificates.json"):
+            expected = (DATA / f"smooth_N64_{name}").read_bytes()
+            assert (tmp_path / name).read_bytes() == expected, name
 
     def test_fit_subcommand(self, tmp_path, capsys):
         run(["spectrum", "--symbol", "dilation(a=0.5)", "--N", "32"], tmp_path)
@@ -196,3 +227,4 @@ class TestDryRunEverywhere:
             code = main([*argv, "--out", str(tmp_path), "--dry-run"])
             assert code == 0, argv
         assert list(tmp_path.iterdir()) == []
+
