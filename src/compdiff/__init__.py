@@ -29,7 +29,6 @@ from .errors import (
     ZeroInWindow,
 )
 from .series import (
-    CoefficientVector,
     Symbol,
     boundary_grid,
     constant,
@@ -43,7 +42,6 @@ from .series import (
     mobius,
     parse_symbol,
     power_perturbation,
-    taylor,
     taylor_array,
     validate_self_map,
     weight_power,
@@ -81,7 +79,6 @@ from .bounds import (
     LowerCertificate,
     TriangularBound,
     UpperCertificate,
-    WeightedLowerCertificate,
     WeightedUpperCertificate,
     blaschke_zeros_for_symbol,
     hs_norm,

@@ -1,8 +1,9 @@
 """Decay certificates for differences of (weighted) composition operators.
 
 Lower certificates bound the n-th approximation number from below through
-interpolation on reproducing kernels: with ``W = phi(Z) u psi(Z)`` of
-cardinality ``2n``,
+interpolation on reproducing kernels, one code path for C_phi - C_psi and
+M_omega C_phi (ratio terms |omega|^2 (1-|z|^2)/(1-|phi|^2), omega = 1
+unweighted): with ``W = phi(Z) u psi(Z)`` of cardinality ``2n``,
 
     a_n >= M(W)^-1 ||nu_Z||_C^{-1/2}
            inf_j [ (1-|z_j|^2)/(1-|phi(z_j)|^2) + (1-|z_j|^2)/(1-|psi(z_j)|^2) ]^{1/2}
@@ -22,10 +23,10 @@ of degree n-1: with ``w(z) = rho(phi(z), psi(z))``,
 All unspecified absolute constants are dropped: every certificate carries a
 ``constants: unspecified`` flag and downstream comparisons are rate (slope)
 comparisons, never absolute dominations.  Boundary suprema are dense-grid
-samples with one refinement doubling and a 2% stability flag.  The coarse
-grid is a subset of the fine one, bit for bit, so the Blaschke suprema are
-evaluated once, on the fine-grid points with |phi| <= r, and the coarse pass
-is read off them.
+samples with one refinement doubling; both upper certificates take each sup
+as (coarse, fine, empty) and derive the 2% stability and empty-set flags from
+them.  The coarse grid is a subset of the fine one, bit for bit, so the
+Blaschke suprema are evaluated once, on the fine-grid points with |phi| <= r.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,8 +91,12 @@ def _w_values(phi: Symbol, psi: Symbol, side: int) -> np.ndarray:
     Where the double-precision denominator |1 - conj(phi) psi| drops below
     1e-12 (deep in the contact region) the quotient degenerates to junk/junk;
     those samples are re-evaluated with mpmath on a logarithmically decimated
-    subset and the rest of the unreliable range inherits zero, which cannot
-    inflate the supremum.
+    subset and the rest of the unreliable range inherits zero.  Zeroing can
+    only deflate a supremum, the unsafe direction for an upper certificate,
+    so this assumes w stays far below the reliable sup there.  Unchecked at
+    run time; measured on the smooth pair at alpha = 2.5, 1,530 of 16,384
+    samples are unreliable and their 64 mpmath values peak at 2.8e-5
+    against a reliable sup of 2.8e-2.
     """
     from .series import boundary_rho_mp
 
@@ -135,18 +140,13 @@ def sequence_boundary_pinch(n: int) -> PointSequence:
     return PointSequence((1.0 + np.exp(1j / (n - j))) / 2.0)
 
 
-def radial_epsilon(n: int) -> float:
-    """Step parameter eps = log(n)/n of the radial sequence."""
-    return math.log(n) / n
-
-
 def sequence_radial(n: int) -> PointSequence:
     """z_j = 1 - exp(-j*eps) for ceil(j0) <= j <= n, eps = log(n)/n.
 
     The start index j0 = |log eps| / (2 eps) trims the initial points that
     are too far from the boundary to separate the perturbed images.
     """
-    eps = radial_epsilon(n)
+    eps = math.log(n) / n
     j0 = abs(math.log(eps)) / (2 * eps)
     start = math.ceil(j0)
     if start >= n:
@@ -161,6 +161,7 @@ def sequence_radial(n: int) -> PointSequence:
 
 @dataclass(frozen=True)
 class LowerCertificate:
+    kind: str  # "lower" for C_phi - C_psi, "weighted_lower" for M_omega C_phi
     n: int
     z_points: np.ndarray
     w_points: np.ndarray
@@ -175,7 +176,7 @@ class LowerCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "kind": "lower",
+            "kind": self.kind,
             "n": self.n,
             "r": None,
             "Z": [_c2ri(z) for z in self.z_points],
@@ -199,19 +200,23 @@ def _images_inside(symbol: Symbol, pts: np.ndarray) -> np.ndarray:
     return images
 
 
-def lower_certificate(phi: Symbol, psi: Symbol, points) -> LowerCertificate:
-    """Kernel-interpolation lower bound for a_n(C_phi - C_psi), n = card(Z)."""
+def _kernel_lower(kind: str, points, terms) -> LowerCertificate:
+    """Kernel lower bound for ``terms``, a list of (omega_t or None, phi_t).
+
+    W concatenates the images phi_t(Z) in term order; the ratio is
+    sum_t |omega_t(z)|^2 (1-|z|^2)/(1-|phi_t(z)|^2), None meaning omega_t = 1.
+    """
     seq = as_points(points, distinct=True)
     z = seq.points
-    phi_z = _images_inside(phi, z)
-    psi_z = _images_inside(psi, z)
-    w = np.concatenate([phi_z, psi_z])
+    images = [_images_inside(phi, z) for _, phi in terms]
+    w = np.concatenate(images)
     gaps = np.abs(w[:, None] - w[None, :])
     np.fill_diagonal(gaps, np.inf)
     if gaps.min() < _IMAGE_COLLISION_TOL:
         raise CollidingImages(
-            "phi(Z) u psi(Z) has fewer than 2 card(Z) points "
-            f"(min gap {gaps.min():.3g})")
+            ("phi(Z) u psi(Z) has fewer than 2 card(Z) points (min gap"
+             if kind == "lower" else "phi is not injective on Z (min image gap")
+            + f" {gaps.min():.3g})")
 
     delta_z = uniform_separation(seq)
     delta_w = uniform_separation(PointSequence(w))
@@ -220,7 +225,10 @@ def lower_certificate(phi: Symbol, psi: Symbol, points) -> LowerCertificate:
     m_w = math.sqrt(carl_w) / delta_w
 
     base = 1.0 - np.abs(z) ** 2
-    ratio = base / (1.0 - np.abs(phi_z) ** 2) + base / (1.0 - np.abs(psi_z) ** 2)
+    ratio = sum((base if omega is None
+                 else np.abs(eval_array(omega, z)) ** 2 * base)
+                / (1.0 - np.abs(image) ** 2)
+                for (omega, _), image in zip(terms, images))
     inf_ratio = float(ratio.min())
 
     value_theorem = math.sqrt(inf_ratio) / (m_w * math.sqrt(carl_z))
@@ -229,12 +237,17 @@ def lower_certificate(phi: Symbol, psi: Symbol, points) -> LowerCertificate:
     value_cf = delta_w * math.sqrt(inf_ratio) / math.sqrt(log_w * log_z)
 
     return LowerCertificate(
-        n=len(z), z_points=z, w_points=w,
+        kind=kind, n=len(z), z_points=z, w_points=w,
         delta_z=delta_z, delta_w=delta_w,
         carleson_z=carl_z, carleson_w=carl_w,
         m_w=m_w, inf_ratio=inf_ratio,
         value_theorem=value_theorem, value_constant_free=value_cf,
     )
+
+
+def lower_certificate(phi: Symbol, psi: Symbol, points) -> LowerCertificate:
+    """Kernel-interpolation lower bound for a_n(C_phi - C_psi), n = card(Z)."""
+    return _kernel_lower("lower", points, [(None, phi), (None, psi)])
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +300,7 @@ def _level_curve(phi: Symbol, r: float,
     return curve
 
 
-def blaschke_zeros_for_symbol(phi: Symbol, r: float, n: int,
-                              samples_per_side: int = 4096) -> BlaschkeProduct:
+def blaschke_zeros_for_symbol(phi: Symbol, r: float, n: int) -> BlaschkeProduct:
     """Place n-1 zeros on the sampled level curve at equal hyperbolic spacing.
 
     Cumulative hyperbolic arc length is inverted by linear interpolation.
@@ -302,7 +314,7 @@ def blaschke_zeros_for_symbol(phi: Symbol, r: float, n: int,
         raise ValueError("n must be at least 1")
     if n == 1:
         return BlaschkeProduct(np.empty(0, dtype=complex))
-    curve = _level_curve(phi, r, samples_per_side)
+    curve = _level_curve(phi, r)
     if len(curve) == 1:
         return BlaschkeProduct(np.repeat(curve, n - 1))
     s = cumulative_hyperbolic_length(curve)
@@ -426,6 +438,27 @@ def _blaschke_sups(zeros: BlaschkeProduct, symbol: Symbol, r: float,
     return coarse, fine, not moduli.size
 
 
+def _outside_sups(values_pair, symbol: Symbol, r: float, side: int) -> tuple:
+    """sup over {|symbol| > r} of the samples on ``sup_grid(side)`` and
+    ``sup_grid(2 * side)``, as ``(coarse, fine, empty)``."""
+    outside = [~(np.abs(_sup_values(symbol, s)) <= r) for s in (side, 2 * side)]
+    coarse, fine = (_masked_sup(v, m) for v, m in zip(values_pair, outside))
+    return coarse, fine, not np.any(outside[1])
+
+
+def _sup_flags(sups: dict, **extra) -> dict:
+    """Flags of a sampled-supremum certificate from name -> (coarse, fine, empty)."""
+    return {
+        "constants": "unspecified",
+        "sampled_supremum": True,
+        **extra,
+        "stable_within_2pct": all(abs(fine - coarse) <= _SUP_STABILITY
+                                  * max(fine, 1e-300)
+                                  for coarse, fine, _ in sups.values()),
+        "empty_sets": [name for name, (_, _, empty) in sups.items() if empty],
+    }
+
+
 def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
                       zeros: BlaschkeProduct,
                       samples_per_side: int = _SUP_SAMPLES) -> UpperCertificate:
@@ -439,33 +472,19 @@ def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
 
-    def w_sups(side: int):
-        w = _w_values(phi, psi, side)
-        out_phi = ~(np.abs(_sup_values(phi, side)) <= r)
-        out_psi = ~(np.abs(_sup_values(psi, side)) <= r)
-        return (_masked_sup(w, out_phi), _masked_sup(w, out_psi),
-                not np.any(out_phi), not np.any(out_psi))
-
-    c1, s1, empty_phi = _blaschke_sups(zeros, phi, r, samples_per_side)
-    c2, s2, empty_psi = _blaschke_sups(zeros, psi, r, samples_per_side)
-    c3, c4, _, _ = w_sups(samples_per_side)
-    s3, s4, empty_w_phi, empty_w_psi = w_sups(2 * samples_per_side)
-    coarse = np.array([c1, c2, c3, c4])
-    fine = np.array([s1, s2, s3, s4])
-    empties = (empty_phi, empty_psi, empty_w_phi, empty_w_psi)
-    stable = bool(np.all(np.abs(fine - coarse) <= _SUP_STABILITY
-                         * np.maximum(fine, 1e-300)))
-
+    w_pair = (_w_values(phi, psi, samples_per_side),
+              _w_values(phi, psi, 2 * samples_per_side))
+    sups = {
+        "B_phi": _blaschke_sups(zeros, phi, r, samples_per_side),
+        "B_psi": _blaschke_sups(zeros, psi, r, samples_per_side),
+        "w_phi": _outside_sups(w_pair, phi, r, samples_per_side),
+        "w_psi": _outside_sups(w_pair, psi, r, samples_per_side),
+    }
+    fine = np.array([sup for _, sup, _ in sups.values()])
     norm_phi = operator_norm_bound(phi)
     norm_psi = operator_norm_bound(psi)
     value = float(fine.sum() * (norm_phi + norm_psi))
-    flags = {
-        "constants": "unspecified",
-        "sampled_supremum": True,
-        "stable_within_2pct": stable,
-        "empty_sets": [name for name, empty in
-                       zip(["B_phi", "B_psi", "w_phi", "w_psi"], empties) if empty],
-    }
+    flags = _sup_flags(sups)
     return UpperCertificate(
         n=n, r=r,
         sup_b_phi=float(fine[0]), sup_b_psi=float(fine[1]),
@@ -513,9 +532,7 @@ class OptimizedUpper:
 
 
 def optimize_upper(phi: Symbol, psi: Symbol, n: int,
-                   r_grid: Sequence[float],
-                   zero_builder: Optional[Callable[[float], BlaschkeProduct]] = None,
-                   samples_per_side: int = _SUP_SAMPLES) -> OptimizedUpper:
+                   r_grid: Sequence[float]) -> OptimizedUpper:
     """Grid search over r (and zero layouts); ties resolved toward the smallest r."""
     rs = sorted(float(r) for r in r_grid)
     if not rs:
@@ -523,14 +540,9 @@ def optimize_upper(phi: Symbol, psi: Symbol, n: int,
     best = None
     trace = []
     for r in rs:
-        if zero_builder is not None:
-            layouts = [zero_builder(r)]
-        else:
-            layouts = _candidate_zero_layouts(phi, psi, n, r)
         local = None
-        for zeros in layouts:
-            cert = upper_certificate(phi, psi, n, r, zeros,
-                                     samples_per_side=samples_per_side)
+        for zeros in _candidate_zero_layouts(phi, psi, n, r):
+            cert = upper_certificate(phi, psi, n, r, zeros)
             if local is None or cert.value < local.value:
                 local = cert
         trace.append((r, local.value))
@@ -684,31 +696,21 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
     if zeros.degree != n - 1:
         raise ValueError(f"need a degree {n - 1} product, got degree {zeros.degree}")
 
-    def delta0_sup(side: int):
-        phi_v = _sup_values(phi, side)
-        outside = ~(np.abs(phi_v) <= r)
-        omega_phi = np.abs(eval_array(omega, phi_v))
-        return (_masked_sup(np.where(np.isfinite(omega_phi), omega_phi, 0.0),
-                            outside), not np.any(outside))
-
-    c_b, sup_b, empty_in = _blaschke_sups(zeros, phi, r, samples_per_side)
-    c_d, _ = delta0_sup(samples_per_side)
-    delta0, empty_out = delta0_sup(2 * samples_per_side)
-    stable = (abs(sup_b - c_b) <= _SUP_STABILITY * max(sup_b, 1e-300)
-              and abs(delta0 - c_d) <= _SUP_STABILITY * max(delta0, 1e-300))
+    omega_phi = [np.abs(eval_array(omega, _sup_values(phi, side)))
+                 for side in (samples_per_side, 2 * samples_per_side)]
+    sups = {
+        "B_phi": _blaschke_sups(zeros, phi, r, samples_per_side),
+        "delta0": _outside_sups(
+            [np.where(np.isfinite(v), v, 0.0) for v in omega_phi],
+            phi, r, samples_per_side),
+    }
+    sup_b, delta0 = sups["B_phi"][1], sups["delta0"][1]
 
     omega_sup = boundary_sup(omega)
     norm_phi = operator_norm_bound(phi)
     norm_t = omega_sup * norm_phi
     value = math.sqrt(sup_b ** 2 * norm_t ** 2 + delta0 ** 2 * norm_phi ** 2)
-    flags = {
-        "constants": "unspecified",
-        "sampled_supremum": True,
-        "norm_T_is_plumbing_bound": True,
-        "stable_within_2pct": bool(stable),
-        "empty_sets": [name for name, empty in
-                       zip(["B_phi", "delta0"], (empty_in, empty_out)) if empty],
-    }
+    flags = _sup_flags(sups, norm_T_is_plumbing_bound=True)
     return WeightedUpperCertificate(
         n=n, r=r, sup_b=sup_b, delta0=delta0, omega_sup=omega_sup,
         norm_phi=norm_phi, norm_t=norm_t, value=float(value), flags=flags,
@@ -731,73 +733,10 @@ def _best_weighted_upper(omega: Symbol, phi: Symbol, n: int,
     return best
 
 
-@dataclass(frozen=True)
-class WeightedLowerCertificate:
-    n: int
-    z_points: np.ndarray
-    w_points: np.ndarray
-    delta_z: float
-    delta_w: float
-    carleson_z: float
-    carleson_w: float
-    m_w: float
-    inf_ratio: float
-    value_theorem: float
-    value_constant_free: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "weighted_lower",
-            "n": self.n,
-            "r": None,
-            "Z": [_c2ri(z) for z in self.z_points],
-            "W": [_c2ri(w) for w in self.w_points],
-            "delta_Z": self.delta_z,
-            "delta_W": self.delta_w,
-            "carleson_Z": self.carleson_z,
-            "carleson_W": self.carleson_w,
-            "M_W": self.m_w,
-            "inf_ratio": self.inf_ratio,
-            "value_theorem": self.value_theorem,
-            "value_constant_free": self.value_constant_free,
-            "flags": {"constants": "unspecified"},
-        }
-
-
 def weighted_lower_certificate(omega: Symbol, phi: Symbol,
-                               points) -> WeightedLowerCertificate:
+                               points) -> LowerCertificate:
     """Kernel lower bound for a_n(M_omega C_phi) on W = phi(Z), n = card(Z)."""
-    seq = as_points(points, distinct=True)
-    z = seq.points
-    w = _images_inside(phi, z)
-    gaps = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() < _IMAGE_COLLISION_TOL:
-        raise CollidingImages("phi is not injective on Z "
-                              f"(min image gap {gaps.min():.3g})")
-
-    delta_z = uniform_separation(seq)
-    delta_w = uniform_separation(PointSequence(w))
-    carl_z = carleson_norm(seq).geometric
-    carl_w = carleson_norm(PointSequence(w)).geometric
-    m_w = math.sqrt(carl_w) / delta_w
-
-    omega_z = np.abs(eval_array(omega, z))
-    ratio = omega_z ** 2 * (1.0 - np.abs(z) ** 2) / (1.0 - np.abs(w) ** 2)
-    inf_ratio = float(ratio.min())
-
-    value_theorem = math.sqrt(inf_ratio) / (m_w * math.sqrt(carl_z))
-    log_w = 1.0 + math.log(1.0 / delta_w)
-    log_z = 1.0 + math.log(1.0 / delta_z)
-    value_cf = delta_w * math.sqrt(inf_ratio) / math.sqrt(log_w * log_z)
-
-    return WeightedLowerCertificate(
-        n=len(z), z_points=z, w_points=w,
-        delta_z=delta_z, delta_w=delta_w,
-        carleson_z=carl_z, carleson_w=carl_w,
-        m_w=m_w, inf_ratio=inf_ratio,
-        value_theorem=value_theorem, value_constant_free=value_cf,
-    )
+    return _kernel_lower("weighted_lower", points, [(omega, phi)])
 
 
 # ---------------------------------------------------------------------------

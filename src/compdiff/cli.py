@@ -102,6 +102,32 @@ def parse_r_grid(text: str):
     return rs
 
 
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set each loaded OpenBLAS's thread count through its run-time setter;
+    numpy is loaded before any flag is read, so environment variables would
+    come too late."""
+    import ctypes
+
+    from .errors import ParseError
+
+    maps = Path("/proc/self/maps")
+    paths = {line.split()[-1] for line in
+             (maps.read_text().splitlines() if maps.exists() else [])
+             if "openblas" in line.rsplit("/", 1)[-1]}
+    setters = [getattr(lib, name) for lib in map(ctypes.CDLL, sorted(paths))
+               for name in _BLAS_THREAD_SETTERS if hasattr(lib, name)]
+    if not setters:
+        raise ParseError(f"threads = {count}: no OpenBLAS thread setter found")
+    for setter in setters:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(count)
+
+
 def resolve_outdir(args) -> Path:
     out = args.out or os.environ.get(_ENV_OUTDIR) or "."
     return Path(out)
@@ -110,6 +136,16 @@ def resolve_outdir(args) -> Path:
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_spectrum_csv(args, spectrum) -> Path:
+    from .operators import spectrum_to_csv
+
+    out = resolve_outdir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / args.csv
+    path.write_text(spectrum_to_csv(spectrum))
+    return path
 
 
 def _print_spectrum_head(spectrum, label: str) -> None:
@@ -127,8 +163,7 @@ def _print_spectrum_head(spectrum, label: str) -> None:
 
 def cmd_spectrum(args) -> int:
     from .operators import (composition_matrix, convergence_horizon,
-                            singular_spectrum, spectrum_to_csv,
-                            weighted_composition_matrix)
+                            singular_spectrum, weighted_composition_matrix)
     from .series import parse_symbol
 
     symbol = parse_symbol(args.symbol)
@@ -146,18 +181,14 @@ def cmd_spectrum(args) -> int:
         spectrum = convergence_horizon(build, args.N)
     else:
         spectrum = singular_spectrum(build(args.N))
-    out = resolve_outdir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / args.csv
-    csv_path.write_text(spectrum_to_csv(spectrum))
+    csv_path = _write_spectrum_csv(args, spectrum)
     _print_spectrum_head(spectrum, symbol.name)
     print(f"wrote {csv_path}")
     return 0
 
 
 def cmd_diff_spectrum(args) -> int:
-    from .operators import (convergence_horizon, difference_matrix,
-                            spectrum_to_csv)
+    from .operators import convergence_horizon, difference_matrix
     from .series import parse_symbol
 
     phi = parse_symbol(args.phi)
@@ -167,10 +198,7 @@ def cmd_diff_spectrum(args) -> int:
         return 0
     spectrum = convergence_horizon(lambda m: difference_matrix(phi, psi, m),
                                    args.N)
-    out = resolve_outdir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / args.csv
-    csv_path.write_text(spectrum_to_csv(spectrum))
+    csv_path = _write_spectrum_csv(args, spectrum)
     _print_spectrum_head(spectrum, f"{phi.name} - {psi.name}")
     print(f"wrote {csv_path}")
     return 0
@@ -255,8 +283,7 @@ def cmd_hs_norm(args) -> int:
 def cmd_weighted(args) -> int:
     from .bounds import (_best_weighted_upper, sequence_boundary_pinch,
                          weighted_lower_certificate)
-    from .operators import (convergence_horizon, spectrum_to_csv,
-                            weighted_composition_matrix)
+    from .operators import convergence_horizon, weighted_composition_matrix
     from .series import parse_symbol
 
     omega = parse_symbol(args.omega)
@@ -267,21 +294,18 @@ def cmd_weighted(args) -> int:
         return 0
     spectrum = convergence_horizon(
         lambda m: weighted_composition_matrix(omega, phi, m), args.N)
+    csv_path = _write_spectrum_csv(args, spectrum)
     out = resolve_outdir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / args.csv).write_text(spectrum_to_csv(spectrum))
 
-    certs = {}
     lower = weighted_lower_certificate(omega, phi,
                                        sequence_boundary_pinch(2 * args.n))
-    certs["lower"] = [lower.to_dict()]
     best = _best_weighted_upper(omega, phi, args.n, parse_r_grid(args.r_grid))
-    certs["upper"] = [best.to_dict()]
-    _write_json(out / "certificates.json", certs)
+    _write_json(out / "certificates.json",
+                {"lower": [lower.to_dict()], "upper": [best.to_dict()]})
     _print_spectrum_head(spectrum, f"{omega.name} * C[{phi.name}]")
     print(f"lower(n={args.n}) = {lower.value_constant_free:.6e}   "
           f"upper(n={args.n}) = {best.value:.6e}")
-    print(f"wrote {out / args.csv} and {out / 'certificates.json'}")
+    print(f"wrote {csv_path} and {out / 'certificates.json'}")
     return 0
 
 
@@ -354,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="flat key = value config file; flags win")
     common.add_argument("--threads", type=int, default=0,
-                        help="BLAS thread cap (0 = leave alone)")
+                        help="OpenBLAS thread count (0 = leave alone)")
     common.add_argument("--dry-run", action="store_true", dest="dry_run",
                         help="validate configuration and exit")
 
@@ -443,16 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads and args.threads > 0:
-        # must run before the numeric modules load BLAS (handlers import lazily)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     from .errors import CompdiffError, ParseError
 
     try:
         apply_config_defaults(args, parser)
+        if args.threads > 0:
+            _set_blas_threads(args.threads)
         return args.handler(args)
     except ParseError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

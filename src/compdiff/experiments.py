@@ -158,8 +158,11 @@ class ExperimentResult:
     verdicts: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
+    def derive_verdicts(self) -> "ExperimentResult":
+        """Set ``verdicts`` from the fits, spectra and details; returns self."""
+        self.verdicts = _derive_verdicts(self.name, self.parameters, self.fits,
+                                         self.spectra, self.details)
+        return self
 
     def write(self, outdir) -> Path:
         out = Path(outdir)
@@ -193,12 +196,10 @@ def _refit_from_payload(payload: dict, spectra: dict) -> dict:
         model = spec["model"]
         q = spec["params"].get("q", 0.0)
         source = payload["details"]["fit_sources"][label]
-        if source["type"] == "spectrum":
-            spectrum = spectra[source["label"]]
-            fits[label] = fit_decay(spectrum, model, tuple(source["window"]), q=q)
-        elif source["type"] == "spectrum_raw":
-            spectrum = spectra[source["label"]]
-            fits[label] = _fit_raw(spectrum, model, tuple(source["window"]), q=q)
+        if source["type"] in ("spectrum", "spectrum_raw"):
+            fit = fit_decay if source["type"] == "spectrum" else _fit_raw
+            fits[label] = fit(spectra[source["label"]], model,
+                              tuple(source["window"]), q=q)
         else:
             ns, values = zip(*source["series"])
             fits[label] = fit_series(ns, values, model, q=q)
@@ -273,6 +274,34 @@ def _geometric_indices(lo: int, hi: int, count: int = 7) -> list:
     return [int(g) for g in grid if lo <= g <= hi]
 
 
+def _series_source(pairs) -> dict:
+    """Fit source of a fit made on ``(n, value)`` pairs."""
+    return {"type": "series", "series": [[int(n), float(v)] for n, v in pairs]}
+
+
+def _track_certificates(result: ExperimentResult, n_grid, lower,
+                        upper) -> dict:
+    """Certificates per n into ``result``, with a power fit to each series.
+
+    ``lower`` takes the 2n-point boundary-pinch sequence, ``upper`` takes n.
+    Returns the fits' sources.
+    """
+    series = {"lower": [], "upper": []}
+    docs = {"lower": [], "upper": []}
+    for n in n_grid:
+        for key, cert in (("lower", lower(sequence_boundary_pinch(2 * n))),
+                          ("upper", upper(n))):
+            doc = cert.to_dict()
+            series[key].append((n, doc["value_constant_free"]))
+            docs[key].append(doc)
+    result.certificates = docs
+    sources = {}
+    for key, pairs in series.items():
+        result.fits[f"{key}_power"] = fit_series(*zip(*pairs), "power")
+        sources[f"{key}_power"] = _series_source(pairs)
+    return sources
+
+
 def run_smooth_perturbation(alpha: float, c: float, n_trunc: int = 1024,
                             window: tuple = (8, 64),
                             r_grid: Sequence[float] = DEFAULT_R_GRID,
@@ -308,32 +337,16 @@ def run_smooth_perturbation(alpha: float, c: float, n_trunc: int = 1024,
     if certificates:
         # certificates carry no truncation horizon; they span the window as
         # requested even where the sigma fit had to stop at the horizon
-        n_grid = _geometric_indices(window[0], window[1])
-        lower_series, upper_series = [], []
-        lower_docs, upper_docs = [], []
-        for n in n_grid:
-            cert = lower_certificate(phi, psi, sequence_boundary_pinch(2 * n))
-            lower_series.append((n, cert.value_constant_free))
-            lower_docs.append(cert.to_dict())
-            opt = optimize_upper(phi, psi, n, r_grid)
-            upper_series.append((n, opt.best.value))
-            upper_docs.append(opt.to_dict())
-        result.certificates = {"lower": lower_docs, "upper": upper_docs}
-        result.fits["lower_power"] = fit_series(*zip(*lower_series), "power")
-        result.fits["upper_power"] = fit_series(*zip(*upper_series), "power")
-        fit_sources["lower_power"] = {
-            "type": "series", "series": [[n, v] for n, v in lower_series]}
-        fit_sources["upper_power"] = {
-            "type": "series", "series": [[n, v] for n, v in upper_series]}
+        fit_sources.update(_track_certificates(
+            result, _geometric_indices(window[0], window[1]),
+            lambda z: lower_certificate(phi, psi, z),
+            lambda n: optimize_upper(phi, psi, n, r_grid)))
 
     result.details = {"window": list(sigma_window),
                       "certificate_window": list(window),
                       "fit_sources": fit_sources,
                       "r_grid": [float(r) for r in r_grid]}
-    result.verdicts = _derive_verdicts(result.name, result.parameters,
-                                       result.fits, result.spectra,
-                                       result.details)
-    return result
+    return result.derive_verdicts()
 
 
 # SVD noise floor relative to sigma_1; below it corner-type spectra are
@@ -424,10 +437,14 @@ def run_corner_perturbation(c: float = 0.01, n_trunc: int = 1024,
         parameters={"c": c, "N": n_trunc},
         spectra={"single": spec_single, "difference": spec_diff},
     )
-    result.fits["single_root_exp"] = _fit_raw(spec_single, "root_exp", w_single)
-    result.fits["single_stretched"] = _fit_raw(spec_single, "stretched", w_single)
-    result.fits["diff_root_exp"] = _fit_raw(spec_diff, "root_exp", w_diff)
-    result.fits["diff_stretched"] = _fit_raw(spec_diff, "stretched", w_diff)
+    fit_sources = {}
+    for prefix, label, w in (("single", "single", w_single),
+                             ("diff", "difference", w_diff)):
+        for model in ("root_exp", "stretched"):
+            result.fits[f"{prefix}_{model}"] = _fit_raw(
+                result.spectra[label], model, w)
+            fit_sources[f"{prefix}_{model}"] = {
+                "type": "spectrum_raw", "label": label, "window": list(w)}
 
     def competition(stretched: DecayFit, root_exp: DecayFit) -> str:
         # R^2 with a 0.02 superiority margin; anything closer is a tie
@@ -450,21 +467,9 @@ def run_corner_perturbation(c: float = 0.01, n_trunc: int = 1024,
         "floor_index_single": _floor_index(spec_single),
         "floor_index_diff": _floor_index(spec_diff),
         "trusted_separation": trusted_separation(spec_single, spec_diff),
-        "fit_sources": {
-            "single_root_exp": {"type": "spectrum_raw", "label": "single",
-                                "window": list(w_single)},
-            "single_stretched": {"type": "spectrum_raw", "label": "single",
-                                 "window": list(w_single)},
-            "diff_root_exp": {"type": "spectrum_raw", "label": "difference",
-                              "window": list(w_diff)},
-            "diff_stretched": {"type": "spectrum_raw", "label": "difference",
-                               "window": list(w_diff)},
-        },
+        "fit_sources": fit_sources,
     }
-    result.verdicts = _derive_verdicts(result.name, result.parameters,
-                                       result.fits, result.spectra,
-                                       result.details)
-    return result
+    return result.derive_verdicts()
 
 
 def run_weighted_power(alpha: float, n_trunc: int = 1024,
@@ -495,10 +500,7 @@ def run_weighted_power(alpha: float, n_trunc: int = 1024,
         # horizon collapses and no power fit is possible
         result.details = {"window": None, "zero_slope": True,
                           "fit_sources": {}}
-        result.verdicts = _derive_verdicts(result.name, result.parameters,
-                                           result.fits, result.spectra,
-                                           result.details)
-        return result
+        return result.derive_verdicts()
     window = (lo, hi)
     fit = fit_decay(spectrum, "power", window)
     result.fits["sigma_power"] = fit
@@ -509,31 +511,12 @@ def run_weighted_power(alpha: float, n_trunc: int = 1024,
                       "fit_sources": fit_sources}
 
     if certificates and not zero_slope:
-        n_grid = _geometric_indices(window[0], min(window[1], 64))
-        lower_series, upper_series = [], []
-        lower_docs, upper_docs = [], []
-        for n in n_grid:
-            cert = weighted_lower_certificate(
-                omega, phi, sequence_boundary_pinch(2 * n))
-            lower_series.append((n, cert.value_constant_free))
-            lower_docs.append(cert.to_dict())
-            best = _best_weighted_upper(omega, phi, n, r_grid)
-            upper_series.append((n, best.value))
-            upper_docs.append(best.to_dict())
-        result.certificates = {"lower": lower_docs, "upper": upper_docs}
-        if all(v > 0 for _, v in lower_series):
-            result.fits["lower_power"] = fit_series(*zip(*lower_series), "power")
-            fit_sources["lower_power"] = {
-                "type": "series", "series": [[n, v] for n, v in lower_series]}
-        if all(v > 0 for _, v in upper_series):
-            result.fits["upper_power"] = fit_series(*zip(*upper_series), "power")
-            fit_sources["upper_power"] = {
-                "type": "series", "series": [[n, v] for n, v in upper_series]}
+        fit_sources.update(_track_certificates(
+            result, _geometric_indices(window[0], min(window[1], 64)),
+            lambda z: weighted_lower_certificate(omega, phi, z),
+            lambda n: _best_weighted_upper(omega, phi, n, r_grid)))
 
-    result.verdicts = _derive_verdicts(result.name, result.parameters,
-                                       result.fits, result.spectra,
-                                       result.details)
-    return result
+    return result.derive_verdicts()
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +609,9 @@ def _run_split(c: float = 0.01, n_trunc: int = 512, count: int = 4096,
             result.fits["square_index_stretched"] = fit_series(ms, vals,
                                                                "stretched")
             result.details["fit_sources"] = {
-                "square_index_stretched": {
-                    "type": "series",
-                    "series": [[int(m), float(v)] for m, v in zip(ms, vals)]}}
+                "square_index_stretched": _series_source(zip(ms, vals))}
     result.details.setdefault("fit_sources", {})
-    result.verdicts = _derive_verdicts(result.name, result.parameters,
-                                       result.fits, result.spectra,
-                                       result.details)
-    return result
+    return result.derive_verdicts()
 
 
 def _run_glued(c: float = 0.01, n_trunc: int = 256,
@@ -665,10 +643,7 @@ def _run_glued(c: float = 0.01, n_trunc: int = 256,
         spectra={"difference": spectrum},
         details={"restriction_max_error": err, "fit_sources": {}},
     )
-    result.verdicts = _derive_verdicts(result.name, result.parameters,
-                                       result.fits, result.spectra,
-                                       result.details)
-    return result
+    return result.derive_verdicts()
 
 
 def _run_triangular(c: float = 0.01, weight_modulus: float = 0.5,
@@ -717,13 +692,7 @@ def _run_triangular(c: float = 0.01, weight_modulus: float = 0.5,
         certificates={"triangular": docs},
     )
     result.fits["bound_vs_sqrt_n_log"] = fit_series(ns, vals, "root_n_over_log")
-    result.details = {
-        "bound_series": [[int(n), float(v)] for n, v in bounds_series],
-        "fit_sources": {"bound_vs_sqrt_n_log": {
-            "type": "series",
-            "series": [[int(n), float(v)] for n, v in bounds_series]}},
-    }
-    result.verdicts = _derive_verdicts(result.name, result.parameters,
-                                       result.fits, result.spectra,
-                                       result.details)
-    return result
+    source = _series_source(bounds_series)
+    result.details = {"bound_series": source["series"],
+                      "fit_sources": {"bound_vs_sqrt_n_log": source}}
+    return result.derive_verdicts()

@@ -114,28 +114,6 @@ class Symbol:
         return evaluate(self, z)
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Truncated Maclaurin coefficients c_0 .. c_{N-1}."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 # ---------------------------------------------------------------------------
@@ -346,11 +324,6 @@ def taylor_array(symbol: Symbol, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("truncation order must be at least 1")
     return _taylor(symbol.expr, n)
-
-
-def taylor(symbol: Symbol, n: int) -> CoefficientVector:
-    """Maclaurin expansion of ``symbol`` truncated to ``n`` terms."""
-    return CoefficientVector(taylor_array(symbol, n))
 
 
 def contour_coefficients(symbol: Symbol, n: int, radius: float = 0.5,

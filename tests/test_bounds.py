@@ -458,6 +458,42 @@ class TestWeightedLower:
         inf_ratio = ((1 - np.abs(z) ** 2) / (1 - np.abs(w) ** 2)).min()
         assert cert.inf_ratio == pytest.approx(inf_ratio, rel=1e-12)
 
+    def test_unit_weight_is_the_single_term_bound_bit_for_bit(self):
+        # |1|^2 * (1-|z|^2) is (1-|z|^2) exactly, so omega = 1 reproduces a
+        # direct single-term computation to the last bit
+        phi = cd.half_map()
+        pts = cd.sequence_boundary_pinch(32)
+        cert = cd.weighted_lower_certificate(cd.constant(1.0), phi, pts)
+        z = pts.points
+        w = eval_array(phi, z)
+        inf_ratio = float(((1.0 - np.abs(z) ** 2) / (1.0 - np.abs(w) ** 2)).min())
+        delta_z = cd.uniform_separation(pts)
+        delta_w = cd.uniform_separation(cd.PointSequence(w))
+        carl_z = cd.carleson_norm(pts).geometric
+        m_w = math.sqrt(cd.carleson_norm(cd.PointSequence(w)).geometric) / delta_w
+        value_cf = (delta_w * math.sqrt(inf_ratio)
+                    / math.sqrt((1.0 + math.log(1.0 / delta_w))
+                                * (1.0 + math.log(1.0 / delta_z))))
+        assert cert.kind == "weighted_lower"
+        np.testing.assert_array_equal(cert.w_points, w)
+        assert cert.inf_ratio == inf_ratio
+        assert cert.value_theorem == math.sqrt(inf_ratio) / (m_w * math.sqrt(carl_z))
+        assert cert.value_constant_free == value_cf
+
+    def test_unweighted_ratio_is_the_sum_of_two_unit_weight_terms(self):
+        phi, psi = cd.half_map(), cd.power_perturbation(3, 0.005)
+        pts = cd.sequence_boundary_pinch(32)
+        cert = cd.lower_certificate(phi, psi, pts)
+        singles = [cd.weighted_lower_certificate(cd.constant(1.0), s, pts)
+                   for s in (phi, psi)]
+        base = 1.0 - np.abs(pts.points) ** 2
+        ratios = [base / (1.0 - np.abs(s.w_points) ** 2) for s in singles]
+        assert cert.kind == "lower"
+        np.testing.assert_array_equal(
+            cert.w_points, np.concatenate([s.w_points for s in singles]))
+        assert [s.inf_ratio for s in singles] == [float(r.min()) for r in ratios]
+        assert cert.inf_ratio == float((ratios[0] + ratios[1]).min())
+
     def test_power_weight_rate(self):
         # value ~ n^-alpha for omega = (1-z)^alpha on the pinch sequence
         omega, phi = cd.weight_power(1), cd.half_map()

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -228,3 +231,67 @@ class TestDryRunEverywhere:
             assert code == 0, argv
         assert list(tmp_path.iterdir()) == []
 
+
+_READ_BLAS_THREADS = """
+import ctypes, sys
+from compdiff.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/maps") as maps:
+    paths = sorted({line.split()[-1] for line in maps
+                    if "openblas" in line.rsplit("/", 1)[-1]})
+counts = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            counts.append(getter())
+            break
+print(code, counts)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                    reason="reads the loaded BLAS libraries from /proc")
+class TestThreads:
+    """``--threads K`` reaches the BLAS library numpy has already loaded."""
+
+    def _run(self, tmp_path, *extra):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        argv = ["spectrum", "--symbol", "dilation(a=0.5)", "--N", "16",
+                "--out", str(tmp_path), *extra]
+        proc = subprocess.run([sys.executable, "-c", _READ_BLAS_THREADS, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, counts = proc.stdout.strip().splitlines()[-1].split(" ", 1)
+        return int(code), json.loads(counts)
+
+    def test_flag_sets_blas_threads(self, tmp_path):
+        code, counts = self._run(tmp_path, "--threads", "1")
+        assert code == 0
+        assert counts and all(c == 1 for c in counts)
+
+    def test_config_file_sets_blas_threads(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 1\n")
+        code, counts = self._run(tmp_path, "--config", str(cfg))
+        assert code == 0
+        assert counts and all(c == 1 for c in counts)
+
+    def test_no_setter_is_a_configuration_error(self, tmp_path, monkeypatch):
+        from compdiff import cli
+
+        monkeypatch.setattr(cli, "_BLAS_THREAD_SETTERS", ())
+        code = run(["spectrum", "--symbol", "dilation(a=0.5)", "--N", "16"],
+                   tmp_path, extra=["--threads", "1"])
+        assert code == 2
+        assert not (tmp_path / "spectrum.csv").exists()
