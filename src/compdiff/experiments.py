@@ -35,7 +35,7 @@ from .bounds import (
 )
 from .operators import (
     SingularSpectrum,
-    _power_columns,
+    _difference_table,
     composition_matrix,
     convergence_horizon,
     difference_matrix,
@@ -530,16 +530,12 @@ def glued_difference_matrix(phi: sym.Symbol, psi: sym.Symbol,
     Basis z1^j z2^k with j, k < m; the image of every monomial depends on z1
     alone, so all rows with z2-degree > 0 vanish.
     """
-    one = np.zeros(m)
-    one[0] = 1.0
-    # column k of each table holds the first m coefficients of symbol**k
-    p_phi, p_psi = (_power_columns(sym.taylor_array(s, m), one, m, 2 * m - 1)
-                    for s in (phi, psi))
-    out = np.zeros((m * m, m * m), dtype=np.result_type(p_phi, p_psi))
+    # column k holds the first m coefficients of phi**k - psi**k
+    diff = _difference_table(phi, psi, m, 2 * m - 1)
+    out = np.zeros((m * m, m * m), dtype=diff.dtype)
     for j in range(m):
         for k in range(m):
-            col = p_phi[:, j + k] - p_psi[:, j + k]
-            out[0: m * m: m, j * m + k] = col  # rows (p, q=0) at index p*m
+            out[0: m * m: m, j * m + k] = diff[:, j + k]  # rows (p, q=0) at index p*m
     return out
 
 

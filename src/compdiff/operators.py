@@ -28,6 +28,22 @@ so by Weyl's inequality sigma_j(A) lies in [sigma_j(B), sqrt(sigma_j(B)**2
 answer over the whole interval; when one up to index horizon+1 is not, or
 N0 <= k, a full SVD of A decides.  The horizon therefore always equals the
 full-SVD one.
+
+The N0 SVD and the 2*N0 build do not depend on each other, so each doubling
+runs them at once: the caller's thread builds the N0 matrix, hands its SVD
+to one worker thread, builds the 2*N0 matrix and joins the worker before
+the sketch starts.  The join sits there for memory, not speed: a sketch
+running beside the SVD would hold the 2*N0 matrix, its sketch buffers, the
+N0 matrix and the SVD workspace at once (peak memory of the smooth
+benchmark pipeline at N0 = 1024: 149 MB instead of 130 MB).  The worker
+looks ``singular_spectrum`` up through this module, so a wrapper installed
+on it sees the call; an error of the N0 SVD is raised in preference to one
+of the 2*N0 build, as when the SVD ran first.  Holding the N0 matrix during
+the 2*N0 build is paid for by the difference build: ``difference_matrix``
+runs the phi and psi power recursions in lockstep and subtracts each pair
+of columns into one N x N buffer of the result dtype, so neither power
+table is ever held whole.  The values are those of the two tables
+subtracted, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -138,69 +155,100 @@ class SingularSpectrum:
 # ---------------------------------------------------------------------------
 
 def _power_columns(base: np.ndarray, first: np.ndarray, n: int,
-                   cols: Optional[int] = None) -> np.ndarray:
+                   cols: int) -> tuple:
     """Columns first, first*base, first*base^2, ... truncated to n coefficients.
 
-    ``cols`` columns (default n); float64 when both inputs have exactly zero
-    imaginary parts, complex128 otherwise.
+    Returns ``(dtype, columns)``: float64 when both inputs have exactly zero
+    imaginary parts, complex128 otherwise, and an iterator over the ``cols``
+    columns, each computed from the one before it, so a caller can store or
+    combine each column as it comes.
     """
-    cols = n if cols is None else cols
     real = not (np.any(np.imag(base)) or np.any(np.imag(first)))
     if real:
         base, first = np.real(base), np.real(first)
-    out = np.empty((n, cols), dtype=float if real else complex)
-    out[:, 0] = first
+    return (float if real else complex), _powers(base, first, n, cols, real)
+
+
+def _powers(base: np.ndarray, first: np.ndarray, n: int, cols: int,
+            real: bool):
+    yield first
+    col = first
     if n <= 128:
-        col = first
-        for k in range(1, cols):
+        for _ in range(1, cols):
             col = np.convolve(col, base)[:n]
-            out[:, k] = col
-        return out
+            yield col
+        return
     size = 1 << (2 * n - 1).bit_length()
     # size is even, so irfft's default output length is size
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     fbase = fft(base, size)
-    col = first
-    for k in range(1, cols):
+    for _ in range(1, cols):
         col = ifft(fft(col, size) * fbase)[:n]
+        yield col
+
+
+def _power_table(base: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
+    """N x N table whose column k is first * base**k (see _power_columns)."""
+    dtype, columns = _power_columns(base, first, n, n)
+    out = np.empty((n, n), dtype=dtype)
+    for k, col in enumerate(columns):
         out[:, k] = col
     return out
 
 
-def _composition_columns(phi: Symbol, n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError("truncation order must be at least 2")
-    ensure_self_map(phi)
-    base = taylor_array(phi, n)
+def _unit(n: int) -> np.ndarray:
     first = np.zeros(n)
     first[0] = 1.0
-    return _power_columns(base, first, n)
+    return first
+
+
+def _difference_table(phi: Symbol, psi: Symbol, n: int, cols: int) -> np.ndarray:
+    """n x cols table whose column k holds taylor(phi**k - psi**k, n).
+
+    The two power recursions run in lockstep and each pair of columns is
+    subtracted straight into one buffer of the result dtype, so no power
+    table of either symbol is ever held; the values are those of the two
+    tables subtracted.
+    """
+    one = _unit(n)
+    (dtype_a, a), (dtype_b, b) = (_power_columns(taylor_array(s, n), one, n, cols)
+                                  for s in (phi, psi))
+    out = np.empty((n, cols), dtype=np.result_type(dtype_a, dtype_b))
+    for k, (col_a, col_b) in enumerate(zip(a, b)):
+        np.subtract(col_a, col_b, out=out[:, k])
+    return out
+
+
+def _check_order(n: int) -> None:
+    if n < 2:
+        raise ValueError("truncation order must be at least 2")
 
 
 def composition_matrix(phi: Symbol, n: int) -> TruncatedOperator:
     """N x N truncation of C_phi : f -> f o phi; column k = taylor(phi**k, N)."""
-    return TruncatedOperator(_composition_columns(phi, n), phi.name)
+    _check_order(n)
+    ensure_self_map(phi)
+    return TruncatedOperator(_power_table(taylor_array(phi, n), _unit(n), n),
+                             phi.name)
 
 
 def weighted_composition_matrix(omega: Symbol, phi: Symbol, n: int) -> TruncatedOperator:
     """Truncation of g -> omega * (g o phi); column k = taylor(omega * phi**k, N)."""
-    if n < 2:
-        raise ValueError("truncation order must be at least 2")
+    _check_order(n)
     ensure_self_map(phi)
     _ensure_bounded_weight(omega)
     base = taylor_array(phi, n)
     first = taylor_array(omega, n)
-    return TruncatedOperator(_power_columns(base, first, n), phi.name,
+    return TruncatedOperator(_power_table(base, first, n), phi.name,
                              weight_name=omega.name)
 
 
 def difference_matrix(phi: Symbol, psi: Symbol, n: int) -> TruncatedOperator:
-    a = _composition_columns(phi, n)
-    b = _composition_columns(psi, n)
-    # in place, into whichever operand already has the result's dtype: two
-    # N x N buffers at the peak instead of three, with the same values
-    out = a if a.dtype == np.result_type(a, b) else b
-    return TruncatedOperator(np.subtract(a, b, out=out),
+    """N x N truncation of C_phi - C_psi, built in one N x N buffer."""
+    _check_order(n)
+    ensure_self_map(phi)
+    ensure_self_map(psi)
+    return TruncatedOperator(_difference_table(phi, psi, n, n),
                              f"{phi.name} - {psi.name}")
 
 
@@ -317,6 +365,18 @@ def _certified_horizon(small: np.ndarray, s: np.ndarray,
     return len(small)
 
 
+def _spectrum_into(box: list, op: TruncatedOperator) -> None:
+    """Append singular_spectrum(op), or the exception it raised, to ``box``.
+
+    Looks ``singular_spectrum`` up at call time, so a wrapper installed on
+    the module is seen from the worker thread too.
+    """
+    try:
+        box.append(singular_spectrum(op))
+    except BaseException as exc:
+        box.append(exc)
+
+
 def convergence_horizon(build: Callable[[int], TruncatedOperator],
                         n0: int) -> SingularSpectrum:
     """Build at N0 and 2*N0; annotate the N0 spectrum with its stability horizon.
@@ -334,11 +394,29 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
     (the slack over the 1% tolerance), so a horizon that reaches past that
     level (a dilation's exact truncations) costs one sketch on top of the
     full SVD.
+
+    The N0 SVD runs on one worker thread while the caller's thread builds
+    the 2*N0 matrix, and is joined before the sketch, so the sketch never
+    overlaps the SVD: that would hold the N0 matrix and the SVD workspace
+    next to the 2*N0 matrix and its sketch, and raise peak memory.  An error
+    of the N0 SVD wins over one of the 2*N0 build.  The values are the same
+    bits as with the two steps in sequence.
     """
     if n0 < 16:
         raise ValueError("doubling diagnostics start at N0 >= 16")
-    s_small = singular_spectrum(build(n0))
-    big = build(2 * n0)
+    # the worker holds the only reference to the N0 matrix, so the matrix is
+    # freed as soon as its SVD returns
+    box: list = []
+    worker = threading.Thread(target=_spectrum_into, args=(box, build(n0)),
+                              daemon=True)
+    worker.start()
+    try:
+        big = build(2 * n0)
+    finally:
+        worker.join()
+        if isinstance(box[0], BaseException):
+            raise box[0]
+    s_small = box[0]
     # one sketch; a non-finite matrix goes straight to singular_spectrum,
     # which raises
     if n0 > _SKETCH_RANK and np.all(np.isfinite(big.matrix)):

@@ -1,6 +1,8 @@
 """Matrix truncations, spectra, tensor products, horizons, CSV export."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +86,43 @@ class TestCompositionMatrix:
             assert d.dtype == np.result_type(a, b)
             assert np.array_equal(d, a - b)
             assert not d.flags.writeable
+
+
+def _composition_columns(phi, n):
+    """Power table of phi at order n, built on its own."""
+    return cd.composition_matrix(phi, n).matrix
+
+
+_DTYPE_PAIRS = {
+    "real-real": (cd.corner_map(), cd.half_map()),
+    "real-complex": (cd.corner_map(), cd.power_perturbation(3, 0.005)),
+    "complex-real": (cd.power_perturbation(3, 0.005), cd.half_map()),
+    "complex-complex": (cd.power_perturbation(3, 0.005), cd.dilation(0.4 + 0.3j)),
+}
+
+
+class TestOneBufferDifference:
+    @pytest.mark.parametrize("n", [64, 300])  # convolve and FFT paths
+    @pytest.mark.parametrize("pair", list(_DTYPE_PAIRS))
+    def test_bytes_equal_two_tables_subtracted(self, pair, n):
+        phi, psi = _DTYPE_PAIRS[pair]
+        expected = _composition_columns(phi, n) - _composition_columns(psi, n)
+        got = cd.difference_matrix(phi, psi, n).matrix
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_one_buffer(self):
+        phi, psi, n = cd.half_map(), cd.power_perturbation(3, 0.005), 1024
+        tracemalloc.start()
+        try:
+            op = cd.difference_matrix(phi, psi, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffer = n * n * np.dtype(complex).itemsize
+        assert op.matrix.dtype == np.complex128
+        # two power tables held at once (the old build) peak at 1.5 buffers
+        assert peak < 1.25 * buffer
 
 
 class TestWeightedMatrix:
@@ -393,6 +432,45 @@ class TestCertifiedHorizon:
         after = np.random.get_state()
         assert state[0] == after[0] and np.array_equal(state[1], after[1])
         assert state[2:] == after[2:]
+
+
+def _sequential_horizon(build, n0):
+    """The N0 SVD, then the 2*N0 build, one after the other on this thread."""
+    small = cd.singular_spectrum(build(n0))
+    horizon, _ = _full_svd_horizon(small.values, build(2 * n0).matrix)
+    return small.values, horizon
+
+
+class TestOverlap:
+    @pytest.mark.parametrize("name", ["corner diff", "smooth 3.0"])
+    def test_matches_sequential_oracle(self, name):
+        build = CERTIFIED_CASES[name]
+        spectrum = cd.convergence_horizon(build, 256)
+        values, horizon = _sequential_horizon(build, 256)
+        assert spectrum.values.tobytes() == values.tobytes()
+        assert spectrum.horizon == horizon
+
+    def test_2n0_build_error_propagates_and_worker_ends(self):
+        def build(m):
+            if m == 512:
+                raise RuntimeError("2*N0 build failed")
+            return cd.composition_matrix(cd.half_map(), m)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="2\\*N0 build failed"):
+            cd.convergence_horizon(build, 256)
+        assert threading.active_count() == before
+
+    def test_n0_svd_error_wins_over_2n0_build_error(self):
+        def build(m):
+            if m == 512:
+                raise RuntimeError("2*N0 build failed")
+            return cd.TruncatedOperator(np.full((m, m), np.nan), "nan")
+
+        before = threading.active_count()
+        with pytest.raises(NumericalBreakdown):
+            cd.convergence_horizon(build, 256)
+        assert threading.active_count() == before
 
 
 class TestAlgebra:
