@@ -23,10 +23,11 @@ of degree n-1: with ``w(z) = rho(phi(z), psi(z))``,
 All unspecified absolute constants are dropped: every certificate carries a
 ``constants: unspecified`` flag and downstream comparisons are rate (slope)
 comparisons, never absolute dominations.  Boundary suprema are dense-grid
-samples with one refinement doubling; both upper certificates take each sup
-as (coarse, fine, empty) and derive the 2% stability and empty-set flags from
-them.  The coarse grid is a subset of the fine one, bit for bit, so the
-Blaschke suprema are evaluated once, on the fine-grid points with |phi| <= r.
+samples with one refinement doubling.  The coarse grid is a subset of the fine
+one, bit for bit, so every supremum is evaluated once, on the fine grid, and
+one helper reads each sup as (coarse, fine, empty) off the kept fine-grid
+points; both upper certificates derive the 2% stability and empty-set flags
+from those triples.
 """
 
 from __future__ import annotations
@@ -88,15 +89,17 @@ _W_MP_POINTS = 64
 def _w_values(phi: Symbol, psi: Symbol, side: int) -> np.ndarray:
     """Boundary samples of w = rho(phi, psi), safe against contact cancellation.
 
+    The certificates take it in one pass, on the fine grid
+    ``sup_grid(2 * _SUP_SAMPLES)``, and read the coarse-grid samples off it.
     Where the double-precision denominator |1 - conj(phi) psi| drops below
     1e-12 (deep in the contact region) the quotient degenerates to junk/junk;
     those samples are re-evaluated with mpmath on a logarithmically decimated
     subset and the rest of the unreliable range inherits zero.  Zeroing can
     only deflate a supremum, the unsafe direction for an upper certificate,
     so this assumes w stays far below the reliable sup there.  Unchecked at
-    run time; measured on the smooth pair at alpha = 2.5, 1,530 of 16,384
-    samples are unreliable and their 64 mpmath values peak at 2.8e-5
-    against a reliable sup of 2.8e-2.
+    run time; measured on the smooth pair at alpha = 2.5, 3,060 of the fine
+    grid's 32,768 samples are unreliable and their 64 mpmath values peak at
+    2.8e-5 against a reliable sup of 2.8e-2.
     """
     from .series import boundary_rho_mp
 
@@ -265,7 +268,6 @@ def _level_curve(phi: Symbol, r: float,
     the curve directly; several runs are chained only if their image
     endpoints nearly meet, otherwise the level set is reported disconnected.
     """
-    t = sup_grid(samples_per_side)
     values = _sup_values(phi, samples_per_side)
     keep = np.isfinite(values) & (np.abs(values) <= r)
     if not np.any(keep):
@@ -364,13 +366,6 @@ class UpperCertificate:
         }
 
 
-def _masked_sup(values: np.ndarray, mask: np.ndarray) -> float:
-    """Supremum over a sampled set; empty sets give 0 by convention."""
-    if not np.any(mask):
-        return 0.0
-    return float(values[mask].max())
-
-
 def _blaschke_peak_candidates(zeros: np.ndarray, curve: np.ndarray) -> np.ndarray:
     """Curve points midway (in arc length) between consecutive zeros.
 
@@ -406,44 +401,42 @@ def _coarse_positions(side: int) -> np.ndarray:
     return mask
 
 
-def _blaschke_sups(zeros: BlaschkeProduct, symbol: Symbol, r: float,
-                   side: int) -> tuple:
+def _refined_sup(values: np.ndarray, kept: np.ndarray,
+                 peak: float = 0.0) -> tuple:
+    """``(coarse, fine, empty)`` sup of ``values``, the samples at the ``kept``
+    points of the fine grid ``sup_grid(2 * _SUP_SAMPLES)``.
+
+    The coarse sup reads the kept points that also lie on
+    ``sup_grid(_SUP_SAMPLES)``.  ``peak`` (off-grid Blaschke peak candidates)
+    counts for each grid that keeps a point; a grid that keeps none has sup 0,
+    and ``empty`` says the fine grid keeps none.
+    """
+    coarse_values = values[_coarse_positions(_SUP_SAMPLES)[kept]]
+    fine = max(float(values.max()), peak) if values.size else 0.0
+    coarse = max(float(coarse_values.max()), peak) if coarse_values.size else 0.0
+    return coarse, fine, not values.size
+
+
+def _blaschke_sups(zeros: BlaschkeProduct, symbol: Symbol, r: float) -> tuple:
     """sup of |B o symbol| over {|symbol| <= r} on the coarse and fine grids.
 
-    B is evaluated once, on the kept points of the fine grid
-    ``sup_grid(2 * side)``; the coarse sup is read off the kept points that
-    also lie on ``sup_grid(side)``.  Peak candidates between consecutive
-    zeros along the ordered level curve keep both sups honest where the grid
-    is coarse; they count wherever the grid keeps a point.  Returns
-    ``(coarse, fine, empty)`` with ``empty`` true when the fine grid keeps
-    nothing (both sups are then 0).
+    B is evaluated once, on the kept points of the fine grid.  Peak
+    candidates between consecutive zeros along the ordered level curve keep
+    both sups honest where the grid is coarse.
     """
-    values = _sup_values(symbol, 2 * side)
+    values = _sup_values(symbol, 2 * _SUP_SAMPLES)
     inside = np.abs(values) <= r
     moduli = np.abs(blaschke_eval(zeros, values[inside]))
-    coarse_moduli = moduli[_coarse_positions(side)[inside]]
-    fine = float(moduli.max()) if moduli.size else 0.0
-    coarse = float(coarse_moduli.max()) if coarse_moduli.size else 0.0
+    peak = 0.0
     if moduli.size:
         try:
             curve = _level_curve(symbol, r)
         except ValueError:
             # the default curve grid is empty; take the grid that kept points
-            curve = _level_curve(symbol, r, 2 * side)
+            curve = _level_curve(symbol, r, 2 * _SUP_SAMPLES)
         cand = _blaschke_peak_candidates(zeros.zeros, curve)
         peak = float(np.abs(blaschke_eval(zeros, cand)).max())
-        fine = max(fine, peak)
-        if coarse_moduli.size:
-            coarse = max(coarse, peak)
-    return coarse, fine, not moduli.size
-
-
-def _outside_sups(values_pair, symbol: Symbol, r: float, side: int) -> tuple:
-    """sup over {|symbol| > r} of the samples on ``sup_grid(side)`` and
-    ``sup_grid(2 * side)``, as ``(coarse, fine, empty)``."""
-    outside = [~(np.abs(_sup_values(symbol, s)) <= r) for s in (side, 2 * side)]
-    coarse, fine = (_masked_sup(v, m) for v, m in zip(values_pair, outside))
-    return coarse, fine, not np.any(outside[1])
+    return _refined_sup(moduli, inside, peak)
 
 
 def _sup_flags(sups: dict, **extra) -> dict:
@@ -460,8 +453,7 @@ def _sup_flags(sups: dict, **extra) -> dict:
 
 
 def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
-                      zeros: BlaschkeProduct,
-                      samples_per_side: int = _SUP_SAMPLES) -> UpperCertificate:
+                      zeros: BlaschkeProduct) -> UpperCertificate:
     """Blaschke-damped upper bound for a_n(C_phi - C_psi) at level r.
 
     The four suprema are sampled on the exponential boundary grid, refined
@@ -472,13 +464,14 @@ def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
 
-    w_pair = (_w_values(phi, psi, samples_per_side),
-              _w_values(phi, psi, 2 * samples_per_side))
+    w = _w_values(phi, psi, 2 * _SUP_SAMPLES)
+    out_phi, out_psi = (~(np.abs(_sup_values(s, 2 * _SUP_SAMPLES)) <= r)
+                        for s in (phi, psi))
     sups = {
-        "B_phi": _blaschke_sups(zeros, phi, r, samples_per_side),
-        "B_psi": _blaschke_sups(zeros, psi, r, samples_per_side),
-        "w_phi": _outside_sups(w_pair, phi, r, samples_per_side),
-        "w_psi": _outside_sups(w_pair, psi, r, samples_per_side),
+        "B_phi": _blaschke_sups(zeros, phi, r),
+        "B_psi": _blaschke_sups(zeros, psi, r),
+        "w_phi": _refined_sup(w[out_phi], out_phi),
+        "w_psi": _refined_sup(w[out_psi], out_psi),
     }
     fine = np.array([sup for _, sup, _ in sups.values()])
     norm_phi = operator_norm_bound(phi)
@@ -531,23 +524,31 @@ class OptimizedUpper:
         return d
 
 
-def optimize_upper(phi: Symbol, psi: Symbol, n: int,
-                   r_grid: Sequence[float]) -> OptimizedUpper:
-    """Grid search over r (and zero layouts); ties resolved toward the smallest r."""
-    rs = sorted(float(r) for r in r_grid)
-    if not rs:
-        raise ValueError("empty r grid")
-    best = None
-    trace = []
-    for r in rs:
-        local = None
-        for zeros in _candidate_zero_layouts(phi, psi, n, r):
-            cert = upper_certificate(phi, psi, n, r, zeros)
-            if local is None or cert.value < local.value:
-                local = cert
+def _search_r(r_grid: Sequence[float], certify) -> tuple:
+    """Smallest certificate over ``r_grid``, tried in the given order.
+
+    ``certify(r)`` returns the candidate certificates at r; the first minimum
+    wins, at each r and over the grid.  Returns ``(best, trace)`` with the
+    trace holding the (r, value) minimum per r.
+    """
+    best, trace = None, []
+    for r in r_grid:
+        local = min(certify(r), key=lambda cert: cert.value)
         trace.append((r, local.value))
         if best is None or local.value < best.value:
             best = local
+    if best is None:
+        raise ValueError("empty r grid")
+    return best, trace
+
+
+def optimize_upper(phi: Symbol, psi: Symbol, n: int,
+                   r_grid: Sequence[float]) -> OptimizedUpper:
+    """Grid search over r (and zero layouts); ties resolved toward the smallest r."""
+    best, trace = _search_r(
+        sorted(float(r) for r in r_grid),
+        lambda r: [upper_certificate(phi, psi, n, r, zeros)
+                   for zeros in _candidate_zero_layouts(phi, psi, n, r)])
     return OptimizedUpper(best=best, trace=trace)
 
 
@@ -649,9 +650,9 @@ def hs_parseval_sum(phi: Symbol, psi: Symbol, n0: int = 256,
 # weighted certificates
 # ---------------------------------------------------------------------------
 
-def boundary_sup(symbol: Symbol, samples_per_side: int = _SUP_SAMPLES) -> float:
+def boundary_sup(symbol: Symbol) -> float:
     """Sampled sup-norm on the circle (equals the disc sup-norm for H^inf)."""
-    values = np.abs(_sup_values(symbol, samples_per_side))
+    values = np.abs(_sup_values(symbol, _SUP_SAMPLES))
     return float(values[np.isfinite(values)].max())
 
 
@@ -684,8 +685,7 @@ class WeightedUpperCertificate:
 
 
 def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
-                               zeros: BlaschkeProduct,
-                               samples_per_side: int = _SUP_SAMPLES
+                               zeros: BlaschkeProduct
                                ) -> WeightedUpperCertificate:
     """Upper bound for a_n(M_omega C_phi):
 
@@ -696,13 +696,13 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
     if zeros.degree != n - 1:
         raise ValueError(f"need a degree {n - 1} product, got degree {zeros.degree}")
 
-    omega_phi = [np.abs(eval_array(omega, _sup_values(phi, side)))
-                 for side in (samples_per_side, 2 * samples_per_side)]
+    phi_v = _sup_values(phi, 2 * _SUP_SAMPLES)
+    outside = ~(np.abs(phi_v) <= r)
+    omega_phi = np.abs(eval_array(omega, phi_v))
+    omega_phi = np.where(np.isfinite(omega_phi), omega_phi, 0.0)
     sups = {
-        "B_phi": _blaschke_sups(zeros, phi, r, samples_per_side),
-        "delta0": _outside_sups(
-            [np.where(np.isfinite(v), v, 0.0) for v in omega_phi],
-            phi, r, samples_per_side),
+        "B_phi": _blaschke_sups(zeros, phi, r),
+        "delta0": _refined_sup(omega_phi[outside], outside),
     }
     sup_b, delta0 = sups["B_phi"][1], sups["delta0"][1]
 
@@ -722,15 +722,8 @@ def _best_weighted_upper(omega: Symbol, phi: Symbol, n: int,
     """Smallest weighted upper certificate over ``r_grid``, zeros on the
     level curve of phi; r is tried in the given order and the first minimum
     wins."""
-    best = None
-    for r in r_grid:
-        zeros = blaschke_zeros_for_symbol(phi, r, n)
-        cert = weighted_upper_certificate(omega, phi, n, r, zeros)
-        if best is None or cert.value < best.value:
-            best = cert
-    if best is None:
-        raise ValueError("empty r grid")
-    return best
+    return _search_r(r_grid, lambda r: [weighted_upper_certificate(
+        omega, phi, n, r, blaschke_zeros_for_symbol(phi, r, n))])[0]
 
 
 def weighted_lower_certificate(omega: Symbol, phi: Symbol,
@@ -742,6 +735,12 @@ def weighted_lower_certificate(omega: Symbol, phi: Symbol,
 # ---------------------------------------------------------------------------
 # weighted differences and triangularly separated bidisc symbols
 # ---------------------------------------------------------------------------
+
+def _cross_bound(sup0: float, sup1: float, d01: float,
+                 a_diff: float, a0: float, a1: float) -> float:
+    """min over i of sup_i a_diff + d01 a_{1-i}, the two cross combinations."""
+    return min(sup0 * a_diff + d01 * a1, sup1 * a_diff + d01 * a0)
+
 
 def weighted_difference_bound(u0: Symbol, u1: Symbol,
                               phi0: Symbol, phi1: Symbol, n: int,
@@ -759,7 +758,7 @@ def weighted_difference_bound(u0: Symbol, u1: Symbol,
     sup1 = boundary_sup(u1)
     d01 = float(np.abs(_sup_values(u0, _SUP_SAMPLES)
                        - _sup_values(u1, _SUP_SAMPLES)).max())
-    return min(sup0 * a_diff + d01 * a1, sup1 * a_diff + d01 * a0)
+    return _cross_bound(sup0, sup1, d01, a_diff, a0, a1)
 
 
 @dataclass(frozen=True)
@@ -820,12 +819,11 @@ def triangular_bound(u0: Symbol, u1: Symbol, phi0: Symbol, phi1: Symbol,
     k_count = len(sizes) - 1
     blocks = []
     for k, n_k in enumerate(sizes):
-        a_diff = sigma(diff_spectrum, n_k)
-        a0 = sigma(phi0_spectrum, n_k)
-        a1 = sigma(phi1_spectrum, n_k)
         d_k = float(np.abs(u0_v ** k - u1_v ** k).max())
-        blocks.append(min(sup0 ** k * a_diff + d_k * a1,
-                          sup1 ** k * a_diff + d_k * a0))
+        blocks.append(_cross_bound(sup0 ** k, sup1 ** k, d_k,
+                                   sigma(diff_spectrum, n_k),
+                                   sigma(phi0_spectrum, n_k),
+                                   sigma(phi1_spectrum, n_k)))
 
     tail = (sup0 ** (k_count + 1) * operator_norm_bound(phi0)
             + sup1 ** (k_count + 1) * operator_norm_bound(phi1))

@@ -224,22 +224,11 @@ def uniform_separation(points: PointsLike) -> float:
     return float(np.exp(log_products.min()))
 
 
-def _separation_or_zero(pts: np.ndarray) -> float:
-    if len(pts) <= 1:
-        return 1.0
-    if _min_pairwise_distance(pts) < _DISTINCT_TOL:
-        return 0.0
-    return float(np.exp(_log_rho_matrix(pts).sum(axis=1).min()))
-
-
 @dataclass(frozen=True)
 class CarlesonEstimate:
-    """Window-grid supremum and the separation-based logarithmic bound."""
+    """Window-grid supremum of the Carleson measure."""
 
     geometric: float
-    log_bound: float
-    delta_min: float
-    windows_checked: int
 
     def __post_init__(self):
         if self.geometric < 0:
@@ -249,9 +238,8 @@ class CarlesonEstimate:
 def carleson_norm(points: PointsLike) -> CarlesonEstimate:
     """Estimate the Carleson norm of nu_Z = sum_j (1 - |z_j|^2) delta_{z_j}.
 
-    The geometric value drives certificates; the log bound
-    ``1 + log(1/delta(Z))`` is reported alongside (infinite for sequences
-    with repeats).
+    The supremum runs over dyadic windows of side 2^-m, m <= 52, centred on a
+    half-side angular grid.
     """
     seq = as_points(points, distinct=False)
     pts = seq.points
@@ -262,10 +250,7 @@ def carleson_norm(points: PointsLike) -> CarlesonEstimate:
     angles = np.angle(pts)
 
     best = 0.0
-    windows = 0
-    m = 0
-    delta = 1.0
-    while m <= 52:
+    for m in range(53):
         delta = 2.0 ** (-m)
         admissible = gaps <= delta
         if not np.any(admissible):
@@ -282,14 +267,8 @@ def carleson_norm(points: PointsLike) -> CarlesonEstimate:
                 for k in range(lo, hi + 1):
                     acc[k] = acc.get(k, 0.0) + mass
         if acc:
-            windows += len(acc)
             best = max(best, max(acc.values()) / delta)
-        m += 1
-
-    delta_z = _separation_or_zero(pts)
-    log_bound = math.inf if delta_z == 0 else 1.0 + math.log(1.0 / delta_z)
-    return CarlesonEstimate(geometric=best, log_bound=log_bound,
-                            delta_min=delta, windows_checked=windows)
+    return CarlesonEstimate(geometric=best)
 
 
 def interpolation_constant_bound(points: PointsLike) -> float:

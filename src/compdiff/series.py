@@ -24,7 +24,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -365,15 +365,6 @@ def sup_grid(samples_per_side: int = 8192, octaves: float = 128.0) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExpansionCheck:
-    """Near-contact decay of 1 - |value|^2 against sqrt(|t|)."""
-
-    ratio_min: float
-    ratio_max: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     symbol_name: str
     samples: int
@@ -381,16 +372,12 @@ class ValidationReport:
     t_at_max: float
     passed: bool
     tolerance: float = SELF_MAP_TOL
-    expansion: Optional[ExpansionCheck] = None
 
 
 def validate_self_map(symbol: Symbol, samples: int = 256) -> ValidationReport:
     """Check |symbol| <= 1 + tol on an exponentially clustered boundary grid.
 
-    Failures are reported, not raised.  For the corner family the report also
-    records the boundary expansion check: the ratio
-    ``(1 - |value|^2) / sqrt(|t|)`` over ``1e-6 <= |t| <= 1e-3`` must lie in
-    ``[1.2, 1.6]``.
+    Failures are reported, not raised.
     """
     if samples < 64:
         raise ValueError("need at least 64 boundary samples")
@@ -401,24 +388,12 @@ def validate_self_map(symbol: Symbol, samples: int = 256) -> ValidationReport:
     i = int(np.argmax(moduli))
     passed = bool(moduli[i] <= 1 + SELF_MAP_TOL)
 
-    expansion = None
-    if symbol.family in ("corner_map", "corner_perturbation"):
-        window = (np.abs(t) >= 1e-6) & (np.abs(t) <= 1e-3)
-        if np.any(window):
-            ratios = (1 - moduli[window] ** 2) / np.sqrt(np.abs(t[window]))
-            expansion = ExpansionCheck(
-                ratio_min=float(ratios.min()),
-                ratio_max=float(ratios.max()),
-                passed=bool(ratios.min() >= 1.2 and ratios.max() <= 1.6),
-            )
-
     return ValidationReport(
         symbol_name=symbol.name,
         samples=len(t),
         max_modulus=float(moduli[i]),
         t_at_max=float(t[i]),
         passed=passed,
-        expansion=expansion,
     )
 
 

@@ -167,26 +167,40 @@ def _coarse_of_fine(fine: np.ndarray, side: int) -> np.ndarray:
     return np.concatenate([fine[0:2 * side:2], fine[2 * side + 1::2]])
 
 
+def _masked_sup(values, mask):
+    """Supremum over a sampled set; empty sets give 0 by convention."""
+    return float(values[mask].max()) if np.any(mask) else 0.0
+
+
+def _peak(zeros, symbol, r, side):
+    """Largest |B| over the peak candidates of the level curve, taken on the
+    default curve grid or, where that is empty, on sup_grid(2 * side)."""
+    try:
+        curve = _level_curve(symbol, r)
+    except ValueError:
+        curve = _level_curve(symbol, r, 2 * side)
+    cand = bounds._blaschke_peak_candidates(zeros.zeros, curve)
+    return float(np.abs(cd.blaschke_eval(zeros, cand)).max())
+
+
 def _two_pass_sups(zeros, phi, psi, r, side):
     """Reference: the Blaschke/w suprema as two independent grid passes.
 
     Evaluates B on every point of sup_grid(side) and sup_grid(2 * side) and
-    masks afterwards.  Returns the coarse and fine sups, each ordered
-    (B_phi, B_psi, w_phi, w_psi), and the fine grid's four empty flags.
+    masks afterwards; each grid takes w from its own ``_w_values``.  Returns
+    the coarse and fine sups, each ordered (B_phi, B_psi, w_phi, w_psi), and
+    the fine grid's four empty flags.
     """
     def sups(s):
         phi_v, psi_v = _sup_values(phi, s), _sup_values(psi, s)
         in_phi, in_psi = np.abs(phi_v) <= r, np.abs(psi_v) <= r
         w = bounds._w_values(phi, psi, s)
-        out = [bounds._masked_sup(np.abs(cd.blaschke_eval(zeros, v)), m)
+        out = [_masked_sup(np.abs(cd.blaschke_eval(zeros, v)), m)
                for v, m in ((phi_v, in_phi), (psi_v, in_psi))]
-        out += [bounds._masked_sup(w, ~in_phi), bounds._masked_sup(w, ~in_psi)]
+        out += [_masked_sup(w, ~in_phi), _masked_sup(w, ~in_psi)]
         for slot, (sym, inside) in enumerate(((phi, in_phi), (psi, in_psi))):
             if np.any(inside):
-                cand = bounds._blaschke_peak_candidates(zeros.zeros,
-                                                        _level_curve(sym, r))
-                out[slot] = max(out[slot],
-                                float(np.abs(cd.blaschke_eval(zeros, cand)).max()))
+                out[slot] = max(out[slot], _peak(zeros, sym, r, side))
         return np.array(out), (not np.any(in_phi), not np.any(in_psi),
                                not np.any(~in_phi), not np.any(~in_psi))
 
@@ -201,13 +215,11 @@ def _two_pass_weighted(omega, phi, zeros, r, side):
     def sups(s):
         phi_v = _sup_values(phi, s)
         inside = np.abs(phi_v) <= r
-        sup_b = bounds._masked_sup(np.abs(cd.blaschke_eval(zeros, phi_v)), inside)
+        sup_b = _masked_sup(np.abs(cd.blaschke_eval(zeros, phi_v)), inside)
         if np.any(inside):
-            cand = bounds._blaschke_peak_candidates(zeros.zeros,
-                                                    _level_curve(phi, r))
-            sup_b = max(sup_b, float(np.abs(cd.blaschke_eval(zeros, cand)).max()))
+            sup_b = max(sup_b, _peak(zeros, phi, r, side))
         om = np.abs(eval_array(omega, phi_v))
-        delta0 = bounds._masked_sup(np.where(np.isfinite(om), om, 0.0), ~inside)
+        delta0 = _masked_sup(np.where(np.isfinite(om), om, 0.0), ~inside)
         return (sup_b, delta0), (not np.any(inside), not np.any(~inside))
 
     coarse, _ = sups(side)
@@ -244,7 +256,7 @@ class TestFineGridSups:
         for zeros in bounds._candidate_zero_layouts(phi, psi, n, r):
             coarse, fine, empties = _two_pass_sups(zeros, phi, psi, r, side)
             for slot, sym in enumerate((phi, psi)):
-                assert bounds._blaschke_sups(zeros, sym, r, side) == (
+                assert bounds._blaschke_sups(zeros, sym, r) == (
                     coarse[slot], fine[slot], empties[slot])
             cert = cd.upper_certificate(phi, psi, n, r, zeros)
             assert [cert.sup_b_phi, cert.sup_b_psi, cert.sup_w_phi,
@@ -260,8 +272,9 @@ class TestFineGridSups:
         # nothing outside at r = 0.6
         phi, psi = cd.half_map(), cd.dilation(0.5)
         zeros = cd.BlaschkeProduct(np.array([0.1, -0.2j, 0.3 + 0.1j]))
-        coarse, fine, empties = _two_pass_sups(zeros, phi, psi, r, 512)
-        cert = cd.upper_certificate(phi, psi, 4, r, zeros, samples_per_side=512)
+        coarse, fine, empties = _two_pass_sups(zeros, phi, psi, r,
+                                               bounds._SUP_SAMPLES)
+        cert = cd.upper_certificate(phi, psi, 4, r, zeros)
         assert [cert.sup_b_phi, cert.sup_b_psi, cert.sup_w_phi,
                 cert.sup_w_psi] == list(fine)
         assert cert.flags["stable_within_2pct"] == _stable(coarse, fine)
@@ -284,31 +297,14 @@ class TestFineGridSups:
             assert cert.flags["empty_sets"] == [
                 name for name, e in zip(["B_phi", "delta0"], empties) if e]
 
-    def test_sublevel_set_seen_only_by_the_fine_grid(self):
-        # phi = (z - e^{i t0}) / 2 with t0 a fine-grid angle between two
-        # coarse ones: at r = 0.01 the fine grid keeps one point and the
-        # coarse grid none, so the peak candidates count for the fine sup only
-        side = 512
-        t0 = sup_grid(2 * side)[-2]
-        assert not bounds._coarse_positions(side)[-2]
-        phi = cd.Symbol("notch", Product((Const(0.5), Sum((Var(), Const(
-            -np.exp(1j * t0)))))))
-        zeros = cd.BlaschkeProduct(np.array([0.5, 0.2j]))
-        coarse, fine, empties = _two_pass_weighted(cd.weight_power(1), phi,
-                                                   zeros, 0.01, side)
-        assert coarse[0] == 0 < fine[0] and empties == (False, False)
-        assert bounds._blaschke_sups(zeros, phi, 0.01, side) == (
-            coarse[0], fine[0], False)
-        cert = cd.weighted_upper_certificate(cd.weight_power(1), phi, 3, 0.01,
-                                             zeros, samples_per_side=side)
-        assert (cert.sup_b, cert.delta0) == fine
-        assert not cert.flags["stable_within_2pct"]
-
     def test_peak_candidates_from_the_grid_that_kept_points(self):
         # at the default side the fine grid sup_grid(16384) is finer than the
-        # 4096-sample level curve; with t0 off that curve's grid the curve is
-        # empty at r = 0.001 while the fine grid keeps phi(e^{i t0}) = 0
-        t0 = sup_grid(2 * bounds._SUP_SAMPLES)[-2]
+        # 4096-sample level curve; with t0 a fine-grid angle between two
+        # coarse ones the curve is empty at r = 0.001 while the fine grid
+        # keeps phi(e^{i t0}) = 0 and the coarse grid keeps nothing
+        side = bounds._SUP_SAMPLES
+        t0 = sup_grid(2 * side)[-2]
+        assert not bounds._coarse_positions(side)[-2]
         phi = cd.Symbol("probe", Product((Const(0.5), Sum((Var(), Const(
             -np.exp(1j * t0)))))))
         with pytest.raises(ValueError, match="empty"):
@@ -317,12 +313,38 @@ class TestFineGridSups:
                                     cd.BlaschkeProduct([0]))
         assert cert.sup_b_phi == 0.0 and cert.flags["empty_sets"] == []
         # a zero at 0.5 gives |B(0)| = 0.5 at the one kept point, seen by the
-        # fine grid only
+        # fine grid only: the peak candidates count for the fine sup alone
+        zeros = cd.BlaschkeProduct([0.5])
+        coarse, fine, empties = _two_pass_weighted(cd.weight_power(1), phi,
+                                                   zeros, 0.001, side)
+        assert coarse[0] == 0 < fine[0] and empties == (False, False)
+        assert bounds._blaschke_sups(zeros, phi, 0.001) == (
+            coarse[0], fine[0], False)
         weighted = cd.weighted_upper_certificate(
-            cd.weight_power(1), phi, 2, 0.001, cd.BlaschkeProduct([0.5]))
+            cd.weight_power(1), phi, 2, 0.001, zeros)
+        assert (weighted.sup_b, weighted.delta0) == fine
         assert weighted.sup_b == pytest.approx(0.5, rel=1e-15)
         assert weighted.flags["empty_sets"] == []
         assert not weighted.flags["stable_within_2pct"]
+
+    def test_mpmath_fallback_runs_on_the_fine_grid_only(self, monkeypatch):
+        # the coarse w-sups are read off the fine grid's samples, so one
+        # certificate pays the 64 mpmath points of one grid, not two
+        from compdiff import series
+
+        calls = []
+        real = series.boundary_rho_mp
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(series, "boundary_rho_mp", counting)
+        bounds._w_values.cache_clear()
+        bounds._sup_values.cache_clear()
+        phi, psi = cd.half_map(), cd.power_perturbation(2.5, 0.005)
+        cd.upper_certificate(phi, psi, 8, 0.9, split_zeros(phi, psi, 8, 0.9))
+        assert len(calls) == bounds._W_MP_POINTS == 64
 
     def test_grid_points_passed_to_blaschke_lie_in_sublevel_set(self, monkeypatch):
         calls, candidates = [], []
@@ -609,6 +631,14 @@ class TestTriangularBound:
                 cd.operator_norm_bound(phi0) + cd.operator_norm_bound(phi1))
             assert tb.tail == pytest.approx(expected_tail, rel=1e-12)
             assert tb.index == sum(sizes) - k_top
+
+    def test_block_one_is_the_weighted_difference_bound(self):
+        # block k = 1 bounds M_u0 C_phi0 - M_u1 C_phi1 itself
+        phi0, phi1, s_diff, s0, s1 = self._spectra()
+        u0, u1 = cd.constant(0.5), cd.dilation(0.5)
+        tb = cd.triangular_bound(u0, u1, phi0, phi1, [4, 6], s_diff, s0, s1)
+        assert tb.block_terms[1] == cd.weighted_difference_bound(
+            u0, u1, phi0, phi1, 6, s_diff, s0, s1)
 
     def test_weight_norm_guard(self):
         phi0, phi1, s_diff, s0, s1 = self._spectra()

@@ -148,6 +148,15 @@ class TestExperimentAndFit:
             expected = (DATA / f"smooth_N64_{name}").read_bytes()
             assert (tmp_path / name).read_bytes() == expected, name
 
+    def test_weighted_driver_bytes_pinned(self, tmp_path):
+        # the multi-n certificate path of the weighted driver (n = 2..7)
+        from compdiff.experiments import run_weighted_power
+
+        run_weighted_power(1.0, 64, window=(2, 8)).write(tmp_path)
+        for name in ("result.json", "certificates.json"):
+            expected = (DATA / f"weighted_N64_{name}").read_bytes()
+            assert (tmp_path / name).read_bytes() == expected, name
+
     def test_fit_subcommand(self, tmp_path, capsys):
         run(["spectrum", "--symbol", "dilation(a=0.5)", "--N", "32"], tmp_path)
         capsys.readouterr()  # drain the spectrum run's output

@@ -217,10 +217,6 @@ class TestCarleson:
             est = cd.carleson_norm(pts)
             assert est.geometric == pytest.approx(brute_carleson(pts), rel=1e-9)
 
-    def test_log_bound_value(self):
-        est = cd.carleson_norm([0, 0.5])
-        assert est.log_bound == pytest.approx(1 + math.log(2), abs=1e-12)
-
     def test_kernel_combination_inequality(self):
         # ||sum b_j k_{z_j}||^2 <= carleson * sum |b_j|^2 / (1 - |z_j|^2), 5% slack
         rng = np.random.default_rng(RNG_SEED + 5)
