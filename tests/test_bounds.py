@@ -297,32 +297,44 @@ class TestFineGridSups:
             assert cert.flags["empty_sets"] == [
                 name for name, e in zip(["B_phi", "delta0"], empties) if e]
 
-    def test_peak_candidates_from_the_grid_that_kept_points(self):
-        # at the default side the fine grid sup_grid(16384) is finer than the
-        # 4096-sample level curve; with t0 a fine-grid angle between two
-        # coarse ones the curve is empty at r = 0.001 while the fine grid
-        # keeps phi(e^{i t0}) = 0 and the coarse grid keeps nothing
+    @staticmethod
+    def _notch():
+        # phi = (z - e^{i t0}) / 2 with t0 a fine-grid angle between two
+        # coarse ones of the default side: phi(e^{i t0}) = 0 is kept by the
+        # fine grid at r = 0.001 and no coarse point is
         side = bounds._SUP_SAMPLES
         t0 = sup_grid(2 * side)[-2]
         assert not bounds._coarse_positions(side)[-2]
-        phi = cd.Symbol("probe", Product((Const(0.5), Sum((Var(), Const(
+        return cd.Symbol("notch", Product((Const(0.5), Sum((Var(), Const(
             -np.exp(1j * t0)))))))
+
+    def test_sublevel_set_seen_only_by_the_fine_grid(self):
+        # the fine grid keeps one point and the coarse grid none, so the peak
+        # candidates count for the fine sup only
+        phi = self._notch()
+        zeros = cd.BlaschkeProduct(np.array([0.5, 0.2j]))
+        coarse, fine, empties = _two_pass_weighted(
+            cd.weight_power(1), phi, zeros, 0.001, bounds._SUP_SAMPLES)
+        assert coarse[0] == 0 < fine[0] and empties == (False, False)
+        assert bounds._blaschke_sups(zeros, phi, 0.001) == (
+            coarse[0], fine[0], False)
+        cert = cd.weighted_upper_certificate(cd.weight_power(1), phi, 3, 0.001,
+                                             zeros)
+        assert (cert.sup_b, cert.delta0) == fine
+        assert not cert.flags["stable_within_2pct"]
+
+    def test_peak_candidates_from_the_grid_that_kept_points(self):
+        # at the default side the fine grid sup_grid(16384) is finer than the
+        # 4096-sample level curve, which is empty at r = 0.001
+        phi = self._notch()
         with pytest.raises(ValueError, match="empty"):
             _level_curve(phi, 0.001)
         cert = cd.upper_certificate(phi, cd.half_map(), 2, 0.001,
                                     cd.BlaschkeProduct([0]))
         assert cert.sup_b_phi == 0.0 and cert.flags["empty_sets"] == []
-        # a zero at 0.5 gives |B(0)| = 0.5 at the one kept point, seen by the
-        # fine grid only: the peak candidates count for the fine sup alone
-        zeros = cd.BlaschkeProduct([0.5])
-        coarse, fine, empties = _two_pass_weighted(cd.weight_power(1), phi,
-                                                   zeros, 0.001, side)
-        assert coarse[0] == 0 < fine[0] and empties == (False, False)
-        assert bounds._blaschke_sups(zeros, phi, 0.001) == (
-            coarse[0], fine[0], False)
+        # a zero at 0.5 gives |B(0)| = 0.5 at the one kept point
         weighted = cd.weighted_upper_certificate(
-            cd.weight_power(1), phi, 2, 0.001, zeros)
-        assert (weighted.sup_b, weighted.delta0) == fine
+            cd.weight_power(1), phi, 2, 0.001, cd.BlaschkeProduct([0.5]))
         assert weighted.sup_b == pytest.approx(0.5, rel=1e-15)
         assert weighted.flags["empty_sets"] == []
         assert not weighted.flags["stable_within_2pct"]
