@@ -11,8 +11,6 @@ from .errors import (
     BoundaryFixedOrigin,
     CollidingImages,
     CompdiffError,
-    CurveTouchesBoundary,
-    DegenerateDenominator,
     DisconnectedLevelSet,
     DivisionByZeroConstantTerm,
     DuplicatePoints,
@@ -48,16 +46,9 @@ from .series import (
 )
 from .hardy import (
     BlaschkeProduct,
-    CarlesonEstimate,
     PointSequence,
     blaschke_eval,
     carleson_norm,
-    hyperbolic_distance,
-    hyperbolic_length,
-    interpolation_constant_bound,
-    kernel_gram,
-    kernel_norm_sq,
-    pseudo_distance,
     uniform_separation,
 )
 from .operators import (
@@ -82,7 +73,6 @@ from .bounds import (
     WeightedUpperCertificate,
     blaschke_zeros_for_symbol,
     hs_norm,
-    hs_parseval_sum,
     lower_certificate,
     optimize_upper,
     sequence_boundary_pinch,

@@ -49,6 +49,7 @@ from .errors import (
 from .hardy import (
     BlaschkeProduct,
     PointSequence,
+    _min_pairwise_distance,
     as_points,
     blaschke_eval,
     carleson_norm,
@@ -56,17 +57,15 @@ from .hardy import (
     pseudo_distance_array,
     uniform_separation,
 )
-from .operators import (
-    SingularSpectrum,
-    difference_matrix,
-    operator_norm_bound,
-)
+from .operators import SingularSpectrum, operator_norm_bound
 from .series import Symbol, eval_array, eval_boundary, sup_grid
 
 _IMAGE_COLLISION_TOL = 1e-14
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 _SUP_SAMPLES = 1 << 13          # per side; doubled once for the stability check
 _SUP_STABILITY = 0.02
+_HS_REL_TOL = 1e-6
+_HS_MAX_ROUNDS = 14
 
 
 def _c2ri(z: complex) -> list:
@@ -106,13 +105,11 @@ def _w_values(phi: Symbol, psi: Symbol, side: int) -> np.ndarray:
     t = sup_grid(side)
     phi_v = _sup_values(phi, side)
     psi_v = _sup_values(psi, side)
-    num = np.abs(phi_v - psi_v)
-    den = np.abs(1 - np.conj(phi_v) * psi_v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(num == 0, 0.0, num / np.maximum(den, 1e-300))
-    w = np.clip(np.where(np.isfinite(w), w, 1.0), 0.0, 1.0)
+    w = pseudo_distance_array(phi_v, psi_v)
 
-    bad = (den < _W_DEN_FLOOR) & (num > 0)
+    # a sample with den < 1e-12 has rho > 0 exactly when phi != psi there
+    den = np.abs(1 - np.conj(phi_v) * psi_v)
+    bad = (den < _W_DEN_FLOOR) & (w > 0)
     if np.any(bad):
         w[bad] = 0.0
         bad_idx = np.nonzero(bad)[0]
@@ -213,18 +210,17 @@ def _kernel_lower(kind: str, points, terms) -> LowerCertificate:
     z = seq.points
     images = [_images_inside(phi, z) for _, phi in terms]
     w = np.concatenate(images)
-    gaps = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() < _IMAGE_COLLISION_TOL:
+    gap = _min_pairwise_distance(w)
+    if gap < _IMAGE_COLLISION_TOL:
         raise CollidingImages(
             ("phi(Z) u psi(Z) has fewer than 2 card(Z) points (min gap"
              if kind == "lower" else "phi is not injective on Z (min image gap")
-            + f" {gaps.min():.3g})")
+            + f" {gap:.3g})")
 
     delta_z = uniform_separation(seq)
     delta_w = uniform_separation(PointSequence(w))
-    carl_z = carleson_norm(seq).geometric
-    carl_w = carleson_norm(PointSequence(w)).geometric
+    carl_z = carleson_norm(seq)
+    carl_w = carleson_norm(PointSequence(w))
     m_w = math.sqrt(carl_w) / delta_w
 
     base = 1.0 - np.abs(z) ** 2
@@ -566,10 +562,6 @@ class HsIntegral:
     rounds: int
     samples: int
 
-    @property
-    def finite(self) -> bool:
-        return not self.diverged
-
 
 def _hs_integrand(phi: Symbol, psi: Symbol, t: np.ndarray) -> np.ndarray:
     phi_v = eval_boundary(phi, t)
@@ -585,21 +577,20 @@ def _hs_integrand(phi: Symbol, psi: Symbol, t: np.ndarray) -> np.ndarray:
     return np.where(bad, 0.0, f)
 
 
-def hs_norm(phi: Symbol, psi: Symbol, rel_tol: float = 1e-6,
-            max_rounds: int = 14) -> HsIntegral:
+def hs_norm(phi: Symbol, psi: Symbol) -> HsIntegral:
     """Adaptive trapezoid for the squared Hilbert-Schmidt norm of C_phi - C_psi.
 
     (1/2pi) * int (1 - |phi psi|^2) / ((1 - |phi|^2)(1 - |psi|^2)) * rho(phi, psi)^2 dtheta,
     which equals sum_k || phi^k - psi^k ||^2.  The grid deepens toward the
-    contact point and densifies until the value moves by less than
-    ``rel_tol``; persistent growth across refinements flags divergence and
-    the value is reported as +inf.
+    contact point and densifies, for at most 14 rounds, until the value moves
+    by less than 1e-6 relative; persistent growth across refinements flags
+    divergence and the value is reported as +inf.
     """
     octaves, per_octave = 8, 8
     prev_value = None
     prev_delta = None
     samples = 0
-    for round_idx in range(max_rounds):
+    for round_idx in range(_HS_MAX_ROUNDS):
         m = np.arange(octaves * per_octave + 1, dtype=float)
         t = np.pi * 2.0 ** (-m / per_octave)
         t = t[::-1]  # ascending
@@ -608,7 +599,7 @@ def hs_norm(phi: Symbol, psi: Symbol, rel_tol: float = 1e-6,
         samples = 2 * len(t)
         if prev_value is not None:
             delta = value - prev_value
-            if abs(delta) <= rel_tol * max(abs(value), 1e-300):
+            if abs(delta) <= _HS_REL_TOL * max(abs(value), 1e-300):
                 return HsIntegral(value=value, diverged=False, converged=True,
                                   rounds=round_idx + 1, samples=samples)
             if value > 1e12:
@@ -625,25 +616,7 @@ def hs_norm(phi: Symbol, psi: Symbol, rel_tol: float = 1e-6,
         else:
             per_octave *= 2
     return HsIntegral(value=prev_value, diverged=False, converged=False,
-                      rounds=max_rounds, samples=samples)
-
-
-def hs_parseval_sum(phi: Symbol, psi: Symbol, n0: int = 256,
-                    rel_tol: float = 1e-6, max_doublings: int = 5) -> float:
-    """Coefficient-side oracle: sum_k ||taylor(phi^k) - taylor(psi^k)||^2.
-
-    Squared Frobenius norm of the difference truncation, stabilised by
-    doubling N.
-    """
-    n = n0
-    prev = None
-    for _ in range(max_doublings):
-        value = float(np.linalg.norm(difference_matrix(phi, psi, n).matrix) ** 2)
-        if prev is not None and abs(value - prev) <= rel_tol * max(value, 1e-300):
-            return value
-        prev = value
-        n *= 2
-    return prev
+                      rounds=_HS_MAX_ROUNDS, samples=samples)
 
 
 # ---------------------------------------------------------------------------

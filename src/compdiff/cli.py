@@ -13,10 +13,24 @@ count.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 from pathlib import Path
+
+from .bounds import (_best_weighted_upper, hs_norm, lower_certificate,
+                     optimize_upper, sequence_boundary_pinch, sequence_radial,
+                     weighted_lower_certificate)
+from .errors import CompdiffError, ParseError
+from .experiments import (DEFAULT_R_GRID, fit_decay, run_bidisc,
+                          run_corner_perturbation, run_smooth_perturbation,
+                          run_weighted_power)
+from .operators import (composition_matrix, convergence_horizon,
+                        difference_matrix, singular_spectrum,
+                        spectrum_from_csv, spectrum_to_csv,
+                        weighted_composition_matrix)
+from .series import parse_symbol
 
 _ENV_OUTDIR = "COMPDIFF_OUTDIR"
 
@@ -27,8 +41,6 @@ _ENV_OUTDIR = "COMPDIFF_OUTDIR"
 
 def read_config_file(path: str) -> dict:
     """Flat ``key = value`` text file; '#' starts a comment."""
-    from .errors import ParseError
-
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -74,8 +86,6 @@ def apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPar
 
 
 def parse_window(text: str) -> tuple:
-    from .errors import ParseError
-
     parts = text.replace(":", ",").split(",")
     if len(parts) != 2:
         raise ParseError(f"window must be lo:hi, got {text!r}")
@@ -87,11 +97,7 @@ def parse_window(text: str) -> tuple:
 
 
 def parse_r_grid(text: str):
-    from .errors import ParseError
-
     if text == "auto":
-        from .experiments import DEFAULT_R_GRID
-
         return DEFAULT_R_GRID
     try:
         rs = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -111,10 +117,6 @@ def _set_blas_threads(count: int) -> None:
     """Set each loaded OpenBLAS's thread count through its run-time setter;
     numpy is loaded before any flag is read, so environment variables would
     come too late."""
-    import ctypes
-
-    from .errors import ParseError
-
     maps = Path("/proc/self/maps")
     paths = {line.split()[-1] for line in
              (maps.read_text().splitlines() if maps.exists() else [])
@@ -139,8 +141,6 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_spectrum_csv(args, spectrum) -> Path:
-    from .operators import spectrum_to_csv
-
     out = resolve_outdir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / args.csv
@@ -162,10 +162,6 @@ def _print_spectrum_head(spectrum, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    from .operators import (composition_matrix, convergence_horizon,
-                            singular_spectrum, weighted_composition_matrix)
-    from .series import parse_symbol
-
     symbol = parse_symbol(args.symbol)
     weight = parse_symbol(args.weight) if args.weight else None
     if args.dry_run:
@@ -188,9 +184,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_diff_spectrum(args) -> int:
-    from .operators import convergence_horizon, difference_matrix
-    from .series import parse_symbol
-
     phi = parse_symbol(args.phi)
     psi = parse_symbol(args.psi)
     if args.dry_run:
@@ -205,8 +198,6 @@ def cmd_diff_spectrum(args) -> int:
 
 
 def _sequence(args, n: int):
-    from .bounds import sequence_boundary_pinch, sequence_radial
-
     if args.sequence == "pinch":
         return sequence_boundary_pinch(2 * n)
     if args.sequence == "radial":
@@ -215,9 +206,6 @@ def _sequence(args, n: int):
 
 
 def cmd_lower_bound(args) -> int:
-    from .bounds import lower_certificate
-    from .series import parse_symbol
-
     phi = parse_symbol(args.phi)
     psi = parse_symbol(args.psi)
     if args.dry_run:
@@ -236,9 +224,6 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_upper_bound(args) -> int:
-    from .bounds import optimize_upper
-    from .series import parse_symbol
-
     phi = parse_symbol(args.phi)
     psi = parse_symbol(args.psi)
     r_grid = parse_r_grid(args.r_grid)
@@ -258,9 +243,6 @@ def cmd_upper_bound(args) -> int:
 
 
 def cmd_hs_norm(args) -> int:
-    from .bounds import hs_norm
-    from .series import parse_symbol
-
     phi = parse_symbol(args.phi)
     psi = parse_symbol(args.psi)
     if args.dry_run:
@@ -281,11 +263,6 @@ def cmd_hs_norm(args) -> int:
 
 
 def cmd_weighted(args) -> int:
-    from .bounds import (_best_weighted_upper, sequence_boundary_pinch,
-                         weighted_lower_certificate)
-    from .operators import convergence_horizon, weighted_composition_matrix
-    from .series import parse_symbol
-
     omega = parse_symbol(args.omega)
     phi = parse_symbol(args.phi)
     if args.dry_run:
@@ -310,8 +287,6 @@ def cmd_weighted(args) -> int:
 
 
 def cmd_bidisc(args) -> int:
-    from .experiments import run_bidisc
-
     if args.dry_run:
         print(f"dry-run: bidisc kind={args.kind} c={args.c} N={args.N}")
         return 0
@@ -324,9 +299,6 @@ def cmd_bidisc(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .experiments import (run_corner_perturbation, run_smooth_perturbation,
-                              run_weighted_power, run_bidisc)
-
     if args.dry_run:
         print(f"dry-run: experiment {args.which} alpha={args.alpha} "
               f"c={args.c} N={args.N}")
@@ -350,9 +322,6 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .experiments import fit_decay
-    from .operators import spectrum_from_csv
-
     window = parse_window(args.window)
     if args.dry_run:
         print(f"dry-run: fit {args.model} to {args.csv} on {window}")
@@ -468,17 +437,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    from .errors import CompdiffError, ParseError
-
     try:
         apply_config_defaults(args, parser)
         if args.threads > 0:
             _set_blas_threads(args.threads)
         return args.handler(args)
-    except ParseError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CompdiffError as exc:

@@ -21,14 +21,6 @@ class ParseError(CompdiffError):
     """Malformed symbol specification or configuration entry."""
 
 
-class DegenerateDenominator(CompdiffError):
-    """Pseudohyperbolic denominator |1 - conj(z) w| is numerically zero."""
-
-
-class CurveTouchesBoundary(CompdiffError):
-    """A sampled curve reaches the unit circle, where the Poincare density blows up."""
-
-
 class DuplicatePoints(CompdiffError):
     """A point sequence flagged distinct contains (numerically) repeated points."""
 

@@ -1,4 +1,7 @@
-"""Geometry of the disc and H^2: metrics, kernels, Blaschke products, Carleson norms.
+"""Geometry of the disc and H^2: the pseudohyperbolic distance, Blaschke
+products, hyperbolic arc length, uniform separation and Carleson norms.
+
+Each quantity the certificates use has one implementation here.
 
 Carleson norms of atomic measures are estimated on a dyadic window grid:
 windows ``Q(theta0, delta) = {r e^{i theta}: r >= 1 - delta, |theta - theta0| <= delta}``
@@ -16,11 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    CurveTouchesBoundary,
-    DegenerateDenominator,
-    DuplicatePoints,
-)
+from .errors import DuplicatePoints
 
 _DISTINCT_TOL = 1e-15
 
@@ -69,23 +68,12 @@ def _min_pairwise_distance(pts: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# metrics and kernels
+# pseudohyperbolic distance
 # ---------------------------------------------------------------------------
 
-def pseudo_distance(z: complex, w: complex) -> float:
-    """rho(z, w) = |z - w| / |1 - conj(z) w|."""
-    z, w = complex(z), complex(w)
-    num = abs(z - w)
-    if num == 0:
-        return 0.0
-    den = abs(1 - z.conjugate() * w)
-    if den < 1e-300:
-        raise DegenerateDenominator(f"|1 - conj(z) w| ~ 0 at z={z}, w={w}")
-    return num / den
-
-
 def pseudo_distance_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vectorised rho, clipped to [0, 1]; rho = 0 wherever z == w exactly.
+    """rho(z, w) = |z - w| / |1 - conj(z) w| elementwise, clipped to [0, 1];
+    rho = 0 wherever z == w exactly.
 
     Safe on boundary samples where the denominator underflows: rho on the
     closed bidisc never exceeds 1, so clipping cannot weaken suprema.
@@ -98,29 +86,6 @@ def pseudo_distance_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
         rho = num / np.maximum(den, 1e-300)
     rho = np.where(num == 0, 0.0, rho)
     return np.clip(np.where(np.isfinite(rho), rho, 1.0), 0.0, 1.0)
-
-
-def hyperbolic_distance(z: complex, w: complex) -> float:
-    """d(z, w) = log((1 + rho)/(1 - rho)); rho = (1 - e^-d)/(1 + e^-d)."""
-    rho = pseudo_distance(z, w)
-    if rho >= 1:
-        raise ValueError("hyperbolic distance requires both points inside the disc")
-    return math.log1p(rho) - math.log1p(-rho)
-
-
-def kernel_norm_sq(w: complex) -> float:
-    """Squared H^2 norm of the reproducing kernel k_w(z) = 1/(1 - conj(w) z)."""
-    w = complex(w)
-    mod2 = abs(w) ** 2
-    if mod2 >= 1:
-        raise ValueError("kernel norm requires |w| < 1")
-    return 1.0 / (1.0 - mod2)
-
-
-def kernel_gram(points: PointsLike) -> np.ndarray:
-    """Gram matrix G[j, k] = <k_{z_k}, k_{z_j}> = 1/(1 - conj(z_j) z_k)."""
-    z = as_points(points, distinct=False).points
-    return 1.0 / (1.0 - np.conj(z)[:, None] * z[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -163,43 +128,19 @@ def blaschke_eval(product: BlaschkeProduct, z) -> np.ndarray:
 # hyperbolic length
 # ---------------------------------------------------------------------------
 
-def hyperbolic_length(curve: Sequence[complex]) -> float:
-    """Composite trapezoid for 2 * integral |dz| / (1 - |z|^2) along samples."""
-    pts = np.asarray(list(curve), dtype=complex)
-    if len(pts) < 2:
-        return 0.0
-    if np.any(np.abs(pts) >= 1 - 1e-12):
-        raise CurveTouchesBoundary("curve sample within 1e-12 of the unit circle")
-    g = 2.0 / (1.0 - np.abs(pts) ** 2)
-    seg = np.abs(np.diff(pts))
-    return float(np.sum(seg * (g[:-1] + g[1:]) / 2.0))
-
-
-def hyperbolic_length_refined(parametrize, t0: float, t1: float,
-                              rel_tol: float = 1e-6, start: int = 64,
-                              max_doublings: int = 22) -> float:
-    """Refine a parametrised curve by doubling until the length is stable."""
-    n = start
-    prev = None
-    for _ in range(max_doublings):
-        t = np.linspace(t0, t1, n + 1)
-        length = hyperbolic_length(parametrize(t))
-        if prev is not None and abs(length - prev) <= rel_tol * max(abs(length), 1e-300):
-            return length
-        prev = length
-        n *= 2
-    return prev
-
-
 def cumulative_hyperbolic_length(pts: np.ndarray) -> np.ndarray:
-    """Running hyperbolic length along a sampled path (first entry 0)."""
+    """Running hyperbolic length along a sampled path (first entry 0).
+
+    Composite trapezoid for 2 * integral |dz| / (1 - |z|^2); the last entry
+    is the length of the whole path.
+    """
     g = 2.0 / (1.0 - np.abs(pts) ** 2)
     seg = np.abs(np.diff(pts)) * (g[:-1] + g[1:]) / 2.0
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
 # ---------------------------------------------------------------------------
-# separation, Carleson norm, interpolation constant
+# separation and Carleson norm
 # ---------------------------------------------------------------------------
 
 def _log_rho_matrix(pts: np.ndarray) -> np.ndarray:
@@ -224,18 +165,7 @@ def uniform_separation(points: PointsLike) -> float:
     return float(np.exp(log_products.min()))
 
 
-@dataclass(frozen=True)
-class CarlesonEstimate:
-    """Window-grid supremum of the Carleson measure."""
-
-    geometric: float
-
-    def __post_init__(self):
-        if self.geometric < 0:
-            raise ValueError("Carleson estimate must be non-negative")
-
-
-def carleson_norm(points: PointsLike) -> CarlesonEstimate:
+def carleson_norm(points: PointsLike) -> float:
     """Estimate the Carleson norm of nu_Z = sum_j (1 - |z_j|^2) delta_{z_j}.
 
     The supremum runs over dyadic windows of side 2^-m, m <= 52, centred on a
@@ -268,12 +198,5 @@ def carleson_norm(points: PointsLike) -> CarlesonEstimate:
                     acc[k] = acc.get(k, 0.0) + mass
         if acc:
             best = max(best, max(acc.values()) / delta)
-    return CarlesonEstimate(geometric=best)
+    return float(best)
 
-
-def interpolation_constant_bound(points: PointsLike) -> float:
-    """Shapiro-Shields bound M(Z) <= sqrt(||nu_Z||_C) / delta(Z)."""
-    seq = as_points(points, distinct=True)
-    delta = uniform_separation(seq)
-    est = carleson_norm(seq)
-    return math.sqrt(est.geometric) / delta

@@ -103,7 +103,6 @@ class TruncatedOperator:
 
     matrix: np.ndarray
     symbol_name: str
-    weight_name: Optional[str] = None
 
     def __post_init__(self):
         # float64 stays real, everything else becomes complex128; asarray
@@ -239,8 +238,7 @@ def weighted_composition_matrix(omega: Symbol, phi: Symbol, n: int) -> Truncated
     _ensure_bounded_weight(omega)
     base = taylor_array(phi, n)
     first = taylor_array(omega, n)
-    return TruncatedOperator(_power_table(base, first, n), phi.name,
-                             weight_name=omega.name)
+    return TruncatedOperator(_power_table(base, first, n), phi.name)
 
 
 def difference_matrix(phi: Symbol, psi: Symbol, n: int) -> TruncatedOperator:
@@ -336,30 +334,23 @@ def _passes(a: float, b: float, floor: float) -> bool:
     return abs(a - b) <= _HORIZON_RTOL * max(b, floor)
 
 
-def _certified_horizon(small: np.ndarray, s: np.ndarray,
-                       e: float) -> Optional[int]:
-    """Horizon of ``small`` against Weyl intervals of the 2*N0 values, or None.
+def _scan_horizon(small: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  floor_lo: float, floor_hi: float) -> Optional[int]:
+    """Horizon of ``small`` against 2*N0 values known to lie in [lo, hi], or None.
 
-    Each comparison is evaluated at both ends of its widened interval, the
-    floor at both ends of sigma_1's.  The pass set of the 1% test is an
+    Each comparison is evaluated at both ends of its interval, the floor at
+    both ends of [floor_lo, floor_hi].  The pass set of the 1% test is an
     interval in b that contains a and grows with the floor, so a comparison
     that passes at both ends (lowest floor), or fails at both ends on the
     same side of a (highest floor), is decided for every value inside.
     Returns None when a comparison before the first decided failure is not
-    decided.
+    decided; exact values (lo = hi, one floor) always decide.
     """
-    hi_1 = math.sqrt(s[0] ** 2 + e ** 2)
-    slack = _ROUNDING_SLACK * hi_1
-    floor_lo = _HORIZON_FLOOR * max(s[0] - slack, 1e-300)
-    floor_hi = _HORIZON_FLOOR * max(hi_1 + slack, 1e-300)
     for n, a in enumerate(small):
-        s_n = s[n] if n < len(s) else 0.0
-        lo = max(s_n - slack, 0.0)
-        hi = math.sqrt(s_n ** 2 + e ** 2) + slack
-        if _passes(a, lo, floor_lo) and _passes(a, hi, floor_lo):
+        if _passes(a, lo[n], floor_lo) and _passes(a, hi[n], floor_lo):
             continue
-        if (not _passes(a, lo, floor_hi) and not _passes(a, hi, floor_hi)
-                and not lo <= a <= hi):
+        if (not _passes(a, lo[n], floor_hi) and not _passes(a, hi[n], floor_hi)
+                and not lo[n] <= a <= hi[n]):
             return n
         return None
     return len(small)
@@ -425,19 +416,21 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
         except np.linalg.LinAlgError:
             pass
         else:
-            horizon = _certified_horizon(s_small.values, s, e)
+            # Weyl intervals, s_n = 0 past k, every end widened by the slack
+            s_n = np.pad(s, (0, n0 - len(s)))
+            hi_1 = math.sqrt(s[0] ** 2 + e ** 2)
+            slack = _ROUNDING_SLACK * hi_1
+            horizon = _scan_horizon(
+                s_small.values, np.maximum(s_n - slack, 0.0),
+                np.sqrt(s_n ** 2 + e ** 2) + slack,
+                _HORIZON_FLOOR * max(s[0] - slack, 1e-300),
+                _HORIZON_FLOOR * max(hi_1 + slack, 1e-300))
             if horizon is not None:
                 return replace(s_small, horizon=horizon)
-    s_big = singular_spectrum(big)
-    floor = _HORIZON_FLOOR * max(s_big.values[0], 1e-300)
-    horizon = 0
-    for n in range(len(s_small)):
-        a, b = s_small.values[n], s_big.values[n]
-        if _passes(a, b, floor):
-            horizon += 1
-        else:
-            break
-    return replace(s_small, horizon=horizon)
+    b = singular_spectrum(big).values
+    floor = _HORIZON_FLOOR * max(b[0], 1e-300)
+    return replace(s_small,
+                   horizon=_scan_horizon(s_small.values, b, b, floor, floor))
 
 
 # ---------------------------------------------------------------------------

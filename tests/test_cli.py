@@ -12,6 +12,8 @@ import pytest
 
 from compdiff.cli import main
 from compdiff.operators import spectrum_from_csv
+from compdiff.series import dilation
+from oracles import hs_parseval_sum
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,8 +80,7 @@ class TestHsNorm:
                     "--psi", "dilation(a=0.25)"], tmp_path)
         assert code == 0
         payload = json.loads((tmp_path / "hs_norm.json").read_text())
-        import compdiff as cd
-        oracle = cd.hs_parseval_sum(cd.dilation(0.5), cd.dilation(0.25), 64)
+        oracle = hs_parseval_sum(dilation(0.5), dilation(0.25), 64)
         assert payload["value"] == pytest.approx(oracle, rel=1e-5)
         assert not payload["diverged"]
 
