@@ -70,7 +70,6 @@ from .bounds import (
     LowerCertificate,
     TriangularBound,
     UpperCertificate,
-    WeightedUpperCertificate,
     blaschke_zeros_for_symbol,
     hs_norm,
     lower_certificate,

@@ -26,15 +26,15 @@ comparisons, never absolute dominations.  Boundary suprema are dense-grid
 samples with one refinement doubling.  The coarse grid is a subset of the fine
 one, bit for bit, so every supremum is evaluated once, on the fine grid, and
 one helper reads each sup as (coarse, fine, empty) off the kept fine-grid
-points; both upper certificates derive the 2% stability and empty-set flags
-from those triples.
+points; one ``UpperCertificate`` type (``kind`` ``upper`` or ``weighted_upper``)
+takes the 2% stability and empty-set flags from those triples.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -217,10 +217,11 @@ def _kernel_lower(kind: str, points, terms) -> LowerCertificate:
              if kind == "lower" else "phi is not injective on Z (min image gap")
             + f" {gap:.3g})")
 
+    w_seq = PointSequence(w, distinct=False)  # the gap check made W distinct
     delta_z = uniform_separation(seq)
-    delta_w = uniform_separation(PointSequence(w))
+    delta_w = uniform_separation(w_seq)
     carl_z = carleson_norm(seq)
-    carl_w = carleson_norm(PointSequence(w))
+    carl_w = carleson_norm(w_seq)
     m_w = math.sqrt(carl_w) / delta_w
 
     base = 1.0 - np.abs(z) ** 2
@@ -332,32 +333,21 @@ def blaschke_zeros_for_symbol(phi: Symbol, r: float, n: int) -> BlaschkeProduct:
 
 @dataclass(frozen=True)
 class UpperCertificate:
+    kind: str  # "upper" for C_phi - C_psi, "weighted_upper" for M_omega C_phi
     n: int
     r: float
-    sup_b_phi: float
-    sup_b_psi: float
-    sup_w_phi: float
-    sup_w_psi: float
-    norm_phi: float
-    norm_psi: float
     value: float
-    zeros: np.ndarray
+    fields: dict  # serialised sups, norms, zeros ("upper") and any r-search trace
     flags: dict
 
     def to_dict(self) -> dict:
         return {
-            "kind": "upper",
+            "kind": self.kind,
             "n": self.n,
             "r": self.r,
-            "sup_B_phi": self.sup_b_phi,
-            "sup_B_psi": self.sup_b_psi,
-            "sup_w_phi": self.sup_w_phi,
-            "sup_w_psi": self.sup_w_psi,
-            "norm_phi": self.norm_phi,
-            "norm_psi": self.norm_psi,
+            **self.fields,
             "value_theorem": None,
             "value_constant_free": self.value,
-            "zeros": [_c2ri(z) for z in self.zeros],
             "flags": dict(self.flags),
         }
 
@@ -435,17 +425,27 @@ def _blaschke_sups(zeros: BlaschkeProduct, symbol: Symbol, r: float) -> tuple:
     return _refined_sup(moduli, inside, peak)
 
 
-def _sup_flags(sups: dict, **extra) -> dict:
-    """Flags of a sampled-supremum certificate from name -> (coarse, fine, empty)."""
-    return {
+def _check_upper_args(n: int, r: float, zeros: BlaschkeProduct) -> None:
+    if zeros.degree != n - 1:
+        raise ValueError(f"need a degree {n - 1} product, got degree {zeros.degree}")
+    if not 0 < r < 1:
+        raise ValueError("r must lie in (0, 1)")
+
+
+def _sampled_upper(kind: str, n: int, r: float, value: float, sups: dict,
+                   fields: dict, **extra_flags) -> UpperCertificate:
+    """Upper certificate whose flags come from name -> (coarse, fine, empty)."""
+    flags = {
         "constants": "unspecified",
         "sampled_supremum": True,
-        **extra,
+        **extra_flags,
         "stable_within_2pct": all(abs(fine - coarse) <= _SUP_STABILITY
                                   * max(fine, 1e-300)
                                   for coarse, fine, _ in sups.values()),
         "empty_sets": [name for name, (_, _, empty) in sups.items() if empty],
     }
+    return UpperCertificate(kind=kind, n=n, r=r, value=float(value),
+                            fields=fields, flags=flags)
 
 
 def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
@@ -455,11 +455,7 @@ def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
     The four suprema are sampled on the exponential boundary grid, refined
     once by doubling; a residual change above 2% is flagged, not raised.
     """
-    if zeros.degree != n - 1:
-        raise ValueError(f"need a degree {n - 1} product, got degree {zeros.degree}")
-    if not 0 < r < 1:
-        raise ValueError("r must lie in (0, 1)")
-
+    _check_upper_args(n, r, zeros)
     w = _w_values(phi, psi, 2 * _SUP_SAMPLES)
     out_phi, out_psi = (~(np.abs(_sup_values(s, 2 * _SUP_SAMPLES)) <= r)
                         for s in (phi, psi))
@@ -472,15 +468,11 @@ def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
     fine = np.array([sup for _, sup, _ in sups.values()])
     norm_phi = operator_norm_bound(phi)
     norm_psi = operator_norm_bound(psi)
-    value = float(fine.sum() * (norm_phi + norm_psi))
-    flags = _sup_flags(sups)
-    return UpperCertificate(
-        n=n, r=r,
-        sup_b_phi=float(fine[0]), sup_b_psi=float(fine[1]),
-        sup_w_phi=float(fine[2]), sup_w_psi=float(fine[3]),
-        norm_phi=norm_phi, norm_psi=norm_psi,
-        value=value, zeros=zeros.zeros, flags=flags,
-    )
+    fields = {f"sup_{name}": float(sup) for name, sup in zip(sups, fine)}
+    fields.update(norm_phi=norm_phi, norm_psi=norm_psi,
+                  zeros=[_c2ri(z) for z in zeros.zeros])
+    return _sampled_upper("upper", n, r, fine.sum() * (norm_phi + norm_psi),
+                          sups, fields)
 
 
 def split_zeros(phi: Symbol, psi: Symbol, n: int, r: float) -> BlaschkeProduct:
@@ -509,28 +501,17 @@ def _candidate_zero_layouts(phi: Symbol, psi: Symbol, n: int, r: float):
     return layouts
 
 
-@dataclass(frozen=True)
-class OptimizedUpper:
-    best: UpperCertificate
-    trace: list  # (r, value) pairs
-
-    def to_dict(self) -> dict:
-        d = self.best.to_dict()
-        d["trace"] = [[r, v] for r, v in self.trace]
-        return d
-
-
 def _search_r(r_grid: Sequence[float], certify) -> tuple:
     """Smallest certificate over ``r_grid``, tried in the given order.
 
     ``certify(r)`` returns the candidate certificates at r; the first minimum
     wins, at each r and over the grid.  Returns ``(best, trace)`` with the
-    trace holding the (r, value) minimum per r.
+    trace holding the [r, value] minimum per r.
     """
     best, trace = None, []
     for r in r_grid:
         local = min(certify(r), key=lambda cert: cert.value)
-        trace.append((r, local.value))
+        trace.append([r, local.value])
         if best is None or local.value < best.value:
             best = local
     if best is None:
@@ -539,13 +520,14 @@ def _search_r(r_grid: Sequence[float], certify) -> tuple:
 
 
 def optimize_upper(phi: Symbol, psi: Symbol, n: int,
-                   r_grid: Sequence[float]) -> OptimizedUpper:
-    """Grid search over r (and zero layouts); ties resolved toward the smallest r."""
+                   r_grid: Sequence[float]) -> UpperCertificate:
+    """Grid search over r (and zero layouts); ties resolved toward the smallest r.
+    The best certificate carries the [r, value] minimum per r as ``trace``."""
     best, trace = _search_r(
         sorted(float(r) for r in r_grid),
         lambda r: [upper_certificate(phi, psi, n, r, zeros)
                    for zeros in _candidate_zero_layouts(phi, psi, n, r)])
-    return OptimizedUpper(best=best, trace=trace)
+    return replace(best, fields={**best.fields, "trace": trace})
 
 
 # ---------------------------------------------------------------------------
@@ -629,46 +611,15 @@ def boundary_sup(symbol: Symbol) -> float:
     return float(values[np.isfinite(values)].max())
 
 
-@dataclass(frozen=True)
-class WeightedUpperCertificate:
-    n: int
-    r: float
-    sup_b: float
-    delta0: float
-    omega_sup: float
-    norm_phi: float
-    norm_t: float
-    value: float
-    flags: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "weighted_upper",
-            "n": self.n,
-            "r": self.r,
-            "sup_B_phi": self.sup_b,
-            "delta0": self.delta0,
-            "omega_sup": self.omega_sup,
-            "norm_phi": self.norm_phi,
-            "norm_T": self.norm_t,
-            "value_theorem": None,
-            "value_constant_free": self.value,
-            "flags": dict(self.flags),
-        }
-
-
 def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
-                               zeros: BlaschkeProduct
-                               ) -> WeightedUpperCertificate:
+                               zeros: BlaschkeProduct) -> UpperCertificate:
     """Upper bound for a_n(M_omega C_phi):
 
     ( sup_{|phi|<=r} |B o phi|^2 ||T||^2 + delta0(r)^2 ||C_phi||^2 )^{1/2},
     delta0(r) = sup over {|phi| > r} of |omega(phi(e^{it}))|,
     with the plumbing bound ||T|| <= ||omega||_inf ||C_phi|| (flagged).
     """
-    if zeros.degree != n - 1:
-        raise ValueError(f"need a degree {n - 1} product, got degree {zeros.degree}")
-
+    _check_upper_args(n, r, zeros)
     phi_v = _sup_values(phi, 2 * _SUP_SAMPLES)
     outside = ~(np.abs(phi_v) <= r)
     omega_phi = np.abs(eval_array(omega, phi_v))
@@ -683,15 +634,14 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
     norm_phi = operator_norm_bound(phi)
     norm_t = omega_sup * norm_phi
     value = math.sqrt(sup_b ** 2 * norm_t ** 2 + delta0 ** 2 * norm_phi ** 2)
-    flags = _sup_flags(sups, norm_T_is_plumbing_bound=True)
-    return WeightedUpperCertificate(
-        n=n, r=r, sup_b=sup_b, delta0=delta0, omega_sup=omega_sup,
-        norm_phi=norm_phi, norm_t=norm_t, value=float(value), flags=flags,
-    )
+    fields = {"sup_B_phi": sup_b, "delta0": delta0, "omega_sup": omega_sup,
+              "norm_phi": norm_phi, "norm_T": norm_t}
+    return _sampled_upper("weighted_upper", n, r, value, sups, fields,
+                          norm_T_is_plumbing_bound=True)
 
 
 def _best_weighted_upper(omega: Symbol, phi: Symbol, n: int,
-                         r_grid: Sequence[float]) -> WeightedUpperCertificate:
+                         r_grid: Sequence[float]) -> UpperCertificate:
     """Smallest weighted upper certificate over ``r_grid``, zeros on the
     level curve of phi; r is tried in the given order and the first minimum
     wins."""

@@ -231,13 +231,13 @@ def cmd_upper_bound(args) -> int:
         print(f"dry-run: upper bound for {phi.name} vs {psi.name}, n={args.n}, "
               f"{len(list(r_grid))} r values")
         return 0
-    opt = optimize_upper(phi, psi, args.n, r_grid)
+    best = optimize_upper(phi, psi, args.n, r_grid)
     out = resolve_outdir(args)
-    _write_json(out / "upper_bound.json", opt.to_dict())
-    best = opt.best
+    _write_json(out / "upper_bound.json", best.to_dict())
+    sups = best.fields
     print(f"n={best.n} best r={best.r:.8g} value={best.value:.6e}")
-    print(f"sups: B.phi={best.sup_b_phi:.3e} B.psi={best.sup_b_psi:.3e} "
-          f"w.phi={best.sup_w_phi:.3e} w.psi={best.sup_w_psi:.3e}")
+    print(f"sups: B.phi={sups['sup_B_phi']:.3e} B.psi={sups['sup_B_psi']:.3e} "
+          f"w.phi={sups['sup_w_phi']:.3e} w.psi={sups['sup_w_psi']:.3e}")
     print(f"wrote {out / 'upper_bound.json'}")
     return 0
 

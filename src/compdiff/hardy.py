@@ -143,26 +143,21 @@ def cumulative_hyperbolic_length(pts: np.ndarray) -> np.ndarray:
 # separation and Carleson norm
 # ---------------------------------------------------------------------------
 
-def _log_rho_matrix(pts: np.ndarray) -> np.ndarray:
-    num = np.abs(pts[:, None] - pts[None, :])
-    den = np.abs(1 - np.conj(pts)[:, None] * pts[None, :])
-    with np.errstate(divide="ignore"):
-        lr = np.log(num) - np.log(den)
-    np.fill_diagonal(lr, 0.0)
-    return lr
-
-
 def uniform_separation(points: PointsLike) -> float:
-    """delta(Z) = inf_j prod_{k != j} rho(z_j, z_k); empty products are 1."""
-    seq = as_points(points, distinct=True)
-    pts = seq.points
+    """delta(Z) = inf_j prod_{k != j} rho(z_j, z_k); empty products are 1.
+    Duplicates are caught in the |z_j - z_k| matrix that rho needs anyway."""
+    pts = as_points(points, distinct=True).points
     if len(pts) <= 1:
         return 1.0
-    if _min_pairwise_distance(pts) < _DISTINCT_TOL:
+    num = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(num, np.inf)
+    if num.min() < _DISTINCT_TOL:
         raise DuplicatePoints("uniform separation requires distinct points")
+    den = np.abs(1 - np.conj(pts)[:, None] * pts[None, :])
     # products over many near-unit factors: run in the log domain
-    log_products = _log_rho_matrix(pts).sum(axis=1)
-    return float(np.exp(log_products.min()))
+    log_rho = np.log(num) - np.log(den)
+    np.fill_diagonal(log_rho, 0.0)
+    return float(np.exp(log_rho.sum(axis=1).min()))
 
 
 def carleson_norm(points: PointsLike) -> float:

@@ -72,6 +72,24 @@ class TestLowerCertificate:
         with pytest.raises(ImageOnBoundary):
             cd.lower_certificate(cd.constant(1.0), cd.dilation(0.5), [0.3])
 
+    def test_one_pairwise_gap_matrix_per_certificate(self, monkeypatch):
+        # the CollidingImages check on W is the only distinctness scan;
+        # Z is checked when its sequence is built, outside the certificate
+        from compdiff import hardy
+
+        calls = []
+        real = hardy._min_pairwise_distance
+
+        def counting(pts):
+            calls.append(len(pts))
+            return real(pts)
+
+        z = cd.sequence_boundary_pinch(24)
+        monkeypatch.setattr(hardy, "_min_pairwise_distance", counting)
+        monkeypatch.setattr(bounds, "_min_pairwise_distance", counting)
+        cd.lower_certificate(cd.half_map(), cd.power_perturbation(3, 0.005), z)
+        assert calls == [2 * len(z)]
+
     def test_sanity_envelope(self):
         cert = cd.lower_certificate(cd.identity(), cd.dilation(0.5), [0.5])
         sigma1 = cd.difference_spectrum(cd.identity(), cd.dilation(0.5), 256).sigma(1)
@@ -135,16 +153,16 @@ class TestUpperCertificate:
     def test_empty_outside_sets(self):
         phi, psi = cd.dilation(0.3), cd.dilation(0.2)
         cert = cd.upper_certificate(phi, psi, 8, 0.5, split_zeros(phi, psi, 8, 0.5))
-        assert cert.sup_w_phi == 0 and cert.sup_w_psi == 0
+        assert cert.fields["sup_w_phi"] == 0 and cert.fields["sup_w_psi"] == 0
         assert set(cert.flags["empty_sets"]) == {"w_phi", "w_psi"}
         assert cert.value == pytest.approx(
-            (cert.sup_b_phi + cert.sup_b_psi) * 2.0, rel=1e-14)
+            (cert.fields["sup_B_phi"] + cert.fields["sup_B_psi"]) * 2.0, rel=1e-14)
 
     def test_equal_symbols_bounded(self):
         phi = cd.half_map()
         zeros = cd.blaschke_zeros_for_symbol(phi, 0.9, 8)
         cert = cd.upper_certificate(phi, phi, 8, 0.9, zeros)
-        assert cert.sup_w_phi == 0 and cert.sup_w_psi == 0
+        assert cert.fields["sup_w_phi"] == 0 and cert.fields["sup_w_psi"] == 0
         assert cert.value < 4 * cd.operator_norm_bound(phi)
 
     def test_degree_mismatch(self):
@@ -152,6 +170,14 @@ class TestUpperCertificate:
         zeros = cd.blaschke_zeros_for_symbol(phi, 0.9, 8)
         with pytest.raises(ValueError):
             cd.upper_certificate(phi, phi, 9, 0.9, zeros)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 1.5])
+    def test_level_outside_unit_interval(self, r):
+        phi, zeros = cd.half_map(), cd.BlaschkeProduct([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="r must lie"):
+            cd.upper_certificate(phi, cd.dilation(0.5), 4, r, zeros)
+        with pytest.raises(ValueError, match="r must lie"):
+            cd.weighted_upper_certificate(cd.weight_power(1), phi, 4, r, zeros)
 
     def test_decay_in_n_at_fixed_r(self):
         phi = cd.half_map()
@@ -234,6 +260,7 @@ def _stable(coarse, fine):
 
 
 SMOOTH_PAIR = (cd.half_map(), cd.power_perturbation(3, 0.005))
+UPPER_SUPS = ("sup_B_phi", "sup_B_psi", "sup_w_phi", "sup_w_psi")
 # (n, r) pairs from the default r grid's range plus both extremes
 N_R_PAIRS = ((8, 0.6), (12, 0.9), (16, 0.99), (24, 0.999), (8, 1 - 1e-5))
 
@@ -260,8 +287,7 @@ class TestFineGridSups:
                 assert bounds._blaschke_sups(zeros, sym, r) == (
                     coarse[slot], fine[slot], empties[slot])
             cert = cd.upper_certificate(phi, psi, n, r, zeros)
-            assert [cert.sup_b_phi, cert.sup_b_psi, cert.sup_w_phi,
-                    cert.sup_w_psi] == list(fine)
+            assert [cert.fields[key] for key in UPPER_SUPS] == list(fine)
             assert cert.flags["stable_within_2pct"] == _stable(coarse, fine)
             assert cert.flags["empty_sets"] == [
                 name for name, e in zip(["B_phi", "B_psi", "w_phi", "w_psi"],
@@ -276,8 +302,7 @@ class TestFineGridSups:
         coarse, fine, empties = _two_pass_sups(zeros, phi, psi, r,
                                                bounds._SUP_SAMPLES)
         cert = cd.upper_certificate(phi, psi, 4, r, zeros)
-        assert [cert.sup_b_phi, cert.sup_b_psi, cert.sup_w_phi,
-                cert.sup_w_psi] == list(fine)
+        assert [cert.fields[key] for key in UPPER_SUPS] == list(fine)
         assert cert.flags["stable_within_2pct"] == _stable(coarse, fine)
         expected = [name for name, e in zip(["B_phi", "B_psi", "w_phi", "w_psi"],
                                             empties) if e]
@@ -293,7 +318,7 @@ class TestFineGridSups:
             coarse, fine, empties = _two_pass_weighted(omega, phi, zeros, r,
                                                        bounds._SUP_SAMPLES)
             cert = cd.weighted_upper_certificate(omega, phi, n, r, zeros)
-            assert (cert.sup_b, cert.delta0) == fine
+            assert (cert.fields["sup_B_phi"], cert.fields["delta0"]) == fine
             assert cert.flags["stable_within_2pct"] == _stable(coarse, fine)
             assert cert.flags["empty_sets"] == [
                 name for name, e in zip(["B_phi", "delta0"], empties) if e]
@@ -321,7 +346,7 @@ class TestFineGridSups:
             coarse[0], fine[0], False)
         cert = cd.weighted_upper_certificate(cd.weight_power(1), phi, 3, 0.001,
                                              zeros)
-        assert (cert.sup_b, cert.delta0) == fine
+        assert (cert.fields["sup_B_phi"], cert.fields["delta0"]) == fine
         assert not cert.flags["stable_within_2pct"]
 
     def test_peak_candidates_from_the_grid_that_kept_points(self):
@@ -332,11 +357,11 @@ class TestFineGridSups:
             _level_curve(phi, 0.001)
         cert = cd.upper_certificate(phi, cd.half_map(), 2, 0.001,
                                     cd.BlaschkeProduct([0]))
-        assert cert.sup_b_phi == 0.0 and cert.flags["empty_sets"] == []
+        assert cert.fields["sup_B_phi"] == 0.0 and cert.flags["empty_sets"] == []
         # a zero at 0.5 gives |B(0)| = 0.5 at the one kept point
         weighted = cd.weighted_upper_certificate(
             cd.weight_power(1), phi, 2, 0.001, cd.BlaschkeProduct([0.5]))
-        assert weighted.sup_b == pytest.approx(0.5, rel=1e-15)
+        assert weighted.fields["sup_B_phi"] == pytest.approx(0.5, rel=1e-15)
         assert weighted.flags["empty_sets"] == []
         assert not weighted.flags["stable_within_2pct"]
 
@@ -397,21 +422,21 @@ class TestOptimizeUpper:
     def test_minimum_of_trace(self):
         phi, psi = cd.half_map(), cd.power_perturbation(3, 0.005)
         grid = 1.0 - np.geomspace(1e-4, 0.3, 9)
-        opt = cd.optimize_upper(phi, psi, 12, grid)
-        assert opt.best.value == min(v for _, v in opt.trace)
+        best = cd.optimize_upper(phi, psi, 12, grid)
+        assert best.value == min(v for _, v in best.fields["trace"])
 
     def test_interior_minimiser_on_smooth_pair(self):
         phi, psi = cd.half_map(), cd.power_perturbation(3, 0.005)
         grid = sorted(1.0 - np.geomspace(1e-5, 0.4, 13))
-        opt = cd.optimize_upper(phi, psi, 16, grid)
-        assert grid[0] < opt.best.r < grid[-1]
+        best = cd.optimize_upper(phi, psi, 16, grid)
+        assert grid[0] < best.r < grid[-1]
 
     def test_corner_optimal_gap_tracks_log_n_over_n(self):
         phi, psi = cd.corner_map(), cd.corner_perturbation(0.01)
         grid = 1.0 - np.geomspace(1e-4, 0.5, 17)
         for n in (32, 64, 128):
-            opt = cd.optimize_upper(phi, psi, n, grid)
-            gap = 1.0 - opt.best.r
+            best = cd.optimize_upper(phi, psi, n, grid)
+            gap = 1.0 - best.r
             ratio = gap / (math.log(n) / n)
             assert 0.1 <= ratio <= 10.0, (n, gap)
 
@@ -471,8 +496,9 @@ class TestWeightedUpper:
         phi = cd.dilation(0.3)
         zeros = cd.blaschke_zeros_for_symbol(phi, 0.5, 8)
         cert = cd.weighted_upper_certificate(cd.weight_power(0), phi, 8, 0.5, zeros)
-        assert cert.delta0 == 0  # |phi| never exceeds r = 0.5
-        assert cert.value == pytest.approx(cert.sup_b * cert.norm_phi, rel=1e-14)
+        assert cert.fields["delta0"] == 0  # |phi| never exceeds r = 0.5
+        assert cert.value == pytest.approx(
+            cert.fields["sup_B_phi"] * cert.fields["norm_phi"], rel=1e-14)
 
     def test_delta0_power_scaling(self):
         # omega = (1-z): delta0(0.99) matches (1-r)^{1/2} = 0.1 within factor 5
@@ -480,7 +506,7 @@ class TestWeightedUpper:
         zeros = cd.blaschke_zeros_for_symbol(phi, 0.99, 8)
         cert = cd.weighted_upper_certificate(cd.weight_power(1), phi, 8, 0.99,
                                              zeros)
-        assert 0.1 / 5 <= cert.delta0 <= 0.1 * 5
+        assert 0.1 / 5 <= cert.fields["delta0"] <= 0.1 * 5
 
 
 class TestWeightedLower:

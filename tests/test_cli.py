@@ -115,13 +115,19 @@ class TestBounds:
         expected = (DATA / fname).read_bytes()
         assert (tmp_path / "lower_bound.json").read_bytes() == expected
 
-    def test_upper_bound_bytes_pinned(self, tmp_path):
+    def test_upper_bound_bytes_pinned(self, tmp_path, capsys):
         code = run(["upper-bound", "--phi", "half_map",
                     "--psi", "power_perturbation(alpha=3, c=0.005)",
                     "--n", "12"], tmp_path)
         assert code == 0
         expected = (DATA / "upper_bound_n12.json").read_bytes()
         assert (tmp_path / "upper_bound.json").read_bytes() == expected
+        *printed, wrote = capsys.readouterr().out.splitlines()
+        assert printed == [
+            "n=12 best r=0.89363408 value=1.794134e-01",
+            "sups: B.phi=7.527e-03 B.psi=7.856e-03 w.phi=1.815e-02 w.psi=1.843e-02",
+        ]
+        assert wrote.startswith("wrote ")
 
     def test_colliding_images_exit_3(self, tmp_path):
         code = run(["lower-bound", "--phi", "half_map", "--psi", "half_map",
@@ -212,7 +218,7 @@ class TestConfigFile:
 
 
 class TestWeighted:
-    def test_certificates_bytes_pinned(self, tmp_path):
+    def test_certificates_bytes_pinned(self, tmp_path, capsys):
         # the r optimiser keeps the grid order and the first minimum, so the
         # certificates of a fixed configuration never change
         code = run(["weighted", "--omega", "weight_power(alpha=1)",
@@ -221,6 +227,20 @@ class TestWeighted:
         expected = (Path(__file__).parent / "data"
                     / "weighted_certificates_N64_n8.json").read_text()
         assert (tmp_path / "certificates.json").read_text() == expected
+        *printed, wrote = capsys.readouterr().out.splitlines()
+        assert printed == [
+            "weight_power(alpha=1.0) * C[half_map]: N=64 horizon=7",
+            "   n        sigma_n",
+            "   1  1.4763278533e+00",
+            "   2  8.0632661468e-01",
+            "   4  4.2457068791e-01",
+            "   8  2.1299935210e-01",
+            "  16  2.0929965635e-02",
+            "  32  1.6032681090e-07",
+            "  64  1.1766882124e-29",
+            "lower(n=8) = 1.353007e-02   upper(n=8) = 7.176139e-01",
+        ]
+        assert wrote.startswith("wrote ")
 
 
 class TestDryRunEverywhere:

@@ -189,6 +189,11 @@ class TestUniformSeparation:
         with pytest.raises(DuplicatePoints):
             cd.uniform_separation([0.5, 0.5])
 
+    def test_duplicates_rejected_in_a_non_distinct_sequence(self):
+        # the sequence skips its own check; the separation matrix catches it
+        with pytest.raises(DuplicatePoints):
+            cd.uniform_separation(cd.PointSequence([0.5, 0.5], distinct=False))
+
 
 class TestCarleson:
     def test_atom_at_origin(self):
