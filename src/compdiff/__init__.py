@@ -28,7 +28,6 @@ from .errors import (
 )
 from .series import (
     Symbol,
-    boundary_grid,
     constant,
     corner_map,
     corner_perturbation,
@@ -66,10 +65,9 @@ from .operators import (
     weighted_composition_matrix,
 )
 from .bounds import (
+    Certificate,
     HsIntegral,
-    LowerCertificate,
     TriangularBound,
-    UpperCertificate,
     blaschke_zeros_for_symbol,
     hs_norm,
     lower_certificate,

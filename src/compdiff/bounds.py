@@ -26,8 +26,11 @@ comparisons, never absolute dominations.  Boundary suprema are dense-grid
 samples with one refinement doubling.  The coarse grid is a subset of the fine
 one, bit for bit, so every supremum is evaluated once, on the fine grid, and
 one helper reads each sup as (coarse, fine, empty) off the kept fine-grid
-points; one ``UpperCertificate`` type (``kind`` ``upper`` or ``weighted_upper``)
-takes the 2% stability and empty-set flags from those triples.
+points, and the upper flags (2% stability, empty sets) come from those triples.
+
+Every bound is one ``Certificate`` type, whose ``kind`` is ``lower``,
+``weighted_lower``, ``upper`` or ``weighted_upper``: the constant-free value,
+the kind's serialised quantities in ``fields`` and one ``to_dict``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,10 +69,6 @@ _SUP_SAMPLES = 1 << 13          # per side; doubled once for the stability check
 _SUP_STABILITY = 0.02
 _HS_REL_TOL = 1e-6
 _HS_MAX_ROUNDS = 14
-
-
-def _c2ri(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
 
 
 @functools.lru_cache(maxsize=128)
@@ -156,40 +155,38 @@ def sequence_radial(n: int) -> PointSequence:
 
 
 # ---------------------------------------------------------------------------
-# lower certificates
+# the certificate type; lower certificates
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LowerCertificate:
-    kind: str  # "lower" for C_phi - C_psi, "weighted_lower" for M_omega C_phi
+class Certificate:
+    """A bound on a_n: ``kind`` is ``lower`` or ``upper`` for C_phi - C_psi,
+    ``weighted_lower`` or ``weighted_upper`` for M_omega C_phi.
+
+    ``value`` is the constant-free value.  ``value_theorem`` (lower kinds
+    only) keeps the interpolation constants, and ``r`` (upper kinds only) is
+    the level of the Blaschke damping.
+    """
+    kind: str
     n: int
-    z_points: np.ndarray
-    w_points: np.ndarray
-    delta_z: float
-    delta_w: float
-    carleson_z: float
-    carleson_w: float
-    m_w: float
-    inf_ratio: float
-    value_theorem: float
-    value_constant_free: float
+    r: Optional[float]
+    value: float
+    value_theorem: Optional[float]
+    fields: dict  # the kind's serialised quantities; point sets as complex arrays
+    flags: dict
 
     def to_dict(self) -> dict:
+        fields = {key: [[float(z.real), float(z.imag)] for z in v]
+                  if isinstance(v, np.ndarray) else v
+                  for key, v in self.fields.items()}
         return {
             "kind": self.kind,
             "n": self.n,
-            "r": None,
-            "Z": [_c2ri(z) for z in self.z_points],
-            "W": [_c2ri(w) for w in self.w_points],
-            "delta_Z": self.delta_z,
-            "delta_W": self.delta_w,
-            "carleson_Z": self.carleson_z,
-            "carleson_W": self.carleson_w,
-            "M_W": self.m_w,
-            "inf_ratio": self.inf_ratio,
+            "r": self.r,
+            **fields,
             "value_theorem": self.value_theorem,
-            "value_constant_free": self.value_constant_free,
-            "flags": {"constants": "unspecified"},
+            "value_constant_free": self.value,
+            "flags": dict(self.flags),
         }
 
 
@@ -200,7 +197,7 @@ def _images_inside(symbol: Symbol, pts: np.ndarray) -> np.ndarray:
     return images
 
 
-def _kernel_lower(kind: str, points, terms) -> LowerCertificate:
+def _kernel_lower(kind: str, points, terms) -> Certificate:
     """Kernel lower bound for ``terms``, a list of (omega_t or None, phi_t).
 
     W concatenates the images phi_t(Z) in term order; the ratio is
@@ -236,16 +233,15 @@ def _kernel_lower(kind: str, points, terms) -> LowerCertificate:
     log_z = 1.0 + math.log(1.0 / delta_z)
     value_cf = delta_w * math.sqrt(inf_ratio) / math.sqrt(log_w * log_z)
 
-    return LowerCertificate(
-        kind=kind, n=len(z), z_points=z, w_points=w,
-        delta_z=delta_z, delta_w=delta_w,
-        carleson_z=carl_z, carleson_w=carl_w,
-        m_w=m_w, inf_ratio=inf_ratio,
-        value_theorem=value_theorem, value_constant_free=value_cf,
-    )
+    fields = {"Z": z, "W": w, "delta_Z": delta_z, "delta_W": delta_w,
+              "carleson_Z": carl_z, "carleson_W": carl_w, "M_W": m_w,
+              "inf_ratio": inf_ratio}
+    return Certificate(kind=kind, n=len(z), r=None, value=value_cf,
+                       value_theorem=value_theorem, fields=fields,
+                       flags={"constants": "unspecified"})
 
 
-def lower_certificate(phi: Symbol, psi: Symbol, points) -> LowerCertificate:
+def lower_certificate(phi: Symbol, psi: Symbol, points) -> Certificate:
     """Kernel-interpolation lower bound for a_n(C_phi - C_psi), n = card(Z)."""
     return _kernel_lower("lower", points, [(None, phi), (None, psi)])
 
@@ -331,27 +327,6 @@ def blaschke_zeros_for_symbol(phi: Symbol, r: float, n: int) -> BlaschkeProduct:
 # upper certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UpperCertificate:
-    kind: str  # "upper" for C_phi - C_psi, "weighted_upper" for M_omega C_phi
-    n: int
-    r: float
-    value: float
-    fields: dict  # serialised sups, norms, zeros ("upper") and any r-search trace
-    flags: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "r": self.r,
-            **self.fields,
-            "value_theorem": None,
-            "value_constant_free": self.value,
-            "flags": dict(self.flags),
-        }
-
-
 def _blaschke_peak_candidates(zeros: np.ndarray, curve: np.ndarray) -> np.ndarray:
     """Curve points midway (in arc length) between consecutive zeros.
 
@@ -433,7 +408,7 @@ def _check_upper_args(n: int, r: float, zeros: BlaschkeProduct) -> None:
 
 
 def _sampled_upper(kind: str, n: int, r: float, value: float, sups: dict,
-                   fields: dict, **extra_flags) -> UpperCertificate:
+                   fields: dict, **extra_flags) -> Certificate:
     """Upper certificate whose flags come from name -> (coarse, fine, empty)."""
     flags = {
         "constants": "unspecified",
@@ -444,12 +419,12 @@ def _sampled_upper(kind: str, n: int, r: float, value: float, sups: dict,
                                   for coarse, fine, _ in sups.values()),
         "empty_sets": [name for name, (_, _, empty) in sups.items() if empty],
     }
-    return UpperCertificate(kind=kind, n=n, r=r, value=float(value),
-                            fields=fields, flags=flags)
+    return Certificate(kind=kind, n=n, r=r, value=float(value),
+                       value_theorem=None, fields=fields, flags=flags)
 
 
 def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
-                      zeros: BlaschkeProduct) -> UpperCertificate:
+                      zeros: BlaschkeProduct) -> Certificate:
     """Blaschke-damped upper bound for a_n(C_phi - C_psi) at level r.
 
     The four suprema are sampled on the exponential boundary grid, refined
@@ -469,8 +444,7 @@ def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
     norm_phi = operator_norm_bound(phi)
     norm_psi = operator_norm_bound(psi)
     fields = {f"sup_{name}": float(sup) for name, sup in zip(sups, fine)}
-    fields.update(norm_phi=norm_phi, norm_psi=norm_psi,
-                  zeros=[_c2ri(z) for z in zeros.zeros])
+    fields.update(norm_phi=norm_phi, norm_psi=norm_psi, zeros=zeros.zeros)
     return _sampled_upper("upper", n, r, fine.sum() * (norm_phi + norm_psi),
                           sups, fields)
 
@@ -520,7 +494,7 @@ def _search_r(r_grid: Sequence[float], certify) -> tuple:
 
 
 def optimize_upper(phi: Symbol, psi: Symbol, n: int,
-                   r_grid: Sequence[float]) -> UpperCertificate:
+                   r_grid: Sequence[float]) -> Certificate:
     """Grid search over r (and zero layouts); ties resolved toward the smallest r.
     The best certificate carries the [r, value] minimum per r as ``trace``."""
     best, trace = _search_r(
@@ -612,7 +586,7 @@ def boundary_sup(symbol: Symbol) -> float:
 
 
 def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
-                               zeros: BlaschkeProduct) -> UpperCertificate:
+                               zeros: BlaschkeProduct) -> Certificate:
     """Upper bound for a_n(M_omega C_phi):
 
     ( sup_{|phi|<=r} |B o phi|^2 ||T||^2 + delta0(r)^2 ||C_phi||^2 )^{1/2},
@@ -641,7 +615,7 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
 
 
 def _best_weighted_upper(omega: Symbol, phi: Symbol, n: int,
-                         r_grid: Sequence[float]) -> UpperCertificate:
+                         r_grid: Sequence[float]) -> Certificate:
     """Smallest weighted upper certificate over ``r_grid``, zeros on the
     level curve of phi; r is tried in the given order and the first minimum
     wins."""
@@ -650,7 +624,7 @@ def _best_weighted_upper(omega: Symbol, phi: Symbol, n: int,
 
 
 def weighted_lower_certificate(omega: Symbol, phi: Symbol,
-                               points) -> LowerCertificate:
+                               points) -> Certificate:
     """Kernel lower bound for a_n(M_omega C_phi) on W = phi(Z), n = card(Z)."""
     return _kernel_lower("weighted_lower", points, [(omega, phi)])
 

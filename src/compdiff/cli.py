@@ -27,8 +27,7 @@ from .experiments import (DEFAULT_R_GRID, fit_decay, run_bidisc,
                           run_corner_perturbation, run_smooth_perturbation,
                           run_weighted_power)
 from .operators import (composition_matrix, convergence_horizon,
-                        difference_matrix, singular_spectrum,
-                        spectrum_from_csv, spectrum_to_csv,
+                        difference_matrix, spectrum_from_csv, spectrum_to_csv,
                         weighted_composition_matrix)
 from .series import parse_symbol
 
@@ -149,12 +148,14 @@ def _write_spectrum_csv(args, spectrum) -> Path:
 
 
 def _print_spectrum_head(spectrum, label: str) -> None:
+    """sigma_n at n = 1, 2, 4, ..., 256; values past the horizon are marked."""
     print(f"{label}: N={spectrum.order} horizon={spectrum.horizon}")
     print("   n        sigma_n")
     shown = [1, 2, 4, 8, 16, 32, 64, 128, 256]
     for n in shown:
         if n <= len(spectrum):
-            print(f"{n:4d}  {spectrum.sigma(n):.10e}")
+            mark = "  past horizon" if n > spectrum.horizon else ""
+            print(f"{n:4d}  {spectrum.sigma(n):.10e}{mark}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +174,7 @@ def cmd_spectrum(args) -> int:
         build = lambda m: composition_matrix(symbol, m)  # noqa: E731
     else:
         build = lambda m: weighted_composition_matrix(weight, symbol, m)  # noqa: E731
-    if args.horizon:
-        spectrum = convergence_horizon(build, args.N)
-    else:
-        spectrum = singular_spectrum(build(args.N))
+    spectrum = convergence_horizon(build, args.N)
     csv_path = _write_spectrum_csv(args, spectrum)
     _print_spectrum_head(spectrum, symbol.name)
     print(f"wrote {csv_path}")
@@ -216,9 +214,10 @@ def cmd_lower_bound(args) -> int:
     doc = cert.to_dict()
     out = resolve_outdir(args)
     _write_json(out / "lower_bound.json", doc)
-    print(f"n={cert.n} delta_W={cert.delta_w:.6g} inf_ratio={cert.inf_ratio:.6g}")
+    print(f"n={cert.n} delta_W={cert.fields['delta_W']:.6g} "
+          f"inf_ratio={cert.fields['inf_ratio']:.6g}")
     print(f"value (with interpolation constants) = {cert.value_theorem:.6e}")
-    print(f"value (constant-free)               = {cert.value_constant_free:.6e}")
+    print(f"value (constant-free)               = {cert.value:.6e}")
     print(f"wrote {out / 'lower_bound.json'}")
     return 0
 
@@ -280,7 +279,7 @@ def cmd_weighted(args) -> int:
     _write_json(out / "certificates.json",
                 {"lower": [lower.to_dict()], "upper": [best.to_dict()]})
     _print_spectrum_head(spectrum, f"{omega.name} * C[{phi.name}]")
-    print(f"lower(n={args.n}) = {lower.value_constant_free:.6e}   "
+    print(f"lower(n={args.n}) = {lower.value:.6e}   "
           f"upper(n={args.n}) = {best.value:.6e}")
     print(f"wrote {csv_path} and {out / 'certificates.json'}")
     return 0
@@ -359,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", default=None)
     p.add_argument("--N", type=int, default=1024)
     p.add_argument("--csv", default="spectrum.csv")
-    p.add_argument("--horizon", action=argparse.BooleanOptionalAction,
-                   default=True, help="doubling diagnostics (default on)")
     p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("diff-spectrum", parents=[common],

@@ -158,6 +158,14 @@ class ExperimentResult:
     verdicts: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
+    def add_fit(self, label: str, source: dict, model: str) -> DecayFit:
+        """Fit ``model`` to the data ``source`` names; keep the fit as
+        ``label`` and its source in ``details["fit_sources"]``."""
+        fit = _fit_from_source(source, self.spectra, model)
+        self.fits[label] = fit
+        self.details.setdefault("fit_sources", {})[label] = source
+        return fit
+
     def derive_verdicts(self) -> "ExperimentResult":
         """Set ``verdicts`` from the fits, spectra and details; returns self."""
         self.verdicts = _derive_verdicts(self.name, self.parameters, self.fits,
@@ -189,21 +197,21 @@ class ExperimentResult:
         return out / "result.json"
 
 
-def _refit_from_payload(payload: dict, spectra: dict) -> dict:
-    """Recreate every fit recorded in a result payload from stored data."""
-    fits = {}
-    for label, spec in payload["fits"].items():
-        model = spec["model"]
-        q = spec["params"].get("q", 0.0)
-        source = payload["details"]["fit_sources"][label]
-        if source["type"] in ("spectrum", "spectrum_raw"):
-            fit = fit_decay if source["type"] == "spectrum" else _fit_raw
-            fits[label] = fit(spectra[source["label"]], model,
-                              tuple(source["window"]), q=q)
-        else:
-            ns, values = zip(*source["series"])
-            fits[label] = fit_series(ns, values, model, q=q)
-    return fits
+def _fit_from_source(source: dict, spectra: dict, model: str,
+                     q: float = 0.0) -> DecayFit:
+    """The fit of ``model`` to the data that a fit source names.
+
+    A ``spectrum`` source fits ``spectra[label]`` on a window inside its
+    horizon, a ``spectrum_raw`` source on a flagged fallback window that may
+    pass it, and a ``series`` source its own ``[n, value]`` pairs.  The
+    drivers and :func:`recheck` both fit through here, so a rechecked fit is
+    made by the code that made the original.
+    """
+    if source["type"] == "series":
+        ns, values = zip(*source["series"])
+        return fit_series(ns, values, model, q=q)
+    fit = fit_decay if source["type"] == "spectrum" else _fit_raw
+    return fit(spectra[source["label"]], model, tuple(source["window"]), q=q)
 
 
 def recheck(outdir) -> dict:
@@ -212,7 +220,10 @@ def recheck(outdir) -> dict:
     payload = json.loads((out / "result.json").read_text())
     spectra = {label: spectrum_from_csv((out / fname).read_text())
                for label, fname in payload["spectra_files"].items()}
-    fits = _refit_from_payload(payload, spectra)
+    sources = payload["details"]["fit_sources"]
+    fits = {label: _fit_from_source(sources[label], spectra, spec["model"],
+                                    spec["params"].get("q", 0.0))
+            for label, spec in payload["fits"].items()}
     return _derive_verdicts(payload["name"], payload["parameters"], fits,
                             spectra, payload["details"])
 
@@ -269,8 +280,9 @@ def _derive_verdicts(name: str, parameters: dict, fits: dict, spectra: dict,
 # drivers
 # ---------------------------------------------------------------------------
 
-def _geometric_indices(lo: int, hi: int, count: int = 7) -> list:
-    grid = np.unique(np.round(np.geomspace(lo, hi, count)).astype(int))
+def _geometric_indices(lo: int, hi: int) -> list:
+    """Seven geometrically spaced indices in [lo, hi], duplicates merged."""
+    grid = np.unique(np.round(np.geomspace(lo, hi, 7)).astype(int))
     return [int(g) for g in grid if lo <= g <= hi]
 
 
@@ -280,26 +292,20 @@ def _series_source(pairs) -> dict:
 
 
 def _track_certificates(result: ExperimentResult, n_grid, lower,
-                        upper) -> dict:
+                        upper) -> None:
     """Certificates per n into ``result``, with a power fit to each series.
 
     ``lower`` takes the 2n-point boundary-pinch sequence, ``upper`` takes n.
-    Returns the fits' sources.
     """
-    series = {"lower": [], "upper": []}
-    docs = {"lower": [], "upper": []}
+    certs = {"lower": [], "upper": []}
     for n in n_grid:
-        for key, cert in (("lower", lower(sequence_boundary_pinch(2 * n))),
-                          ("upper", upper(n))):
-            doc = cert.to_dict()
-            series[key].append((n, doc["value_constant_free"]))
-            docs[key].append(doc)
-    result.certificates = docs
-    sources = {}
-    for key, pairs in series.items():
-        result.fits[f"{key}_power"] = fit_series(*zip(*pairs), "power")
-        sources[f"{key}_power"] = _series_source(pairs)
-    return sources
+        certs["lower"].append(lower(sequence_boundary_pinch(2 * n)))
+        certs["upper"].append(upper(n))
+    result.certificates = {key: [cert.to_dict() for cert in series]
+                           for key, series in certs.items()}
+    for key, series in certs.items():
+        result.add_fit(f"{key}_power", _series_source(
+            (cert.n, cert.value) for cert in series), "power")
 
 
 def run_smooth_perturbation(alpha: float, c: float, n_trunc: int = 1024,
@@ -329,23 +335,20 @@ def run_smooth_perturbation(alpha: float, c: float, n_trunc: int = 1024,
         name="smooth_perturbation",
         parameters={"alpha": alpha, "c": c, "N": n_trunc},
         spectra={"difference": spectrum},
+        details={"window": list(sigma_window),
+                 "certificate_window": list(window),
+                 "r_grid": [float(r) for r in r_grid]},
     )
-    result.fits["sigma_power"] = fit_decay(spectrum, "power", sigma_window)
-    fit_sources = {"sigma_power": {"type": "spectrum", "label": "difference",
-                                   "window": list(sigma_window)}}
+    result.add_fit("sigma_power", {"type": "spectrum", "label": "difference",
+                                   "window": list(sigma_window)}, "power")
 
     if certificates:
         # certificates carry no truncation horizon; they span the window as
         # requested even where the sigma fit had to stop at the horizon
-        fit_sources.update(_track_certificates(
+        _track_certificates(
             result, _geometric_indices(window[0], window[1]),
             lambda z: lower_certificate(phi, psi, z),
-            lambda n: optimize_upper(phi, psi, n, r_grid)))
-
-    result.details = {"window": list(sigma_window),
-                      "certificate_window": list(window),
-                      "fit_sources": fit_sources,
-                      "r_grid": [float(r) for r in r_grid]}
+            lambda n: optimize_upper(phi, psi, n, r_grid))
     return result.derive_verdicts()
 
 
@@ -360,19 +363,19 @@ def _floor_index(spectrum: SingularSpectrum) -> int:
     return int(np.count_nonzero(values > _NOISE_FLOOR_RTOL * float(values[0])))
 
 
-def _measurable_window(spectrum: SingularSpectrum, lo: int, hi: int,
-                       min_points: int = 5):
-    """Largest fit window inside [lo, hi], horizon-clamped when possible.
+def _measurable_window(spectrum: SingularSpectrum, lo: int, hi: int):
+    """Largest fit window of at least 5 points inside [lo, hi],
+    horizon-clamped when possible.
 
     Corner-type truncations have horizons growing only logarithmically in N,
     far short of the asymptotic fit ranges; when the horizon cannot host a
     fit, fall back to the indices above the SVD noise floor and say so.
     """
     horizon_top = min(hi, spectrum.horizon or 0)
-    if horizon_top - lo + 1 >= min_points:
+    if horizon_top - lo + 1 >= 5:
         return (lo, horizon_top), False
     top = min(hi, _floor_index(spectrum))
-    if top - lo + 1 < min_points:
+    if top - lo + 1 < 5:
         raise WindowExceedsHorizon(
             f"no usable fit window above n={lo} (horizon {spectrum.horizon})")
     return (lo, top), True
@@ -437,14 +440,12 @@ def run_corner_perturbation(c: float = 0.01, n_trunc: int = 1024,
         parameters={"c": c, "N": n_trunc},
         spectra={"single": spec_single, "difference": spec_diff},
     )
-    fit_sources = {}
     for prefix, label, w in (("single", "single", w_single),
                              ("diff", "difference", w_diff)):
         for model in ("root_exp", "stretched"):
-            result.fits[f"{prefix}_{model}"] = _fit_raw(
-                result.spectra[label], model, w)
-            fit_sources[f"{prefix}_{model}"] = {
-                "type": "spectrum_raw", "label": label, "window": list(w)}
+            result.add_fit(f"{prefix}_{model}", {
+                "type": "spectrum_raw", "label": label, "window": list(w)},
+                model)
 
     def competition(stretched: DecayFit, root_exp: DecayFit) -> str:
         # R^2 with a 0.02 superiority margin; anything closer is a tie
@@ -453,7 +454,7 @@ def run_corner_perturbation(c: float = 0.01, n_trunc: int = 1024,
         if root_exp.r2 - stretched.r2 >= 0.02:
             return "root_exp"
         return "inconclusive"
-    result.details = {
+    result.details.update({
         "window_single": list(w_single),
         "window_diff": list(w_diff),
         "window_exceeds_horizon_single": single_raw,
@@ -467,8 +468,7 @@ def run_corner_perturbation(c: float = 0.01, n_trunc: int = 1024,
         "floor_index_single": _floor_index(spec_single),
         "floor_index_diff": _floor_index(spec_diff),
         "trusted_separation": trusted_separation(spec_single, spec_diff),
-        "fit_sources": fit_sources,
-    }
+    })
     return result.derive_verdicts()
 
 
@@ -501,20 +501,16 @@ def run_weighted_power(alpha: float, n_trunc: int = 1024,
         result.details = {"window": None, "zero_slope": True,
                           "fit_sources": {}}
         return result.derive_verdicts()
-    window = (lo, hi)
-    fit = fit_decay(spectrum, "power", window)
-    result.fits["sigma_power"] = fit
-    fit_sources = {"sigma_power": {"type": "spectrum", "label": "weighted",
-                                   "window": list(window)}}
+    fit = result.add_fit("sigma_power", {
+        "type": "spectrum", "label": "weighted", "window": [lo, hi]}, "power")
     zero_slope = abs(fit.params["p"]) < 0.1
-    result.details = {"window": list(window), "zero_slope": zero_slope,
-                      "fit_sources": fit_sources}
+    result.details.update(window=[lo, hi], zero_slope=zero_slope)
 
     if certificates and not zero_slope:
-        fit_sources.update(_track_certificates(
-            result, _geometric_indices(window[0], min(window[1], 64)),
+        _track_certificates(
+            result, _geometric_indices(lo, min(hi, 64)),
             lambda z: weighted_lower_certificate(omega, phi, z),
-            lambda n: _best_weighted_upper(omega, phi, n, r_grid)))
+            lambda n: _best_weighted_upper(omega, phi, n, r_grid))
 
     return result.derive_verdicts()
 
@@ -560,31 +556,31 @@ def _kronecker_mismatch(a: np.ndarray, b: np.ndarray, sa: SingularSpectrum,
 
 
 def _run_split(c: float = 0.01, n_trunc: int = 512, count: int = 4096,
-               factor_dilation: float = 0.5,
                diff_spectrum: Optional[SingularSpectrum] = None,
                factor_spectrum: Optional[SingularSpectrum] = None
                ) -> ExperimentResult:
     """Split symbols (phi_i(z1), psi(z2)): the difference tensorises.
 
     The corner pair supplies the first factor; the compact second factor is
-    a dilation, whose truncations are exact at every order (a corner-type
-    factor would cap the trusted tensor range at its tiny stability horizon).
+    the dilation z -> z/2, whose truncations are exact at every order (a
+    corner-type factor would cap the trusted tensor range at its tiny
+    stability horizon).
     """
     phi0 = sym.corner_map()
     phi1 = sym.corner_perturbation(c)
+    factor = sym.dilation(0.5)
     if diff_spectrum is None:
         diff_spectrum = convergence_horizon(
             lambda m: difference_matrix(phi0, phi1, m), n_trunc)
     if factor_spectrum is None:
         factor_spectrum = convergence_horizon(
-            lambda m: composition_matrix(sym.dilation(factor_dilation), m),
-            n_trunc)
+            lambda m: composition_matrix(factor, m), n_trunc)
     tensor = tensor_spectrum(diff_spectrum, factor_spectrum, count)
 
     # cross-check the tensor rule against an explicit Kronecker SVD at a
     # small order, where the product matrix is cheap to factor
     d_small = difference_matrix(phi0, phi1, 8)
-    f_small = composition_matrix(sym.dilation(factor_dilation), 8)
+    f_small = composition_matrix(factor, 8)
     mismatch = _kronecker_mismatch(d_small.matrix, f_small.matrix,
                                    singular_spectrum(d_small),
                                    singular_spectrum(f_small))
@@ -594,7 +590,7 @@ def _run_split(c: float = 0.01, n_trunc: int = 512, count: int = 4096,
         parameters={"c": c, "N": n_trunc, "count": count},
         spectra={"tensor": tensor, "difference": diff_spectrum,
                  "factor": factor_spectrum},
-        details={"kronecker_max_mismatch": mismatch},
+        details={"kronecker_max_mismatch": mismatch, "fit_sources": {}},
     )
     m_hor = min(diff_spectrum.horizon or 0, factor_spectrum.horizon or 0)
     m_max = min(int(math.isqrt(len(tensor))), m_hor)
@@ -602,23 +598,22 @@ def _run_split(c: float = 0.01, n_trunc: int = 512, count: int = 4096,
         ms = np.arange(3, m_max + 1)
         vals = np.array([tensor.values[m * m - 1] for m in ms])
         if np.all(vals > 0):
-            result.fits["square_index_stretched"] = fit_series(ms, vals,
-                                                               "stretched")
-            result.details["fit_sources"] = {
-                "square_index_stretched": _series_source(zip(ms, vals))}
-    result.details.setdefault("fit_sources", {})
+            result.add_fit("square_index_stretched",
+                           _series_source(zip(ms, vals)), "stretched")
     return result.derive_verdicts()
 
 
-def _run_glued(c: float = 0.01, n_trunc: int = 256,
-               check_order: int = 8) -> ExperimentResult:
-    """Glued symbols (phi(z1), phi(z1)): the z2-independent subspace carries C_phi."""
+def _run_glued(c: float = 0.01, n_trunc: int = 256) -> ExperimentResult:
+    """Glued symbols (phi(z1), phi(z1)): the z2-independent subspace carries C_phi.
+
+    The restriction identity is checked on the order-8 glued truncation.
+    """
     phi = sym.corner_map()
     psi = sym.corner_perturbation(c)
     spectrum = convergence_horizon(lambda m: difference_matrix(phi, psi, m),
                                    max(n_trunc, 16))
 
-    m = check_order
+    m = 8
     glued = glued_difference_matrix(phi, psi, m)
     # basis packing is index = (z1 degree) * m + (z2 degree); the invariant
     # subspace z2-degree 0 picks rows and columns at multiples of m.  Its
@@ -635,20 +630,25 @@ def _run_glued(c: float = 0.01, n_trunc: int = 256,
 
     result = ExperimentResult(
         name="bidisc_glued",
-        parameters={"c": c, "N": max(n_trunc, 16), "check_order": check_order},
+        parameters={"c": c, "N": max(n_trunc, 16), "check_order": m},
         spectra={"difference": spectrum},
         details={"restriction_max_error": err, "fit_sources": {}},
     )
     return result.derive_verdicts()
 
 
-def _run_triangular(c: float = 0.01, weight_modulus: float = 0.5,
-                    n_trunc: int = 2048, k_range: Sequence[int] = range(3, 8),
+def _run_triangular(c: float = 0.01, n_trunc: int = 2048,
+                    k_range: Sequence[int] = range(3, 8),
                     diff_spectrum: Optional[SingularSpectrum] = None,
                     phi0_spectrum: Optional[SingularSpectrum] = None,
                     phi1_spectrum: Optional[SingularSpectrum] = None
                     ) -> ExperimentResult:
-    """Triangularly separated symbols with the doubling block schedule n_k = 2^K."""
+    """Triangularly separated symbols with the doubling block schedule n_k = 2^K.
+
+    The weights are the constant 1/2 and the dilation z -> z/2, both of
+    sup-norm 1/2.
+    """
+    weight_modulus = 0.5
     phi0 = sym.corner_map()
     phi1 = sym.corner_perturbation(c)
     u0 = sym.constant(weight_modulus)
@@ -677,8 +677,7 @@ def _run_triangular(c: float = 0.01, weight_modulus: float = 0.5,
         bounds_series.append((tb.index, tb.value))
         docs.append(tb.to_dict())
 
-    ns = [n for n, _ in bounds_series]
-    vals = [v for _, v in bounds_series]
+    source = _series_source(bounds_series)
     result = ExperimentResult(
         name="bidisc_triangular",
         parameters={"c": c, "weight_modulus": weight_modulus, "N": n_trunc,
@@ -686,9 +685,7 @@ def _run_triangular(c: float = 0.01, weight_modulus: float = 0.5,
         spectra={"difference": diff_spectrum, "phi0": phi0_spectrum,
                  "phi1": phi1_spectrum},
         certificates={"triangular": docs},
+        details={"bound_series": source["series"]},
     )
-    result.fits["bound_vs_sqrt_n_log"] = fit_series(ns, vals, "root_n_over_log")
-    source = _series_source(bounds_series)
-    result.details = {"bound_series": source["series"],
-                      "fit_sources": {"bound_vs_sqrt_n_log": source}}
+    result.add_fit("bound_vs_sqrt_n_log", source, "root_n_over_log")
     return result.derive_verdicts()

@@ -64,7 +64,7 @@ from .errors import (
     NotSelfMap,
     NumericalBreakdown,
 )
-from .series import Symbol, eval_boundary, boundary_grid, evaluate, taylor_array, validate_self_map
+from .series import Symbol, eval_boundary, evaluate, sup_grid, taylor_array, validate_self_map
 
 _VALIDATION_SAMPLES = 2048
 _HORIZON_RTOL = 1e-2
@@ -91,7 +91,7 @@ def ensure_self_map(symbol: Symbol) -> None:
 
 
 def _ensure_bounded_weight(symbol: Symbol) -> float:
-    values = np.abs(eval_boundary(symbol, boundary_grid(1024)))
+    values = np.abs(eval_boundary(symbol, sup_grid(1024)))
     if not np.all(np.isfinite(values)) or values.max() > 1e8:
         raise NonFinite(f"weight {symbol.name} is not bounded on the disc")
     return float(values.max())

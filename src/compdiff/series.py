@@ -330,21 +330,17 @@ def taylor_array(symbol: Symbol, n: int) -> np.ndarray:
 # boundary sampling grid
 # ---------------------------------------------------------------------------
 
-def boundary_grid(samples_per_side: int, per_octave: float = 8.0) -> np.ndarray:
-    """Two-sided exponential angle grid t = +/- pi * 2**(-m / per_octave).
+def sup_grid(samples_per_side: int) -> np.ndarray:
+    """Two-sided exponential angle grid t = +/- pi * 2**(-m / per_octave),
+    128 octaves deep, with per_octave = samples_per_side / 128.
 
     Clusters at t = 0, the contact point z = 1 where all suprema of the
-    catalogued maps concentrate.  Sorted ascending; includes +/- pi.
+    catalogued maps concentrate; densifies as the sample count grows.
+    Sorted ascending; includes +/- pi.
     """
     m = np.arange(samples_per_side, dtype=float)
-    t = np.pi * 2.0 ** (-m / per_octave)
+    t = np.pi * 2.0 ** (-m / (samples_per_side / _SUP_OCTAVES))
     return np.concatenate([-t, t[::-1]])
-
-
-def sup_grid(samples_per_side: int = 8192) -> np.ndarray:
-    """Exponential grid 128 octaves deep, densified as the sample count grows."""
-    return boundary_grid(samples_per_side,
-                         per_octave=samples_per_side / _SUP_OCTAVES)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +360,7 @@ def validate_self_map(symbol: Symbol, samples: int = 256) -> ValidationReport:
     """
     if samples < 64:
         raise ValueError("need at least 64 boundary samples")
-    t = boundary_grid(samples // 2)
+    t = sup_grid(samples // 2)
     values = eval_boundary(symbol, t)
     moduli = np.abs(values)
     peak = float(np.where(np.isfinite(moduli), moduli, np.inf).max())

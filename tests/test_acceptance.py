@@ -253,7 +253,7 @@ def test_criterion_8_internal_lemma_invariants():
 
 def test_criterion_9_triangular_schedule(corner_spectra):
     result = _run_triangular(
-        c=CORNER_C, weight_modulus=0.5, n_trunc=2048, k_range=range(3, 8),
+        c=CORNER_C, n_trunc=2048, k_range=range(3, 8),
         diff_spectrum=corner_spectra["diff"],
         phi0_spectrum=corner_spectra["single"],
         phi1_spectrum=corner_spectra["perturbed"])

@@ -234,10 +234,10 @@ class TestWeighted:
             "   1  1.4763278533e+00",
             "   2  8.0632661468e-01",
             "   4  4.2457068791e-01",
-            "   8  2.1299935210e-01",
-            "  16  2.0929965635e-02",
-            "  32  1.6032681090e-07",
-            "  64  1.1766882124e-29",
+            "   8  2.1299935210e-01  past horizon",
+            "  16  2.0929965635e-02  past horizon",
+            "  32  1.6032681090e-07  past horizon",
+            "  64  1.1766882124e-29  past horizon",
             "lower(n=8) = 1.353007e-02   upper(n=8) = 7.176139e-01",
         ]
         assert wrote.startswith("wrote ")
@@ -260,6 +260,21 @@ class TestDryRunEverywhere:
             code = main([*argv, "--out", str(tmp_path), "--dry-run"])
             assert code == 0, argv
         assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_leaves_mpmath_and_scipy_unloaded():
+    # mpmath loads only when a boundary value needs it; scipy is not a
+    # dependency.  Either on the import path would add to every start-up.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, compdiff.cli; "
+             "print([m for m in ('mpmath', 'scipy') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 _READ_BLAS_THREADS = """

@@ -205,7 +205,7 @@ class TestBidiscSplit:
 
 class TestBidiscGlued:
     def test_restriction_identity(self):
-        result = _run_glued(c=0.01, n_trunc=32, check_order=8)
+        result = _run_glued(c=0.01, n_trunc=32)
         assert result.verdicts["restriction_identity"]
         assert result.details["restriction_max_error"] <= 1e-12
 
@@ -217,7 +217,7 @@ class TestBidiscGlued:
             return glued_difference_matrix(phi, psi, m)[np.ix_(perm, perm)]
 
         monkeypatch.setattr(experiments, "glued_difference_matrix", mispacked)
-        result = _run_glued(c=0.01, n_trunc=32, check_order=8)
+        result = _run_glued(c=0.01, n_trunc=32)
         assert not result.verdicts["restriction_identity"]
         assert result.details["restriction_max_error"] > 1e-3
 
@@ -262,6 +262,45 @@ class TestBidiscTriangular:
                                  phi1_spectrum=s1)
         result.write(tmp_path)
         assert recheck(tmp_path) == result.verdicts
+
+
+def _small_triangular():
+    return _run_triangular(c=0.01, n_trunc=64, k_range=range(1, 4))
+
+
+# every driver at a small N, with each kind of fit source it records
+SMALL_DRIVERS = {
+    "smooth": lambda: cd.run_smooth_perturbation(
+        3.0, 0.005, 64, window=(2, 8), r_grid=(0.9, 0.99)),
+    "weighted": lambda: cd.run_weighted_power(1.0, 64, window=(2, 8)),
+    "corner": lambda: cd.run_corner_perturbation(0.01, n_trunc=256),
+    "split": lambda: _run_split(c=0.01, n_trunc=256, count=1024),
+    "glued": lambda: _run_glued(c=0.01, n_trunc=32),
+    "triangular": _small_triangular,
+}
+
+
+class TestRecheckFits:
+    @pytest.mark.parametrize("driver", sorted(SMALL_DRIVERS))
+    def test_recheck_rebuilds_every_fit_exactly(self, tmp_path, monkeypatch,
+                                                driver):
+        # the fits recheck hands to the verdicts equal the driver's own,
+        # bit for bit (dataclass equality on params, r2 and window)
+        result = SMALL_DRIVERS[driver]()
+        result.write(tmp_path)
+        seen = {}
+        derive = experiments._derive_verdicts
+
+        def spy(name, parameters, fits, spectra, details):
+            seen.update(fits)
+            return derive(name, parameters, fits, spectra, details)
+
+        monkeypatch.setattr(experiments, "_derive_verdicts", spy)
+        assert recheck(tmp_path) == result.verdicts
+        assert seen == result.fits
+        assert set(result.details["fit_sources"]) == set(result.fits)
+        if driver != "glued":  # the glued driver fits nothing
+            assert result.fits
 
 
 class TestResultPayload:
