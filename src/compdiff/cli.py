@@ -3,6 +3,13 @@
 Subcommands: ``spectrum``, ``diff-spectrum``, ``lower-bound``, ``upper-bound``,
 ``hs-norm``, ``weighted``, ``bidisc``, ``experiment``, ``fit``.
 
+Every argument takes one path.  argparse converts and checks each option
+(symbols, r grids and fit windows through their ``type=`` parsers); a
+``--config`` file becomes defaults of the chosen subcommand before a second
+parse, so file values pass the same converters and explicit flags always win;
+``--dry-run`` stops after parsing, the config file and ``--threads``.  The
+handlers receive converted values and only compute.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.  Outputs are
 CSV/JSON files in the output directory (``--out`` or $COMPDIFF_OUTDIR, default
 the working directory); a short human-readable summary goes to stdout.
@@ -32,6 +39,9 @@ from .operators import (composition_matrix, convergence_horizon,
 from .series import parse_symbol
 
 _ENV_OUTDIR = "COMPDIFF_OUTDIR"
+_TRUTHY = ("1", "true", "yes", "on")
+# namespace entries that are not options: the subcommand's name and its handler
+_NOT_OPTIONS = ("command", "handler")
 
 
 # ---------------------------------------------------------------------------
@@ -55,35 +65,6 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _command_actions(parser: argparse.ArgumentParser, command: str):
-    for action in parser._actions:  # noqa: SLF001
-        if isinstance(action, argparse._SubParsersAction):  # noqa: SLF001
-            sub = action.choices.get(command)
-            if sub is not None:
-                return sub._actions  # noqa: SLF001
-    return []
-
-
-def apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """File values fill in options the command line left at their defaults."""
-    if not getattr(args, "config", None):
-        return
-    file_values = read_config_file(args.config)
-    for action in _command_actions(parser, args.command):
-        key = action.dest
-        if key not in file_values or not hasattr(args, key):
-            continue
-        if getattr(args, key) != action.default:
-            continue  # the flag was given explicitly; flags win
-        text = file_values[key]
-        if isinstance(action.default, bool):
-            setattr(args, key, text.lower() in ("1", "true", "yes", "on"))
-        elif action.type is not None:
-            setattr(args, key, action.type(text))
-        else:
-            setattr(args, key, text)
-
-
 def parse_window(text: str) -> tuple:
     parts = text.replace(":", ",").split(",")
     if len(parts) != 2:
@@ -105,6 +86,30 @@ def parse_r_grid(text: str):
     if not rs or not all(0 < r < 1 for r in rs):
         raise ParseError("r grid values must lie in (0, 1)")
     return rs
+
+
+def _parse_args(parser: argparse.ArgumentParser, commands: dict, argv):
+    """Parse ``argv``; with ``--config``, the file's values become defaults of
+    the chosen subcommand and ``argv`` is parsed again.
+
+    argparse converts string defaults with the option's ``type=``, so a file
+    value passes the same converter as the flag, and a flag given on the
+    command line wins even when it equals the default.  Keys that are not
+    options of the subcommand are ignored.
+    """
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    defaults = {}
+    for key, text in read_config_file(args.config).items():
+        if key in _NOT_OPTIONS or not hasattr(args, key):
+            continue
+        if isinstance(getattr(args, key), bool):  # store_true flags take no type=
+            defaults[key] = text.lower() in _TRUTHY
+        else:
+            defaults[key] = text
+    commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
@@ -139,16 +144,15 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_spectrum_csv(args, spectrum) -> Path:
+def _spectrum_run(args, build, label: str) -> Path:
+    """Doubling spectrum of ``build`` at ``args.N``: write ``args.csv``, print
+    sigma_n at n = 1, 2, 4, ..., 256 (values past the horizon are marked) and
+    return the CSV path."""
+    spectrum = convergence_horizon(build, args.N)
     out = resolve_outdir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / args.csv
     path.write_text(spectrum_to_csv(spectrum))
-    return path
-
-
-def _print_spectrum_head(spectrum, label: str) -> None:
-    """sigma_n at n = 1, 2, 4, ..., 256; values past the horizon are marked."""
     print(f"{label}: N={spectrum.order} horizon={spectrum.horizon}")
     print("   n        sigma_n")
     shown = [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -156,41 +160,28 @@ def _print_spectrum_head(spectrum, label: str) -> None:
         if n <= len(spectrum):
             mark = "  past horizon" if n > spectrum.horizon else ""
             print(f"{n:4d}  {spectrum.sigma(n):.10e}{mark}")
+    return path
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: arguments arrive converted and checked
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    symbol = parse_symbol(args.symbol)
-    weight = parse_symbol(args.weight) if args.weight else None
-    if args.dry_run:
-        print(f"dry-run: spectrum of {symbol.name}"
-              + (f" weighted by {weight.name}" if weight else "")
-              + f" at N={args.N}")
-        return 0
+    symbol, weight = args.symbol, args.weight
     if weight is None:
         build = lambda m: composition_matrix(symbol, m)  # noqa: E731
     else:
         build = lambda m: weighted_composition_matrix(weight, symbol, m)  # noqa: E731
-    spectrum = convergence_horizon(build, args.N)
-    csv_path = _write_spectrum_csv(args, spectrum)
-    _print_spectrum_head(spectrum, symbol.name)
+    csv_path = _spectrum_run(args, build, symbol.name)
     print(f"wrote {csv_path}")
     return 0
 
 
 def cmd_diff_spectrum(args) -> int:
-    phi = parse_symbol(args.phi)
-    psi = parse_symbol(args.psi)
-    if args.dry_run:
-        print(f"dry-run: spectrum of C[{phi.name}] - C[{psi.name}] at N={args.N}")
-        return 0
-    spectrum = convergence_horizon(lambda m: difference_matrix(phi, psi, m),
-                                   args.N)
-    csv_path = _write_spectrum_csv(args, spectrum)
-    _print_spectrum_head(spectrum, f"{phi.name} - {psi.name}")
+    phi, psi = args.phi, args.psi
+    csv_path = _spectrum_run(args, lambda m: difference_matrix(phi, psi, m),
+                             f"{phi.name} - {psi.name}")
     print(f"wrote {csv_path}")
     return 0
 
@@ -204,13 +195,7 @@ def _sequence(args, n: int):
 
 
 def cmd_lower_bound(args) -> int:
-    phi = parse_symbol(args.phi)
-    psi = parse_symbol(args.psi)
-    if args.dry_run:
-        print(f"dry-run: lower bound for {phi.name} vs {psi.name}, "
-              f"n={args.n}, sequence={args.sequence}")
-        return 0
-    cert = lower_certificate(phi, psi, _sequence(args, args.n))
+    cert = lower_certificate(args.phi, args.psi, _sequence(args, args.n))
     doc = cert.to_dict()
     out = resolve_outdir(args)
     _write_json(out / "lower_bound.json", doc)
@@ -223,14 +208,7 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_upper_bound(args) -> int:
-    phi = parse_symbol(args.phi)
-    psi = parse_symbol(args.psi)
-    r_grid = parse_r_grid(args.r_grid)
-    if args.dry_run:
-        print(f"dry-run: upper bound for {phi.name} vs {psi.name}, n={args.n}, "
-              f"{len(list(r_grid))} r values")
-        return 0
-    best = optimize_upper(phi, psi, args.n, r_grid)
+    best = optimize_upper(args.phi, args.psi, args.n, args.r_grid)
     out = resolve_outdir(args)
     _write_json(out / "upper_bound.json", best.to_dict())
     sups = best.fields
@@ -242,12 +220,7 @@ def cmd_upper_bound(args) -> int:
 
 
 def cmd_hs_norm(args) -> int:
-    phi = parse_symbol(args.phi)
-    psi = parse_symbol(args.psi)
-    if args.dry_run:
-        print(f"dry-run: HS integral for {phi.name} vs {psi.name}")
-        return 0
-    result = hs_norm(phi, psi)
+    result = hs_norm(args.phi, args.psi)
     out = resolve_outdir(args)
     _write_json(out / "hs_norm.json", {
         "value": result.value, "diverged": result.diverged,
@@ -262,23 +235,17 @@ def cmd_hs_norm(args) -> int:
 
 
 def cmd_weighted(args) -> int:
-    omega = parse_symbol(args.omega)
-    phi = parse_symbol(args.phi)
-    if args.dry_run:
-        print(f"dry-run: weighted operator {omega.name} * C[{phi.name}], "
-              f"N={args.N}, n={args.n}")
-        return 0
-    spectrum = convergence_horizon(
-        lambda m: weighted_composition_matrix(omega, phi, m), args.N)
-    csv_path = _write_spectrum_csv(args, spectrum)
+    omega, phi = args.omega, args.phi
+    csv_path = _spectrum_run(
+        args, lambda m: weighted_composition_matrix(omega, phi, m),
+        f"{omega.name} * C[{phi.name}]")
     out = resolve_outdir(args)
 
     lower = weighted_lower_certificate(omega, phi,
                                        sequence_boundary_pinch(2 * args.n))
-    best = _best_weighted_upper(omega, phi, args.n, parse_r_grid(args.r_grid))
+    best = _best_weighted_upper(omega, phi, args.n, args.r_grid)
     _write_json(out / "certificates.json",
                 {"lower": [lower.to_dict()], "upper": [best.to_dict()]})
-    _print_spectrum_head(spectrum, f"{omega.name} * C[{phi.name}]")
     print(f"lower(n={args.n}) = {lower.value:.6e}   "
           f"upper(n={args.n}) = {best.value:.6e}")
     print(f"wrote {csv_path} and {out / 'certificates.json'}")
@@ -286,9 +253,6 @@ def cmd_weighted(args) -> int:
 
 
 def cmd_bidisc(args) -> int:
-    if args.dry_run:
-        print(f"dry-run: bidisc kind={args.kind} c={args.c} N={args.N}")
-        return 0
     result = run_bidisc(args.kind, c=args.c, n_trunc=args.N)
     out = resolve_outdir(args)
     path = result.write(out)
@@ -298,20 +262,12 @@ def cmd_bidisc(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.dry_run:
-        print(f"dry-run: experiment {args.which} alpha={args.alpha} "
-              f"c={args.c} N={args.N}")
-        return 0
     if args.which == "smooth":
         result = run_smooth_perturbation(args.alpha, args.c, args.N)
     elif args.which == "corner":
         result = run_corner_perturbation(args.c, args.N)
-    elif args.which == "weighted":
-        result = run_weighted_power(args.alpha, args.N)
-    elif args.which == "bidisc":
-        result = run_bidisc(args.kind, c=args.c, n_trunc=args.N)
     else:
-        raise ValueError(f"unknown experiment {args.which!r}")
+        result = run_weighted_power(args.alpha, args.N)
     out = resolve_outdir(args)
     path = result.write(out)
     for name, ok in sorted(result.verdicts.items()):
@@ -321,12 +277,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    window = parse_window(args.window)
-    if args.dry_run:
-        print(f"dry-run: fit {args.model} to {args.csv} on {window}")
-        return 0
     spectrum = spectrum_from_csv(Path(args.csv).read_text())
-    fit = fit_decay(spectrum, args.model, window, q=args.q)
+    fit = fit_decay(spectrum, args.model, args.window, q=args.q)
     print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -335,7 +287,8 @@ def cmd_fit(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and the parser of each subcommand, by name."""
     parser = argparse.ArgumentParser(
         prog="compdiff",
         description="Spectra and decay certificates for differences of "
@@ -348,55 +301,55 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=0,
                         help="OpenBLAS thread count (0 = leave alone)")
     common.add_argument("--dry-run", action="store_true", dest="dry_run",
-                        help="validate configuration and exit")
+                        help="parse every option and config value, then exit")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="singular values of a (weighted) composition operator")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--weight", default=None)
+    p.add_argument("--symbol", type=parse_symbol, required=True)
+    p.add_argument("--weight", type=parse_symbol, default=None)
     p.add_argument("--N", type=int, default=1024)
     p.add_argument("--csv", default="spectrum.csv")
     p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("diff-spectrum", parents=[common],
                        help="singular values of a difference of composition operators")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
+    p.add_argument("--phi", type=parse_symbol, required=True)
+    p.add_argument("--psi", type=parse_symbol, required=True)
     p.add_argument("--N", type=int, default=1024)
     p.add_argument("--csv", default="spectrum.csv")
     p.set_defaults(handler=cmd_diff_spectrum)
 
     p = sub.add_parser("lower-bound", parents=[common],
                        help="interpolation lower certificate")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
+    p.add_argument("--phi", type=parse_symbol, required=True)
+    p.add_argument("--psi", type=parse_symbol, required=True)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--sequence", choices=("pinch", "radial"), default="pinch")
     p.set_defaults(handler=cmd_lower_bound)
 
     p = sub.add_parser("upper-bound", parents=[common],
                        help="Blaschke-damped upper certificate, optimised over r")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
+    p.add_argument("--phi", type=parse_symbol, required=True)
+    p.add_argument("--psi", type=parse_symbol, required=True)
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--r-grid", dest="r_grid", default="auto")
+    p.add_argument("--r-grid", dest="r_grid", type=parse_r_grid, default="auto")
     p.set_defaults(handler=cmd_upper_bound)
 
     p = sub.add_parser("hs-norm", parents=[common],
                        help="squared Hilbert-Schmidt norm of the difference")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
+    p.add_argument("--phi", type=parse_symbol, required=True)
+    p.add_argument("--psi", type=parse_symbol, required=True)
     p.set_defaults(handler=cmd_hs_norm)
 
     p = sub.add_parser("weighted", parents=[common],
                        help="weighted composition operator: spectrum and certificates")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--phi", required=True)
+    p.add_argument("--omega", type=parse_symbol, required=True)
+    p.add_argument("--phi", type=parse_symbol, required=True)
     p.add_argument("--N", type=int, default=1024)
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--r-grid", dest="r_grid", default="auto")
+    p.add_argument("--r-grid", dest="r_grid", type=parse_r_grid, default="auto")
     p.add_argument("--csv", default="spectrum.csv")
     p.set_defaults(handler=cmd_weighted)
 
@@ -410,12 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", parents=[common],
                        help="end-to-end experiment with verdicts")
-    p.add_argument("which", choices=("smooth", "corner", "weighted", "bidisc"))
+    p.add_argument("which", choices=("smooth", "corner", "weighted"))
     p.add_argument("--alpha", type=float, default=3.0)
     p.add_argument("--c", type=float, default=0.005)
     p.add_argument("--N", type=int, default=1024)
-    p.add_argument("--kind", choices=("split", "glued", "triangular"),
-                   default="split")
     p.set_defaults(handler=cmd_experiment)
 
     p = sub.add_parser("fit", parents=[common],
@@ -423,23 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--model", choices=("power", "power_log", "stretched",
                                        "root_exp"), required=True)
-    p.add_argument("--window", default="8:64")
+    p.add_argument("--window", type=parse_window, default="8:64")
     p.add_argument("--q", type=float, default=0.0)
     p.set_defaults(handler=cmd_fit)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    parser, commands = build_parser()
     try:
-        apply_config_defaults(args, parser)
+        # a ParseError raised by a type= converter passes through argparse
+        args = _parse_args(parser, commands, argv)
         if args.threads > 0:
             _set_blas_threads(args.threads)
+        if args.dry_run:
+            print(f"dry-run: {args.command}")
+            return 0
         return args.handler(args)
-    except (ParseError, ValueError) as exc:
+    # OSError: a config file, input CSV or output directory that cannot be used
+    except (ParseError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CompdiffError as exc:

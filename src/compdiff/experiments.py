@@ -648,6 +648,10 @@ def _run_triangular(c: float = 0.01, n_trunc: int = 2048,
     The weights are the constant 1/2 and the dilation z -> z/2, both of
     sup-norm 1/2.
     """
+    largest = 2 ** max(k_range)  # every block reads sigma at its own size
+    if largest > n_trunc:
+        raise ValueError(f"triangular block size {largest} needs N >= {largest}, "
+                         f"got N={n_trunc}")
     weight_modulus = 0.5
     phi0 = sym.corner_map()
     phi1 = sym.corner_perturbation(c)

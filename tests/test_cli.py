@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compdiff.cli import main
+from compdiff import cli
+from compdiff.cli import build_parser, main
 from compdiff.operators import spectrum_from_csv
 from compdiff.series import dilation
 from oracles import hs_parseval_sum
@@ -243,22 +245,161 @@ class TestWeighted:
         assert wrote.startswith("wrote ")
 
 
+# one valid invocation of every subcommand
+EVERY_COMMAND = [
+    ["spectrum", "--symbol", "half_map"],
+    ["diff-spectrum", "--phi", "half_map", "--psi", "corner_map"],
+    ["lower-bound", "--phi", "half_map", "--psi", "corner_map"],
+    ["upper-bound", "--phi", "half_map", "--psi", "corner_map"],
+    ["hs-norm", "--phi", "half_map", "--psi", "corner_map"],
+    ["weighted", "--omega", "weight_power(alpha=1)", "--phi", "half_map"],
+    ["bidisc", "--kind", "glued"],
+    ["experiment", "smooth"],
+    ["fit", "--csv", "none.csv", "--model", "power"],
+]
+
+
 class TestDryRunEverywhere:
     def test_every_subcommand_has_dry_run(self, tmp_path):
-        commands = [
-            ["spectrum", "--symbol", "half_map"],
-            ["diff-spectrum", "--phi", "half_map", "--psi", "corner_map"],
-            ["lower-bound", "--phi", "half_map", "--psi", "corner_map"],
-            ["upper-bound", "--phi", "half_map", "--psi", "corner_map"],
-            ["hs-norm", "--phi", "half_map", "--psi", "corner_map"],
-            ["weighted", "--omega", "weight_power(alpha=1)", "--phi", "half_map"],
-            ["bidisc", "--kind", "glued"],
-            ["experiment", "smooth"],
-            ["fit", "--csv", "none.csv", "--model", "power"],
-        ]
-        for argv in commands:
+        for argv in EVERY_COMMAND:
             code = main([*argv, "--out", str(tmp_path), "--dry-run"])
             assert code == 0, argv
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda a: a[0])
+    def test_dry_run_prints_one_line(self, tmp_path, capsys, argv):
+        code = main([*argv, "--out", str(tmp_path), "--dry-run"])
+        assert code == 0
+        assert capsys.readouterr().out == f"dry-run: {argv[0]}\n"
+
+
+# (valid arguments, the option given a bad value, the bad value)
+BAD_VALUES = {
+    "symbol": (["spectrum", "--symbol", "half_map", "--N", "16"],
+               "weight", "warp(a=1)"),
+    "upper-bound r grid": (["upper-bound", "--phi", "half_map",
+                            "--psi", "corner_map", "--n", "4"],
+                           "r_grid", "2,3"),
+    "weighted r grid": (["weighted", "--omega", "weight_power(alpha=1)",
+                         "--phi", "half_map", "--N", "16", "--n", "4"],
+                        "r_grid", "2,3"),
+    "window": (["fit", "--csv", "none.csv", "--model", "power"],
+               "window", "8:x"),
+}
+
+
+class TestDryRunParity:
+    """argparse converts flags and config values alike, so a bad value exits
+    2 with or without --dry-run, before anything is computed or written."""
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_exits_2(self, tmp_path, capsys, case, source, dry_run):
+        argv, key, bad = BAD_VALUES[case]
+        if source == "flag":
+            given = ["--" + key.replace("_", "-"), bad]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {bad}\n")
+            given = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        code = main([*argv, *given, "--out", str(out),
+                     *(["--dry-run"] if dry_run else [])])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+
+class TestConfigPrecedence:
+    def test_explicit_flag_equal_to_default_wins(self, tmp_path, monkeypatch):
+        # --N 1024 is also the default; the file's N = 16 must not replace it
+        seen = []
+        real = cli.convergence_horizon
+
+        def record(build, n):
+            seen.append(n)
+            return real(build, 16)  # a full N=1024 run is not needed here
+
+        monkeypatch.setattr(cli, "convergence_horizon", record)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("N = 16\n")
+        code = run(["spectrum", "--symbol", "dilation(a=0.5)", "--N", "1024"],
+                   tmp_path, extra=["--config", str(cfg)])
+        assert code == 0
+        assert seen == [1024]
+
+    def test_explicit_default_n_wins_in_a_real_run(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 8\n")
+        code = run(["lower-bound", "--phi", "half_map", "--psi", "corner_map",
+                    "--n", "16"], tmp_path, extra=["--config", str(cfg)])
+        assert code == 0
+        assert json.loads((tmp_path / "lower_bound.json").read_text())["n"] == 16
+
+    def test_keys_that_are_not_options_are_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("handler = cmd_fit\ncommand = fit\nalpha = 2\nN = 16\n")
+        code = run(["spectrum", "--symbol", "dilation(a=0.5)"], tmp_path,
+                   extra=["--config", str(cfg)])
+        assert code == 0
+        spectrum = spectrum_from_csv((tmp_path / "spectrum.csv").read_text())
+        assert spectrum.order == 16
+
+    @pytest.mark.parametrize("line, dry", [
+        ("dry_run = 1", True), ("dry_run = true", True),
+        ("dry-run = Yes", True), ("dry_run = on", True),
+        ("dry_run = 0", False), ("dry_run = off", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, line, dry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = run(["spectrum", "--symbol", "dilation(a=0.5)", "--N", "16"],
+                   out, extra=["--config", str(cfg)])
+        assert code == 0
+        assert (out / "spectrum.csv").exists() is not dry
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--symbol", "half_map", "--config", "missing.cfg"],
+    ["fit", "--csv", "missing.csv", "--model", "power"],
+], ids=["config", "fit csv"])
+def test_missing_input_file_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "missing." in capsys.readouterr().err
+
+
+def test_triangular_below_its_largest_block_exits_2(tmp_path, capsys):
+    code = run(["bidisc", "--kind", "triangular", "--N", "64"], tmp_path)
+    assert code == 2
+    assert "N >= 128" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("compdiff ")]
+
+
+class TestReadmeExamples:
+    """Every ``compdiff ...`` line of the README's CLI block must parse."""
+
+    def test_examples_cover_every_subcommand(self):
+        _, commands = build_parser()
+        used = {shlex.split(line)[1] for line in _readme_cli_lines()}
+        assert used == set(commands)
+
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_example_parses(self, tmp_path, monkeypatch, capsys, line):
+        monkeypatch.chdir(tmp_path)  # a relative --out would land here
+        argv = shlex.split(line)[1:]
+        code = main([*argv, "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 0
+        assert capsys.readouterr().out == f"dry-run: {argv[0]}\n"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -263,6 +263,17 @@ class TestBidiscTriangular:
         result.write(tmp_path)
         assert recheck(tmp_path) == result.verdicts
 
+    def test_block_beyond_truncation_rejected_before_any_spectrum(
+            self, monkeypatch):
+        # the default schedule's last block is 2^7 = 128, so N=127 has no
+        # sigma_128 to read; the check comes before the costly spectra
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("a spectrum was built")
+
+        monkeypatch.setattr(experiments, "convergence_horizon", no_spectrum)
+        with pytest.raises(ValueError, match="128 needs N >= 128, got N=127"):
+            _run_triangular(c=0.01, n_trunc=127)
+
 
 def _small_triangular():
     return _run_triangular(c=0.01, n_trunc=64, k_range=range(1, 4))
