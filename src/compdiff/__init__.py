@@ -56,7 +56,6 @@ from .operators import (
     composition_matrix,
     convergence_horizon,
     difference_matrix,
-    difference_spectrum,
     operator_norm_bound,
     singular_spectrum,
     spectrum_from_csv,

@@ -4,11 +4,11 @@ Subcommands: ``spectrum``, ``diff-spectrum``, ``lower-bound``, ``upper-bound``,
 ``hs-norm``, ``weighted``, ``bidisc``, ``experiment``, ``fit``.
 
 Every argument takes one path.  argparse converts and checks each option
-(symbols, r grids and fit windows through their ``type=`` parsers); a
-``--config`` file becomes defaults of the chosen subcommand before a second
-parse, so file values pass the same converters and explicit flags always win;
-``--dry-run`` stops after parsing, the config file and ``--threads``.  The
-handlers receive converted values and only compute.
+(symbols, r grids, test sequences and fit windows through their ``type=``
+parsers); a ``--config`` file becomes defaults of the chosen subcommand
+before a second parse, so file values pass the same converters and explicit
+flags always win; ``--dry-run`` stops after parsing, the config file and
+``--threads``.  The handlers receive converted values and only compute.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.  Outputs are
 CSV/JSON files in the output directory (``--out`` or $COMPDIFF_OUTDIR, default
@@ -86,6 +86,15 @@ def parse_r_grid(text: str):
     if not rs or not all(0 < r < 1 for r in rs):
         raise ParseError("r grid values must lie in (0, 1)")
     return rs
+
+
+def parse_sequence(text: str):
+    """Test sequence builder taking n: 2n pinch points, or n radial ones."""
+    if text == "pinch":
+        return lambda n: sequence_boundary_pinch(2 * n)
+    if text == "radial":
+        return sequence_radial
+    raise ParseError(f"unknown sequence {text!r}")
 
 
 def _parse_args(parser: argparse.ArgumentParser, commands: dict, argv):
@@ -186,16 +195,8 @@ def cmd_diff_spectrum(args) -> int:
     return 0
 
 
-def _sequence(args, n: int):
-    if args.sequence == "pinch":
-        return sequence_boundary_pinch(2 * n)
-    if args.sequence == "radial":
-        return sequence_radial(n)
-    raise ValueError(f"unknown sequence {args.sequence!r}")
-
-
 def cmd_lower_bound(args) -> int:
-    cert = lower_certificate(args.phi, args.psi, _sequence(args, args.n))
+    cert = lower_certificate(args.phi, args.psi, args.sequence(args.n))
     doc = cert.to_dict()
     out = resolve_outdir(args)
     _write_json(out / "lower_bound.json", doc)
@@ -326,7 +327,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--phi", type=parse_symbol, required=True)
     p.add_argument("--psi", type=parse_symbol, required=True)
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--sequence", choices=("pinch", "radial"), default="pinch")
+    p.add_argument("--sequence", type=parse_sequence, default="pinch",
+                   metavar="{pinch,radial}")
     p.set_defaults(handler=cmd_lower_bound)
 
     p = sub.add_parser("upper-bound", parents=[common],

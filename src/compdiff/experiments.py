@@ -35,7 +35,7 @@ from .bounds import (
 )
 from .operators import (
     SingularSpectrum,
-    _difference_table,
+    _table,
     composition_matrix,
     convergence_horizon,
     difference_matrix,
@@ -527,7 +527,7 @@ def glued_difference_matrix(phi: sym.Symbol, psi: sym.Symbol,
     alone, so all rows with z2-degree > 0 vanish.
     """
     # column k holds the first m coefficients of phi**k - psi**k
-    diff = _difference_table(phi, psi, m, 2 * m - 1)
+    diff = _table([(None, phi), (None, psi)], m, 2 * m - 1)
     out = np.zeros((m * m, m * m), dtype=diff.dtype)
     for j in range(m):
         for k in range(m):

@@ -1,10 +1,13 @@
 """Truncated matrix models of (weighted) composition operators and their spectra.
 
-On the monomial basis of H^2, column k of the matrix of ``g -> w * (g o phi)``
-holds the Taylor coefficients of ``w * phi**k``.  Powers are built by iterated
-truncated Cauchy products of the base coefficient vector (column-wise
-recursion, never boundary-FFT extraction, whose ``r**-j`` factor would
-amplify errors for maps that touch the circle).
+Every truncation is built by one table function from a term ``(omega, phi)``
+standing for M_omega C_phi (``omega`` None for C_phi), or from two terms, the
+second subtracted (C_phi - C_psi); one constructor checks every symbol.  On
+the monomial basis of H^2, column k of a term's matrix holds the Taylor
+coefficients of ``omega * phi**k``.  Powers are built by iterated truncated
+Cauchy products of the base coefficient vector (column-wise recursion, never
+boundary-FFT extraction, whose ``r**-j`` factor would amplify errors for maps
+that touch the circle).
 
 Real symbols get real arithmetic.  When the Taylor coefficients of the map
 and of the weight have imaginary parts that are exactly zero (for these
@@ -30,20 +33,20 @@ N0 <= k, a full SVD of A decides.  The horizon therefore always equals the
 full-SVD one.
 
 The N0 SVD and the 2*N0 build do not depend on each other, so each doubling
-runs them at once: the caller's thread builds the N0 matrix, hands its SVD
-to one worker thread, builds the 2*N0 matrix and joins the worker before
-the sketch starts.  The join sits there for memory, not speed: a sketch
-running beside the SVD would hold the 2*N0 matrix, its sketch buffers, the
-N0 matrix and the SVD workspace at once (peak memory of the smooth
-benchmark pipeline at N0 = 1024: 149 MB instead of 130 MB).  The worker
-looks ``singular_spectrum`` up through this module, so a wrapper installed
-on it sees the call; an error of the N0 SVD is raised in preference to one
-of the 2*N0 build, as when the SVD ran first.  Holding the N0 matrix during
-the 2*N0 build is paid for by the difference build: ``difference_matrix``
-runs the phi and psi power recursions in lockstep and subtracts each pair
-of columns into one N x N buffer of the result dtype, so neither power
-table is ever held whole.  The values are those of the two tables
-subtracted, bit for bit.
+runs them at once: the caller's thread builds the N0 matrix, submits its SVD
+as one future to a single-worker pool, builds the 2*N0 matrix and leaves the
+pool, which joins the worker, before the sketch starts.  The join sits there
+for memory, not speed: a sketch running beside the SVD would hold the 2*N0
+matrix, its sketch buffers, the N0 matrix and the SVD workspace at once (peak
+memory of the smooth benchmark pipeline at N0 = 1024: 149 MB instead of
+130 MB).  ``singular_spectrum`` is looked up through this module when the
+future is submitted, so a wrapper installed on it sees the call; an error of
+the N0 SVD is raised in preference to one of the 2*N0 build, as when the SVD
+ran first.  Holding the N0 matrix during the 2*N0 build is paid for by the
+one-buffer table: the power recursions of the terms run in lockstep and each
+column, or pair of columns subtracted, goes into one N x N buffer of the
+result dtype, so no power table of a term is ever held whole.  The values of
+a difference are those of the two tables subtracted, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 import functools
 import io
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -186,68 +189,58 @@ def _powers(base: np.ndarray, first: np.ndarray, n: int, cols: int,
         yield col
 
 
-def _power_table(base: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
-    """N x N table whose column k is first * base**k (see _power_columns)."""
-    dtype, columns = _power_columns(base, first, n, n)
-    out = np.empty((n, n), dtype=dtype)
-    for k, col in enumerate(columns):
-        out[:, k] = col
-    return out
-
-
 def _unit(n: int) -> np.ndarray:
     first = np.zeros(n)
     first[0] = 1.0
     return first
 
 
-def _difference_table(phi: Symbol, psi: Symbol, n: int, cols: int) -> np.ndarray:
-    """n x cols table whose column k holds taylor(phi**k - psi**k, n).
+def _table(terms, n: int, cols: int) -> np.ndarray:
+    """n x cols table of the first term minus the second, if there is one.
 
-    The two power recursions run in lockstep and each pair of columns is
-    subtracted straight into one buffer of the result dtype, so no power
-    table of either symbol is ever held; the values are those of the two
-    tables subtracted.
+    Column k of a term ``(omega, phi)`` holds taylor(omega * phi**k, n), with
+    ``omega`` None read as 1.  Each term keeps its own real or complex
+    arithmetic (see _power_columns); their recursions run in lockstep into
+    one buffer of the result dtype, so no power table of a term is held.
     """
-    one = _unit(n)
-    (dtype_a, a), (dtype_b, b) = (_power_columns(taylor_array(s, n), one, n, cols)
-                                  for s in (phi, psi))
-    out = np.empty((n, cols), dtype=np.result_type(dtype_a, dtype_b))
-    for k, (col_a, col_b) in enumerate(zip(a, b)):
-        np.subtract(col_a, col_b, out=out[:, k])
+    dtypes, streams = zip(*(
+        _power_columns(taylor_array(phi, n),
+                       _unit(n) if omega is None else taylor_array(omega, n),
+                       n, cols)
+        for omega, phi in terms))
+    out = np.empty((n, cols), dtype=np.result_type(*dtypes))
+    for k, (col, *minus) in enumerate(zip(*streams)):
+        if minus:
+            np.subtract(col, minus[0], out=out[:, k])
+        else:
+            out[:, k] = col
     return out
 
 
-def _check_order(n: int) -> None:
+def _truncation(terms, n: int, name: str) -> TruncatedOperator:
+    """The N x N truncation of ``terms``, after checking each symbol."""
     if n < 2:
         raise ValueError("truncation order must be at least 2")
+    for omega, phi in terms:
+        ensure_self_map(phi)
+        if omega is not None:
+            _ensure_bounded_weight(omega)
+    return TruncatedOperator(_table(terms, n, n), name)
 
 
 def composition_matrix(phi: Symbol, n: int) -> TruncatedOperator:
     """N x N truncation of C_phi : f -> f o phi; column k = taylor(phi**k, N)."""
-    _check_order(n)
-    ensure_self_map(phi)
-    return TruncatedOperator(_power_table(taylor_array(phi, n), _unit(n), n),
-                             phi.name)
+    return _truncation([(None, phi)], n, phi.name)
 
 
 def weighted_composition_matrix(omega: Symbol, phi: Symbol, n: int) -> TruncatedOperator:
     """Truncation of g -> omega * (g o phi); column k = taylor(omega * phi**k, N)."""
-    _check_order(n)
-    ensure_self_map(phi)
-    _ensure_bounded_weight(omega)
-    base = taylor_array(phi, n)
-    first = taylor_array(omega, n)
-    return TruncatedOperator(_power_table(base, first, n), phi.name)
+    return _truncation([(omega, phi)], n, phi.name)
 
 
 def difference_matrix(phi: Symbol, psi: Symbol, n: int) -> TruncatedOperator:
     """N x N truncation of C_phi - C_psi, built in one N x N buffer."""
-    _check_order(n)
-    ensure_self_map(phi)
-    ensure_self_map(psi)
-    return TruncatedOperator(_difference_table(phi, psi, n, n),
-                             f"{phi.name} - {psi.name}")
+    return _truncation([(None, phi), (None, psi)], n, f"{phi.name} - {psi.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +256,6 @@ def singular_spectrum(op: TruncatedOperator) -> SingularSpectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(str(exc)) from exc
     return SingularSpectrum(values, order=op.order)
-
-
-def difference_spectrum(phi: Symbol, psi: Symbol, n: int) -> SingularSpectrum:
-    """Spectrum of C_phi - C_psi at truncation N; identical symbols short-circuit to 0."""
-    if phi.expr == psi.expr:
-        ensure_self_map(phi)
-        return SingularSpectrum(np.zeros(n), order=n, horizon=n)
-    return singular_spectrum(difference_matrix(phi, psi, n))
 
 
 def operator_norm_bound(phi: Symbol) -> float:
@@ -356,18 +341,6 @@ def _scan_horizon(small: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return len(small)
 
 
-def _spectrum_into(box: list, op: TruncatedOperator) -> None:
-    """Append singular_spectrum(op), or the exception it raised, to ``box``.
-
-    Looks ``singular_spectrum`` up at call time, so a wrapper installed on
-    the module is seen from the worker thread too.
-    """
-    try:
-        box.append(singular_spectrum(op))
-    except BaseException as exc:
-        box.append(exc)
-
-
 def convergence_horizon(build: Callable[[int], TruncatedOperator],
                         n0: int) -> SingularSpectrum:
     """Build at N0 and 2*N0; annotate the N0 spectrum with its stability horizon.
@@ -386,28 +359,25 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
     level (a dilation's exact truncations) costs one sketch on top of the
     full SVD.
 
-    The N0 SVD runs on one worker thread while the caller's thread builds
-    the 2*N0 matrix, and is joined before the sketch, so the sketch never
-    overlaps the SVD: that would hold the N0 matrix and the SVD workspace
-    next to the 2*N0 matrix and its sketch, and raise peak memory.  An error
-    of the N0 SVD wins over one of the 2*N0 build.  The values are the same
-    bits as with the two steps in sequence.
+    The N0 SVD is one future on a single-worker pool while the caller's
+    thread builds the 2*N0 matrix; leaving the pool joins the worker before
+    the sketch, so the sketch never overlaps the SVD: that would hold the N0
+    matrix and the SVD workspace next to the 2*N0 matrix and its sketch, and
+    raise peak memory.  An error of the N0 SVD wins over one of the 2*N0
+    build.  The values are the same bits as with the two steps in sequence.
     """
     if n0 < 16:
         raise ValueError("doubling diagnostics start at N0 >= 16")
-    # the worker holds the only reference to the N0 matrix, so the matrix is
-    # freed as soon as its SVD returns
-    box: list = []
-    worker = threading.Thread(target=_spectrum_into, args=(box, build(n0)),
-                              daemon=True)
-    worker.start()
-    try:
-        big = build(2 * n0)
-    finally:
-        worker.join()
-        if isinstance(box[0], BaseException):
-            raise box[0]
-    s_small = box[0]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # the work item holds the only reference to the N0 matrix and the
+        # worker drops it once it has run, so the matrix is freed as soon as
+        # its SVD returns
+        small = pool.submit(singular_spectrum, build(n0))
+        try:
+            big = build(2 * n0)
+        finally:
+            # raises an error of the N0 SVD in preference to one of the build
+            s_small = small.result()
     # one sketch; a non-finite matrix goes straight to singular_spectrum,
     # which raises
     if n0 > _SKETCH_RANK and np.all(np.isfinite(big.matrix)):

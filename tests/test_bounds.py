@@ -93,7 +93,8 @@ class TestLowerCertificate:
 
     def test_sanity_envelope(self):
         cert = cd.lower_certificate(cd.identity(), cd.dilation(0.5), [0.5])
-        sigma1 = cd.difference_spectrum(cd.identity(), cd.dilation(0.5), 256).sigma(1)
+        sigma1 = cd.singular_spectrum(
+            cd.difference_matrix(cd.identity(), cd.dilation(0.5), 256)).sigma(1)
         assert cert.value_theorem <= 10 * sigma1
 
     def test_serialization_fields(self):
@@ -608,7 +609,8 @@ class TestWeightedDifferenceBound:
 
     def test_equal_symbols(self):
         phi = cd.dilation(0.5)
-        s_diff = cd.difference_spectrum(phi, phi, 16)  # structural zero, horizon 16
+        # C_phi - C_phi = 0: a zero spectrum trusted to its order
+        s_diff = cd.SingularSpectrum(np.zeros(16), order=16, horizon=16)
         s_phi = _toy_spectra()
         u0, u1 = cd.constant(0.5), cd.constant(0.25)
         got = cd.weighted_difference_bound(u0, u1, phi, phi, 4,

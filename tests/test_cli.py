@@ -55,6 +55,20 @@ class TestSpectrum:
         assert ((tmp_path / "a" / "spectrum.csv").read_bytes()
                 == (tmp_path / "b" / "spectrum.csv").read_bytes())
 
+    # N=256 runs the FFT power recursion of one term; both bases are dense,
+    # so exact tables for sparse bases leave these bytes alone
+    @pytest.mark.parametrize("extra, fname", [
+        ([], "spectrum_corner_N256.csv"),
+        (["--weight", "weight_power(alpha=1)"],
+         "weighted_spectrum_corner_N256.csv"),
+    ], ids=["composition", "weighted"])
+    def test_corner_csv_bytes_pinned(self, tmp_path, extra, fname):
+        code = run(["spectrum", "--symbol", "corner_map", "--N", "256",
+                    *extra], tmp_path)
+        assert code == 0
+        expected = (DATA / fname).read_bytes()
+        assert (tmp_path / "spectrum.csv").read_bytes() == expected
+
 
 class TestDiffSpectrum:
     def test_diagonal_difference(self, tmp_path):
@@ -130,6 +144,16 @@ class TestBounds:
             "sups: B.phi=7.527e-03 B.psi=7.856e-03 w.phi=1.815e-02 w.psi=1.843e-02",
         ]
         assert wrote.startswith("wrote ")
+
+    def test_sequence_from_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sequence = radial\n")
+        code = run(["lower-bound", "--phi", "half_map",
+                    "--psi", "power_perturbation(alpha=3, c=0.005)",
+                    "--n", "40"], tmp_path, extra=["--config", str(cfg)])
+        assert code == 0
+        expected = (DATA / "lower_bound_radial_n40.json").read_bytes()
+        assert (tmp_path / "lower_bound.json").read_bytes() == expected
 
     def test_colliding_images_exit_3(self, tmp_path):
         code = run(["lower-bound", "--phi", "half_map", "--psi", "half_map",
@@ -285,6 +309,9 @@ BAD_VALUES = {
                         "r_grid", "2,3"),
     "window": (["fit", "--csv", "none.csv", "--model", "power"],
                "window", "8:x"),
+    # argparse holds only flags to choices=, so a converter checks the name
+    "sequence": (["lower-bound", "--phi", "half_map", "--psi", "corner_map",
+                  "--n", "4"], "sequence", "foo"),
 }
 
 

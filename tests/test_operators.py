@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -112,17 +113,28 @@ class TestOneBufferDifference:
         assert got.tobytes() == expected.tobytes()
 
     def test_peak_memory_is_one_buffer(self):
-        phi, psi, n = cd.half_map(), cd.power_perturbation(3, 0.005), 1024
-        tracemalloc.start()
-        try:
-            op = cd.difference_matrix(phi, psi, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        buffer = n * n * np.dtype(complex).itemsize
-        assert op.matrix.dtype == np.complex128
-        # two power tables held at once (the old build) peak at 1.5 buffers
-        assert peak < 1.25 * buffer
+        # every public builder, on bases with dense Taylor vectors
+        n = 1024
+        for build, dtype in [
+            (lambda: cd.composition_matrix(cd.corner_map(), n), np.float64),
+            (lambda: cd.weighted_composition_matrix(cd.weight_power(1),
+                                                    cd.corner_map(), n),
+             np.float64),
+            (lambda: cd.difference_matrix(cd.half_map(),
+                                          cd.power_perturbation(3, 0.005), n),
+             np.complex128),
+        ]:
+            tracemalloc.start()
+            try:
+                op = build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert op.matrix.dtype == dtype, op.symbol_name
+            buffer = n * n * op.matrix.dtype.itemsize
+            # a power table held beside the buffer (the old difference build)
+            # peaks at 1.5 buffers or more
+            assert peak < 1.25 * buffer, op.symbol_name
 
 
 class TestWeightedMatrix:
@@ -158,16 +170,21 @@ class TestSpectra:
         assert s.sigma(2) < 1e-12
 
     def test_difference_diagonal(self):
-        s = cd.difference_spectrum(cd.dilation(0.5), cd.dilation(0.25), 4)
+        s = cd.singular_spectrum(
+            cd.difference_matrix(cd.dilation(0.5), cd.dilation(0.25), 4))
         np.testing.assert_allclose(s.values, [0.25, 0.1875, 0.109375, 0],
                                    atol=1e-14)
 
     def test_structural_zero(self):
-        s = cd.difference_spectrum(cd.half_map(), cd.half_map(), 8)
-        assert np.all(s.values == 0) and s.horizon == 8
+        # both terms run the same recursion, so every entry is x - x = 0
+        for n in (8, 300):  # convolve and FFT paths
+            for phi in (cd.half_map(), cd.power_perturbation(3, 0.005)):
+                m = cd.difference_matrix(phi, phi, n).matrix
+                assert not np.any(m), (phi.name, n)
 
     def test_near_identity_sanity(self):
-        s = cd.difference_spectrum(cd.identity(), cd.dilation(0.999), 64)
+        s = cd.singular_spectrum(
+            cd.difference_matrix(cd.identity(), cd.dilation(0.999), 64))
         bound = (cd.operator_norm_bound(cd.identity())
                  + cd.operator_norm_bound(cd.dilation(0.999)))
         assert s.sigma(1) <= bound
@@ -460,6 +477,25 @@ class TestOverlap:
         with pytest.raises(RuntimeError, match="2\\*N0 build failed"):
             cd.convergence_horizon(build, 256)
         assert threading.active_count() == before
+
+    def test_n0_matrix_released_before_the_sketch(self, monkeypatch):
+        # the N0 matrix must not be held next to the 2*N0 matrix and its
+        # sketch buffers
+        refs, alive = [], []
+        real_leading = operators._leading_values
+
+        def build(m):
+            op = cd.composition_matrix(cd.corner_map(), m)
+            refs.append(weakref.ref(op))
+            return op
+
+        def spy_leading(matrix, k):
+            alive.append(refs[0]() is not None)
+            return real_leading(matrix, k)
+
+        monkeypatch.setattr(operators, "_leading_values", spy_leading)
+        cd.convergence_horizon(build, 256)
+        assert alive == [False]
 
     def test_n0_svd_error_wins_over_2n0_build_error(self):
         def build(m):
