@@ -10,7 +10,8 @@ import numpy as np
 
 from compdiff.hardy import (as_points, cumulative_hyperbolic_length,
                             pseudo_distance_array)
-from compdiff.operators import difference_matrix
+from compdiff.operators import (_POWER_ITERATIONS, _SKETCH_SEED,
+                                difference_matrix)
 from compdiff.series import eval_array
 
 
@@ -43,6 +44,28 @@ def hs_parseval_sum(phi, psi, n0=256, rel_tol=1e-6, max_doublings=5):
         prev = value
         n *= 2
     return prev
+
+
+def leading_values_all_passes(matrix, k):
+    """Randomized subspace iteration run through every power pass at once.
+
+    The fixed-pass form of ``operators._leading_values``: the same seed, the
+    same products and QRs, A^H Q formed afresh each pass and E in freshly
+    allocated column blocks.  Returns ``(sigma(Q^H A), ||A - Q Q^H A||_F)``
+    for the final Q only.
+    """
+    n = matrix.shape[1]
+    rng = np.random.default_rng(_SKETCH_SEED)
+    q, _ = np.linalg.qr(matrix @ rng.standard_normal((n, k)))
+    for _ in range(_POWER_ITERATIONS):
+        q, _ = np.linalg.qr((q.conj().T @ matrix).conj().T)
+        q, _ = np.linalg.qr(matrix @ q)
+    b = q.conj().T @ matrix
+    e_sq = 0.0
+    for start in range(0, n, k):
+        block = matrix[:, start:start + k] - q @ b[:, start:start + k]
+        e_sq += float(np.linalg.norm(block)) ** 2
+    return np.linalg.svd(b, compute_uv=False), math.sqrt(e_sq)
 
 
 def kernel_gram(points):

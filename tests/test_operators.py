@@ -13,6 +13,7 @@ from compdiff import operators
 from compdiff.errors import (BoundaryFixedOrigin, HorizonExceeded, NotSelfMap,
                              NumericalBreakdown)
 from compdiff.series import IntPower, Symbol
+from oracles import leading_values_all_passes
 
 RNG_SEED = 911
 
@@ -333,15 +334,18 @@ CERTIFIED_CASES = {
 
 
 def _spy_on_spectra(mp):
-    """Record the sketch sizes and the SVD orders convergence_horizon uses."""
+    """Record the sketch sizes, every pass each sketch yields, and the SVD
+    orders convergence_horizon uses."""
     calls = {"leading": [], "svd": []}
     real_leading = operators._leading_values
     real_svd = operators.singular_spectrum
 
     def spy_leading(matrix, k):
-        out = real_leading(matrix, k)
-        calls["leading"].append((k, out))
-        return out
+        passes = []
+        calls["leading"].append((k, passes))
+        for out in real_leading(matrix, k):
+            passes.append(out)
+            yield out
 
     def spy_svd(op):
         calls["svd"].append(op.order)
@@ -376,17 +380,22 @@ class TestCertifiedHorizon:
         # decided on the first sketch, without an SVD of the 2*N0 matrix
         assert [k for k, _ in calls["leading"]] == [operators._SKETCH_RANK]
         assert calls["svd"] == [n0]
+        # and before its first power pass: a sketch that ran on past the
+        # deciding pass would yield more
+        (_, passes), = calls["leading"]
+        assert len(passes) == 1
 
     @pytest.mark.parametrize("n0", [256, 512])
     @pytest.mark.parametrize("name", list(CERTIFIED_CASES))
     def test_full_svd_values_inside_weyl_intervals(self, certified_runs,
                                                    name, n0):
         _, calls, _, full = certified_runs[name, n0]
-        (k, (s, e)), = calls["leading"]
+        (k, passes), = calls["leading"]
         slack = 1e-13 * full[0]
-        assert np.all(full[:k] >= s - slack)
-        assert np.all(full[:k] <= np.sqrt(s ** 2 + e ** 2) + slack)
-        assert np.all(full[k:] <= e + slack)
+        for s, e in passes:
+            assert np.all(full[:k] >= s - slack)
+            assert np.all(full[:k] <= np.sqrt(s ** 2 + e ** 2) + slack)
+            assert np.all(full[k:] <= e + slack)
 
     def test_complex_and_real_sketches(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -394,11 +403,64 @@ class TestCertifiedHorizon:
                          + 1j * rng.normal(size=(300, 300)))[0]
         values = 0.9 ** np.arange(300)
         for matrix in (u * values, np.real(u) * values):
-            s, e = operators._leading_values(matrix, 128)
+            passes = list(operators._leading_values(matrix, 128))
             full = np.linalg.svd(matrix, compute_uv=False)
-            assert s.dtype == np.float64 and len(s) == 128
-            assert np.all(full[:128] >= s - 1e-13)
-            assert np.all(full[:128] <= np.sqrt(s ** 2 + e ** 2) + 1e-13)
+            assert len(passes) == operators._POWER_ITERATIONS + 1
+            for s, e in passes:
+                assert s.dtype == np.float64 and len(s) == 128
+                assert np.all(full[:128] >= s - 1e-13)
+                assert np.all(full[:128] <= np.sqrt(s ** 2 + e ** 2) + 1e-13)
+
+    def test_last_pass_is_the_all_passes_result_bit_for_bit(self):
+        rng = np.random.default_rng(RNG_SEED)
+        # 600 columns: the last residual block is narrower than k
+        u = np.linalg.qr(rng.normal(size=(600, 600))
+                         + 1j * rng.normal(size=(600, 600)))[0]
+        values = 0.97 ** np.arange(600)
+        for matrix in (u * values, np.real(u) * values):
+            *_, (s, e) = operators._leading_values(matrix, 128)
+            s_ref, e_ref = leading_values_all_passes(matrix, 128)
+            assert s.tobytes() == s_ref.tobytes()
+            assert e == e_ref
+
+    def test_all_passes_peak_no_higher_than_one_fixed_run(self):
+        # a generator that kept Q and B alive across the next QR, or
+        # allocated each residual block afresh, peaks above the oracle
+        matrix = cd.difference_matrix(
+            cd.half_map(), cd.power_perturbation(3, 0.005), 1024).matrix
+        assert matrix.dtype == np.complex128
+        peaks = []
+        for run in (lambda: list(operators._leading_values(matrix, 128)),
+                    lambda: leading_values_all_passes(matrix, 128)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[0] <= peaks[1]
+
+    @pytest.mark.parametrize("ratio, step, deciding", [
+        (0.9, 40, 0), (0.96, 30, 1), (0.97, 20, 2)])
+    def test_stops_at_the_first_deciding_pass(self, monkeypatch, ratio,
+                                              step, deciding):
+        # sigma_n = ratio**n at both orders except that the 2*N0 values drop
+        # by 10% from index ``step`` on; the slower the decay, the more
+        # passes the intervals need before they decide the drop
+        calls = _spy_on_spectra(monkeypatch)
+
+        def values_at(m):
+            v = ratio ** np.arange(m)
+            if m == 512:
+                v[step:] *= 0.9
+            return v
+
+        spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
+        (_, passes), = calls["leading"]
+        assert len(passes) == deciding + 1
+        assert calls["svd"] == [256]
+        assert spectrum.horizon == step
 
     def test_slow_tail_falls_back(self, monkeypatch):
         calls = _spy_on_spectra(monkeypatch)
@@ -413,7 +475,9 @@ class TestCertifiedHorizon:
             return v
 
         spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
-        assert [k for k, _ in calls["leading"]] == [128]
+        (k, passes), = calls["leading"]
+        assert k == 128
+        assert len(passes) == operators._POWER_ITERATIONS + 1
         assert calls["svd"] == [256, 512]
         assert spectrum.horizon == 256
 
@@ -421,11 +485,14 @@ class TestCertifiedHorizon:
     def test_dilation_falls_back_after_one_sketch(self, monkeypatch, n0):
         # exact truncations: sigma_n = 0.5**n at both orders, so the passes
         # reach below the level (about 1e-11 sigma_1) where the rounding
-        # slack lets a pass be certified; one sketch, then the full SVD
+        # slack lets a pass be certified; one sketch through every power
+        # pass, then the full SVD
         calls = _spy_on_spectra(monkeypatch)
         build = lambda m: cd.composition_matrix(cd.dilation(0.5), m)
         spectrum = cd.convergence_horizon(build, n0)
-        assert [k for k, _ in calls["leading"]] == [operators._SKETCH_RANK]
+        (k, passes), = calls["leading"]
+        assert k == operators._SKETCH_RANK
+        assert len(passes) == operators._POWER_ITERATIONS + 1
         assert calls["svd"] == [n0, 2 * n0]
         horizon, _ = _full_svd_horizon(spectrum.values, build(2 * n0).matrix)
         assert spectrum.horizon == horizon > 37
