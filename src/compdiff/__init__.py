@@ -71,6 +71,7 @@ from .bounds import (
     hs_norm,
     lower_certificate,
     optimize_upper,
+    optimize_weighted_upper,
     sequence_boundary_pinch,
     sequence_radial,
     triangular_bound,

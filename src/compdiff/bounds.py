@@ -614,8 +614,8 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
                           norm_T_is_plumbing_bound=True)
 
 
-def _best_weighted_upper(omega: Symbol, phi: Symbol, n: int,
-                         r_grid: Sequence[float]) -> Certificate:
+def optimize_weighted_upper(omega: Symbol, phi: Symbol, n: int,
+                            r_grid: Sequence[float]) -> Certificate:
     """Smallest weighted upper certificate over ``r_grid``, zeros on the
     level curve of phi; r is tried in the given order and the first minimum
     wins."""

@@ -26,9 +26,9 @@ import os
 import sys
 from pathlib import Path
 
-from .bounds import (_best_weighted_upper, hs_norm, lower_certificate,
-                     optimize_upper, sequence_boundary_pinch, sequence_radial,
-                     weighted_lower_certificate)
+from .bounds import (hs_norm, lower_certificate, optimize_upper,
+                     optimize_weighted_upper, sequence_boundary_pinch,
+                     sequence_radial, weighted_lower_certificate)
 from .errors import CompdiffError, ParseError
 from .experiments import (DEFAULT_R_GRID, fit_decay, run_bidisc,
                           run_corner_perturbation, run_smooth_perturbation,
@@ -244,7 +244,7 @@ def cmd_weighted(args) -> int:
 
     lower = weighted_lower_certificate(omega, phi,
                                        sequence_boundary_pinch(2 * args.n))
-    best = _best_weighted_upper(omega, phi, args.n, args.r_grid)
+    best = optimize_weighted_upper(omega, phi, args.n, args.r_grid)
     _write_json(out / "certificates.json",
                 {"lower": [lower.to_dict()], "upper": [best.to_dict()]})
     print(f"lower(n={args.n}) = {lower.value:.6e}   "

@@ -109,10 +109,9 @@ def _ensure_bounded_weight(symbol: Symbol) -> None:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense N x N truncation with builder metadata."""
+    """Dense N x N truncation."""
 
     matrix: np.ndarray
-    symbol_name: str
 
     def __post_init__(self):
         # float64 stays real, everything else becomes complex128; asarray
@@ -224,7 +223,7 @@ def _table(terms, n: int, cols: int) -> np.ndarray:
     return out
 
 
-def _truncation(terms, n: int, name: str) -> TruncatedOperator:
+def _truncation(terms, n: int) -> TruncatedOperator:
     """The N x N truncation of ``terms``, after checking each symbol."""
     if n < 2:
         raise ValueError("truncation order must be at least 2")
@@ -232,22 +231,22 @@ def _truncation(terms, n: int, name: str) -> TruncatedOperator:
         ensure_self_map(phi)
         if omega is not None:
             _ensure_bounded_weight(omega)
-    return TruncatedOperator(_table(terms, n, n), name)
+    return TruncatedOperator(_table(terms, n, n))
 
 
 def composition_matrix(phi: Symbol, n: int) -> TruncatedOperator:
     """N x N truncation of C_phi : f -> f o phi; column k = taylor(phi**k, N)."""
-    return _truncation([(None, phi)], n, phi.name)
+    return _truncation([(None, phi)], n)
 
 
 def weighted_composition_matrix(omega: Symbol, phi: Symbol, n: int) -> TruncatedOperator:
     """Truncation of g -> omega * (g o phi); column k = taylor(omega * phi**k, N)."""
-    return _truncation([(omega, phi)], n, phi.name)
+    return _truncation([(omega, phi)], n)
 
 
 def difference_matrix(phi: Symbol, psi: Symbol, n: int) -> TruncatedOperator:
     """N x N truncation of C_phi - C_psi, built in one N x N buffer."""
-    return _truncation([(None, phi), (None, psi)], n, f"{phi.name} - {psi.name}")
+    return _truncation([(None, phi), (None, psi)], n)
 
 
 # ---------------------------------------------------------------------------

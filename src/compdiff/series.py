@@ -38,10 +38,6 @@ from .errors import (
 SELF_MAP_TOL = 1e-12
 _SUP_OCTAVES = 128.0  # sup_grid depth: its smallest |t| is about pi * 2**-128
 
-# Inner series for exp/reciprocal carry twice the requested order before the
-# final truncation; keeps truncation cross-talk below the oracle tolerance.
-_INNER_MARGIN = 2
-
 Complex = Union[complex, float, int]
 
 
@@ -108,7 +104,6 @@ class Symbol:
 
     name: str
     expr: Expr
-    family: str = ""
 
     def __call__(self, z: Complex) -> complex:
         return evaluate(self, z)
@@ -310,12 +305,12 @@ def _taylor(expr: Expr, n: int) -> np.ndarray:
         return out
     if isinstance(expr, OneMinusZPower):
         return _series_binomial(expr.exponent, n)
+    # coefficient k of exp(u) and of 1/u reads only u_0..u_k, so the inner
+    # series is needed to order n and no further
     if isinstance(expr, Exp):
-        inner = _taylor(expr.argument, _INNER_MARGIN * n)
-        return _series_exp(inner)[:n]
+        return _series_exp(_taylor(expr.argument, n))
     if isinstance(expr, Reciprocal):
-        inner = _taylor(expr.argument, _INNER_MARGIN * n)
-        return _series_reciprocal(inner)[:n]
+        return _series_reciprocal(_taylor(expr.argument, n))
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
@@ -384,26 +379,25 @@ def _fmt(value: Complex) -> str:
 
 def identity() -> Symbol:
     """z itself."""
-    return Symbol("identity", _Z, family="identity")
+    return Symbol("identity", _Z)
 
 
 def constant(c: Complex) -> Symbol:
     """The constant map z -> c."""
     c = complex(c)
-    return Symbol(f"constant(c={_fmt(c)})", Const(c), family="constant")
+    return Symbol(f"constant(c={_fmt(c)})", Const(c))
 
 
 def dilation(a: Complex) -> Symbol:
     """z -> a*z; a self-map iff |a| <= 1."""
     a = complex(a)
-    return Symbol(f"dilation(a={_fmt(a)})", Product((Const(a), _Z)),
-                  family="dilation")
+    return Symbol(f"dilation(a={_fmt(a)})", Product((Const(a), _Z)))
 
 
 def half_map() -> Symbol:
     """z -> (1 + z)/2, the basic boundary-contact self-map."""
     expr = Product((Const(0.5), Sum((_ONE, _Z))))
-    return Symbol("half_map", expr, family="half_map")
+    return Symbol("half_map", expr)
 
 
 def power_perturbation(alpha: float, c: float) -> Symbol:
@@ -423,14 +417,13 @@ def power_perturbation(alpha: float, c: float) -> Symbol:
         Product((Const(0.5), Sum((_ONE, _Z)))),
         Product((Const(c * phase), OneMinusZPower(alpha))),
     ))
-    return Symbol(f"power_perturbation(alpha={alpha!r}, c={c!r})", expr,
-                  family="power_perturbation")
+    return Symbol(f"power_perturbation(alpha={alpha!r}, c={c!r})", expr)
 
 
 def corner_map() -> Symbol:
     """z -> 1/(1 + (1 - z)**(1/2)); the image touches the circle at 1 with a corner."""
     expr = Reciprocal(Sum((_ONE, OneMinusZPower(0.5))))
-    return Symbol("corner_map", expr, family="corner_map")
+    return Symbol("corner_map", expr)
 
 
 def corner_perturbation(c: float = 0.01) -> Symbol:
@@ -443,17 +436,15 @@ def corner_perturbation(c: float = 0.01) -> Symbol:
         Reciprocal(Sum((_ONE, OneMinusZPower(0.5)))),
         Product((Const(c), chi)),
     ))
-    return Symbol(f"corner_perturbation(c={c!r})", expr,
-                  family="corner_perturbation")
+    return Symbol(f"corner_perturbation(c={c!r})", expr)
 
 
 def weight_power(alpha: float) -> Symbol:
     """The weight (1 - z)**alpha (bounded on the disc for alpha >= 0)."""
     alpha = float(alpha)
     if alpha == 0:
-        return Symbol("weight_power(alpha=0.0)", _ONE, family="weight_power")
-    return Symbol(f"weight_power(alpha={alpha!r})", OneMinusZPower(alpha),
-                  family="weight_power")
+        return Symbol("weight_power(alpha=0.0)", _ONE)
+    return Symbol(f"weight_power(alpha={alpha!r})", OneMinusZPower(alpha))
 
 
 def mobius(a: Complex) -> Symbol:
@@ -463,8 +454,7 @@ def mobius(a: Complex) -> Symbol:
         raise ValueError("mobius requires |a| < 1")
     num = Sum((Const(a), Product((Const(-1.0), _Z))))
     den = Sum((_ONE, Product((Const(-a.conjugate()), _Z))))
-    return Symbol(f"mobius(a={_fmt(a)})", Product((num, Reciprocal(den))),
-                  family="mobius")
+    return Symbol(f"mobius(a={_fmt(a)})", Product((num, Reciprocal(den))))
 
 
 CATALOGUE = {

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, config files, output determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -208,6 +209,27 @@ class TestExperimentAndFit:
         code = run(["bidisc", "--kind", "split", "--N", "128"], tmp_path)
         assert code == 0
         assert "tensor_products_exact" in capsys.readouterr().out
+
+    # result.json and certificates.json are pinned as files, each spectrum
+    # CSV by its SHA-256 (the split tensor CSV has 4,096 rows)
+    @pytest.mark.parametrize("kind, n", [
+        ("split", 128), ("glued", 32), ("triangular", 128)])
+    def test_bidisc_bytes_pinned(self, tmp_path, kind, n):
+        code = run(["bidisc", "--kind", kind, "--N", str(n)], tmp_path)
+        assert code == 0
+        label = f"{kind}_N{n}"
+        digests = json.loads(
+            (DATA / "bidisc_spectra_sha256.json").read_text())[label]
+        written = sorted(p.name for p in tmp_path.iterdir())
+        pinned = sorted(p.name.removeprefix(f"bidisc_{label}_")
+                        for p in DATA.glob(f"bidisc_{label}_*"))
+        assert written == sorted([*pinned, *digests])
+        for name in pinned:
+            expected = (DATA / f"bidisc_{label}_{name}").read_bytes()
+            assert (tmp_path / name).read_bytes() == expected, name
+        for name, digest in digests.items():
+            actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert actual == digest, name
 
     def test_experiment_weighted_small(self, tmp_path, capsys):
         code = run(["experiment", "weighted", "--alpha", "1", "--N", "256"],

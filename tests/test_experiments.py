@@ -172,7 +172,7 @@ class TestWeightedDriver:
 
 class TestBidiscSplit:
     def test_tensor_verdict_and_fit(self):
-        result = _run_split(c=0.01, n_trunc=256, count=1024)
+        result = _run_split(c=0.01, n_trunc=256)
         assert result.verdicts["tensor_products_exact"]
         assert "tensor" in result.spectra
         # the dilation factor keeps the trusted tensor range wide enough
@@ -180,8 +180,20 @@ class TestBidiscSplit:
         assert "square_index_stretched" in result.fits
         assert result.verdicts["square_index_rate"]
 
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    def test_factor_spectrum_equals_the_doubling_path(self, n):
+        # C_{z/2} is diagonal on the monomials, so the driver takes the
+        # factor's horizon as N without a doubling; the doubling gives the
+        # same values, bit for bit, and the same horizon
+        doubled = cd.convergence_horizon(
+            lambda m: cd.composition_matrix(cd.dilation(0.5), m), n)
+        recorded = _run_split(c=0.01, n_trunc=n).spectra["factor"]
+        assert doubled.horizon == recorded.horizon == n
+        assert recorded.order == doubled.order
+        assert recorded.values.tobytes() == doubled.values.tobytes()
+
     def test_kronecker_check_recorded(self):
-        result = _run_split(c=0.01, n_trunc=128, count=512)
+        result = _run_split(c=0.01, n_trunc=128)
         assert 0 <= result.details["kronecker_max_mismatch"] <= 1e-10
 
     def test_perturbed_factor_spectrum_fails_kronecker_check(self):
@@ -199,7 +211,7 @@ class TestBidiscSplit:
         assert verdicts == {"tensor_products_exact": False}
 
     def test_recheck_round_trip(self, tmp_path):
-        result = _run_split(c=0.01, n_trunc=128, count=512)
+        result = _run_split(c=0.01, n_trunc=128)
         result.write(tmp_path)
         assert recheck(tmp_path) == result.verdicts
 
@@ -286,7 +298,7 @@ SMALL_DRIVERS = {
         3.0, 0.005, 64, window=(2, 8), r_grid=(0.9, 0.99)),
     "weighted": lambda: cd.run_weighted_power(1.0, 64, window=(2, 8)),
     "corner": lambda: cd.run_corner_perturbation(0.01, n_trunc=256),
-    "split": lambda: _run_split(c=0.01, n_trunc=256, count=1024),
+    "split": lambda: _run_split(c=0.01, n_trunc=256),
     "glued": lambda: _run_glued(c=0.01, n_trunc=32),
     "triangular": _small_triangular,
 }
