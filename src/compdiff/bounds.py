@@ -476,14 +476,15 @@ def _candidate_zero_layouts(phi: Symbol, psi: Symbol, n: int, r: float):
 
 
 def _search_r(r_grid: Sequence[float], certify) -> tuple:
-    """Smallest certificate over ``r_grid``, tried in the given order.
+    """Smallest certificate over ``r_grid``, tried in ascending order.
 
     ``certify(r)`` returns the candidate certificates at r; the first minimum
-    wins, at each r and over the grid.  Returns ``(best, trace)`` with the
-    trace holding the [r, value] minimum per r.
+    wins, at each r and over the grid, so ties go to the smallest r whatever
+    the order of ``r_grid``.  Returns ``(best, trace)`` with the trace holding
+    the [r, value] minimum per r, r ascending.
     """
     best, trace = None, []
-    for r in r_grid:
+    for r in sorted(float(r) for r in r_grid):
         local = min(certify(r), key=lambda cert: cert.value)
         trace.append([r, local.value])
         if best is None or local.value < best.value:
@@ -498,9 +499,8 @@ def optimize_upper(phi: Symbol, psi: Symbol, n: int,
     """Grid search over r (and zero layouts); ties resolved toward the smallest r.
     The best certificate carries the [r, value] minimum per r as ``trace``."""
     best, trace = _search_r(
-        sorted(float(r) for r in r_grid),
-        lambda r: [upper_certificate(phi, psi, n, r, zeros)
-                   for zeros in _candidate_zero_layouts(phi, psi, n, r)])
+        r_grid, lambda r: [upper_certificate(phi, psi, n, r, zeros)
+                           for zeros in _candidate_zero_layouts(phi, psi, n, r)])
     return replace(best, fields={**best.fields, "trace": trace})
 
 
@@ -617,8 +617,7 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
 def optimize_weighted_upper(omega: Symbol, phi: Symbol, n: int,
                             r_grid: Sequence[float]) -> Certificate:
     """Smallest weighted upper certificate over ``r_grid``, zeros on the
-    level curve of phi; r is tried in the given order and the first minimum
-    wins."""
+    level curve of phi; ties resolved toward the smallest r."""
     return _search_r(r_grid, lambda r: [weighted_upper_certificate(
         omega, phi, n, r, blaschke_zeros_for_symbol(phi, r, n))])[0]
 

@@ -113,23 +113,25 @@ class Symbol:
 # pointwise evaluation
 # ---------------------------------------------------------------------------
 
-def _eval(expr: Expr, z: np.ndarray) -> np.ndarray:
+def _eval(expr: Expr, z: np.ndarray, exp=np.exp) -> np.ndarray:
+    # one walk for complex128 arrays and for object arrays of mpmath numbers;
+    # exp is the one operation numpy cannot hand on to the elements
     if isinstance(expr, Var):
         return z
     if isinstance(expr, Const):
         return np.full(z.shape, expr.value, dtype=complex)
     if isinstance(expr, Sum):
-        out = _eval(expr.terms[0], z)
+        out = _eval(expr.terms[0], z, exp)
         for t in expr.terms[1:]:
-            out = out + _eval(t, z)
+            out = out + _eval(t, z, exp)
         return out
     if isinstance(expr, Product):
-        out = _eval(expr.factors[0], z)
+        out = _eval(expr.factors[0], z, exp)
         for f in expr.factors[1:]:
-            out = out * _eval(f, z)
+            out = out * _eval(f, z, exp)
         return out
     if isinstance(expr, IntPower):
-        return _eval(expr.base, z) ** expr.exponent
+        return _eval(expr.base, z, exp) ** expr.exponent
     if isinstance(expr, OneMinusZPower):
         beta = expr.exponent
         u = 1.0 - z
@@ -149,9 +151,9 @@ def _eval(expr: Expr, z: np.ndarray) -> np.ndarray:
         return out
     if isinstance(expr, Exp):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            return np.exp(_eval(expr.argument, z))
+            return exp(_eval(expr.argument, z, exp))
     if isinstance(expr, Reciprocal):
-        inner = _eval(expr.argument, z)
+        inner = _eval(expr.argument, z, exp)
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / inner
     raise TypeError(f"unknown expression node {type(expr).__name__}")
@@ -182,29 +184,6 @@ def eval_boundary(symbol: Symbol, t: np.ndarray) -> np.ndarray:
     return eval_array(symbol, np.exp(1j * np.asarray(t, dtype=float)))
 
 
-def _eval_mp(expr: Expr, z, mp):
-    if isinstance(expr, Var):
-        return z
-    if isinstance(expr, Const):
-        return mp.mpc(expr.value)
-    if isinstance(expr, Sum):
-        return sum((_eval_mp(t, z, mp) for t in expr.terms), mp.mpc(0))
-    if isinstance(expr, Product):
-        out = mp.mpc(1)
-        for f in expr.factors:
-            out *= _eval_mp(f, z, mp)
-        return out
-    if isinstance(expr, IntPower):
-        return _eval_mp(expr.base, z, mp) ** expr.exponent
-    if isinstance(expr, OneMinusZPower):
-        return (1 - z) ** mp.mpf(expr.exponent)
-    if isinstance(expr, Exp):
-        return mp.exp(_eval_mp(expr.argument, z, mp))
-    if isinstance(expr, Reciprocal):
-        return 1 / _eval_mp(expr.argument, z, mp)
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
 def boundary_rho_mp(phi: Symbol, psi: Symbol, t: float, dps: int = 60) -> float:
     """Pseudohyperbolic distance of boundary values in extended precision.
 
@@ -215,9 +194,10 @@ def boundary_rho_mp(phi: Symbol, psi: Symbol, t: float, dps: int = 60) -> float:
     import mpmath
 
     with mpmath.workdps(dps):
-        z = mpmath.exp(1j * mpmath.mpf(t))
-        pv = _eval_mp(phi.expr, z, mpmath.mp)
-        sv = _eval_mp(psi.expr, z, mpmath.mp)
+        z = np.array([mpmath.exp(1j * mpmath.mpf(t))], dtype=object)
+        exp = np.frompyfunc(mpmath.exp, 1, 1)
+        pv = _eval(phi.expr, z, exp)[0]
+        sv = _eval(psi.expr, z, exp)[0]
         num = abs(pv - sv)
         if num == 0:
             return 0.0
@@ -475,10 +455,7 @@ CATALOGUE = {
 # ---------------------------------------------------------------------------
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.S)
-_COMPLEX_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"(?:([+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i)?$"
-)
+_COMPLEX_CHARS = frozenset("0123456789.eE+-")
 
 
 def _parse_value(token: str) -> complex:
@@ -489,17 +466,13 @@ def _parse_value(token: str) -> complex:
         return complex(float(token))
     except ValueError:
         pass
-    m = _COMPLEX_RE.match(token)
-    if m and (m.group(1) is not None or m.group(2) is not None):
-        real = float(m.group(1)) if m.group(1) else 0.0
-        imag_txt = m.group(2)
-        if imag_txt is None:
-            imag = 0.0
-        elif imag_txt in ("+", "-"):
-            imag = float(imag_txt + "1")
-        else:
-            imag = float(imag_txt)
-        return complex(real, imag)
+    # a+bi or bi: Python's complex() grammar, once the characters are
+    # restricted so that 'j', parentheses, 'inf' and '_' stay rejected
+    if token.endswith("i") and set(token[:-1]) <= _COMPLEX_CHARS:
+        try:
+            return complex(token[:-1] + "j")
+        except ValueError:
+            pass
     raise ParseError(f"cannot parse value {token!r} (expected a real or a+bi)")
 
 

@@ -1,6 +1,10 @@
 """Certificates: sequences, lower/upper bounds, HS integral, weighted, triangular."""
 
+import hashlib
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,8 @@ def _stable(coarse, fine):
 
 
 SMOOTH_PAIR = (cd.half_map(), cd.power_perturbation(3, 0.005))
+W_VALUES_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "w_values_sha256.json").read_text())
 UPPER_SUPS = ("sup_B_phi", "sup_B_psi", "sup_w_phi", "sup_w_psi")
 # (n, r) pairs from the default r grid's range plus both extremes
 N_R_PAIRS = ((8, 0.6), (12, 0.9), (16, 0.99), (24, 0.999), (8, 1 - 1e-5))
@@ -386,6 +392,15 @@ class TestFineGridSups:
         cd.upper_certificate(phi, psi, 8, 0.9, split_zeros(phi, psi, 8, 0.9))
         assert len(calls) == bounds._W_MP_POINTS == 64
 
+    @pytest.mark.parametrize("pair", sorted(W_VALUES_SHA256))
+    def test_w_values_pinned(self, pair):
+        # every pair reaches the mpmath re-evaluation; no certificate pin
+        # sees those samples (at alpha = 2.5 they peak at 2.8e-5 against a
+        # reliable sup of 2.8e-2), so the raw array is pinned instead
+        phi, psi = (cd.parse_symbol(spec) for spec in pair.split(" vs "))
+        w = bounds._w_values(phi, psi, 2 * bounds._SUP_SAMPLES)
+        assert hashlib.sha256(w.tobytes()).hexdigest() == W_VALUES_SHA256[pair]
+
     def test_grid_points_passed_to_blaschke_lie_in_sublevel_set(self, monkeypatch):
         calls, candidates = [], []
         real_eval = bounds.blaschke_eval
@@ -432,6 +447,22 @@ class TestOptimizeUpper:
         grid = sorted(1.0 - np.geomspace(1e-5, 0.4, 13))
         best = cd.optimize_upper(phi, psi, 16, grid)
         assert grid[0] < best.r < grid[-1]
+
+    def test_ties_go_to_the_smallest_r(self):
+        flat = cd.Certificate(kind="upper", n=1, r=None, value=1.0,
+                              value_theorem=None, fields={}, flags={})
+        best, trace = bounds._search_r(
+            [0.9, 0.5, 0.7], lambda r: [replace(flat, r=r)])
+        assert best.r == 0.5
+        assert trace == [[0.5, 1.0], [0.7, 1.0], [0.9, 1.0]]
+
+    def test_grid_order_does_not_matter(self):
+        phi, psi = cd.half_map(), cd.power_perturbation(3, 0.005)
+        grid = [0.99, 0.9, 0.95]
+        for search in (
+                lambda g: cd.optimize_upper(phi, psi, 8, g),
+                lambda g: cd.optimize_weighted_upper(cd.weight_power(1), phi, 8, g)):
+            assert search(grid).to_dict() == search(grid[::-1]).to_dict()
 
     def test_corner_optimal_gap_tracks_log_n_over_n(self):
         phi, psi = cd.corner_map(), cd.corner_perturbation(0.01)

@@ -267,7 +267,7 @@ class TestConfigFile:
 
 class TestWeighted:
     def test_certificates_bytes_pinned(self, tmp_path, capsys):
-        # the r optimiser keeps the grid order and the first minimum, so the
+        # the r optimiser sorts the grid and keeps the first minimum, so the
         # certificates of a fixed configuration never change
         code = run(["weighted", "--omega", "weight_power(alpha=1)",
                     "--phi", "half_map", "--N", "64", "--n", "8"], tmp_path)

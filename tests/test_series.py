@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,10 +11,17 @@ import compdiff as cd
 from compdiff.errors import (DivisionByZeroConstantTerm, ExpOfSingularSeries,
                              NonFinite, ParseError)
 from compdiff.series import (Const, Exp, OneMinusZPower, Product, Reciprocal,
-                             Symbol, Var, _series_exp, _taylor)
+                             Symbol, Var, _eval, _series_exp, _taylor)
 from oracles import contour_coefficients
 
 CHI = Symbol("flat_perturbation", Exp(Product((Const(-1.0), OneMinusZPower(-0.5)))))
+
+
+def _eval_on_mpmath(expr, z):
+    """The pointwise interpreter on a one-element object array of mpmath numbers,
+    as ``boundary_rho_mp`` runs it."""
+    return _eval(expr, np.array([z], dtype=object),
+                 np.frompyfunc(mpmath.exp, 1, 1))[0]
 
 
 class TestEvaluate:
@@ -50,6 +58,45 @@ class TestEvaluate:
         tau = cd.mobius(0.4 + 0.1j)
         for z in (0.0, 0.3 - 0.2j, 0.7j):
             assert abs(cd.evaluate(tau, cd.evaluate(tau, z)) - z) < 1e-14
+
+
+class TestMpmathEvaluation:
+    # hand-written formulas with the double constants the builders store
+    CASES = {
+        "half_map": (cd.half_map(), lambda z: 0.5 * (1 + z)),
+        "power_perturbation": (
+            cd.power_perturbation(3, 0.005),
+            lambda z: 0.5 * (1 + z) + 0.005 * cmath.exp(1j * math.pi * 3.0)
+            * (1 - z) ** mpmath.mpf(3.0)),
+        "corner_map": (cd.corner_map(),
+                       lambda z: 1 / (1 + mpmath.sqrt(1 - z))),
+        "corner_perturbation": (
+            cd.corner_perturbation(0.01),
+            lambda z: 1 / (1 + mpmath.sqrt(1 - z))
+            + 0.01 * mpmath.exp(-1 / mpmath.sqrt(1 - z))),
+        "mobius": (cd.mobius(0.3 + 0.2j),
+                   lambda z: (complex(0.3, 0.2) - z) / (1 - complex(0.3, -0.2) * z)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_formula_near_the_contact_point(self, name):
+        symbol, formula = self.CASES[name]
+        with mpmath.workdps(60):
+            for k in range(0, 31, 3):
+                for t in (10.0 ** -k, -(10.0 ** -k)):
+                    z = mpmath.exp(1j * mpmath.mpf(t))
+                    want = formula(z)
+                    got = _eval_on_mpmath(symbol.expr, z)
+                    assert abs(got - want) <= 1e-45 * abs(want), (name, t)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.0, -0.5])
+    def test_radial_limit_at_the_branch_point(self, beta):
+        # the double path's limits; mpmath itself raises ZeroDivisionError
+        # for 0 ** -0.5
+        expr = OneMinusZPower(beta)
+        double = _eval(expr, np.array([1.0 + 0j]))[0]
+        with mpmath.workdps(60):
+            assert _eval_on_mpmath(expr, mpmath.mpc(1)) == double
 
 
 class TestTaylor:
@@ -207,6 +254,19 @@ class TestParser:
         assert cd.evaluate(s, 0.5) == 0.1 + 0.2j
         s = cd.parse_symbol("dilation(a=-0.5i)")
         assert cd.evaluate(s, 0.5) == -0.25j
+        # unsigned imaginary parts parse like the signed ones
+        s = cd.parse_symbol("dilation(a=0.5i)")
+        assert cd.evaluate(s, 0.5) == 0.25j
+        s = cd.parse_symbol("dilation(a=i)")
+        assert cd.evaluate(s, 0.5) == 0.5j
+        s = cd.parse_symbol("constant(c=1e-3i)")
+        assert cd.evaluate(s, 0.5) == 1e-3j
+
+    @pytest.mark.parametrize("value", ["1+e5i", "+E+0i", "1j", "(1+2i)",
+                                       "infi", "1_0i"])
+    def test_malformed_complex_value_is_a_parse_error(self, value):
+        with pytest.raises(ParseError, match="cannot parse value"):
+            cd.parse_symbol(f"constant(c={value})")
 
     def test_unknown_symbol_named_in_error(self):
         with pytest.raises(ParseError, match="frobnicate"):
