@@ -76,7 +76,6 @@ from .bounds import (
     sequence_radial,
     triangular_bound,
     upper_certificate,
-    weighted_difference_bound,
     weighted_lower_certificate,
     weighted_upper_certificate,
 )

@@ -60,7 +60,7 @@ from .hardy import (
     pseudo_distance_array,
     uniform_separation,
 )
-from .operators import SingularSpectrum, operator_norm_bound
+from .operators import SingularSpectrum, ensure_self_map, operator_norm_bound
 from .series import Symbol, eval_array, eval_boundary, sup_grid
 
 _IMAGE_COLLISION_TOL = 1e-14
@@ -450,16 +450,11 @@ def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
 
 
 def split_zeros(phi: Symbol, psi: Symbol, n: int, r: float) -> BlaschkeProduct:
-    """Degree n-1 product with zeros split between the two level curves."""
-    m1 = (n - 1 + 1) // 2
-    m2 = (n - 1) - m1
-    parts = []
-    if m1 >= 1:
-        parts.append(blaschke_zeros_for_symbol(phi, r, m1 + 1).zeros)
-    if m2 >= 1:
-        parts.append(blaschke_zeros_for_symbol(psi, r, m2 + 1).zeros)
-    zeros = np.concatenate(parts) if parts else np.empty(0, dtype=complex)
-    return BlaschkeProduct(zeros)
+    """Degree n-1 product: n // 2 zeros on the level curve of phi, the other
+    n - 1 - n // 2 on that of psi."""
+    return BlaschkeProduct(np.concatenate([
+        blaschke_zeros_for_symbol(symbol, r, share + 1).zeros
+        for symbol, share in ((phi, n // 2), (psi, n - 1 - n // 2))]))
 
 
 def _candidate_zero_layouts(phi: Symbol, psi: Symbol, n: int, r: float):
@@ -467,11 +462,22 @@ def _candidate_zero_layouts(phi: Symbol, psi: Symbol, n: int, r: float):
 
     Splitting covers far-apart symbol pairs; the single-curve layouts double
     the damping exponent when the two level curves almost coincide (small
-    perturbations), and the certificate is valid for any layout.
+    perturbations), and the certificate is valid for any layout.  A layout
+    that needs a level curve which is empty at r (an automorphism has no
+    boundary point with |psi| <= r < 1) is left out; the error of the first
+    layout is raised only when no layout can be built.
     """
-    layouts = [split_zeros(phi, psi, n, r)]
+    builders = [lambda: split_zeros(phi, psi, n, r)]
     if phi.expr != psi.expr:
-        layouts.append(blaschke_zeros_for_symbol(phi, r, n))
+        builders.append(lambda: blaschke_zeros_for_symbol(phi, r, n))
+    layouts, errors = [], []
+    for build in builders:
+        try:
+            layouts.append(build())
+        except ValueError as exc:  # an empty sublevel set (see _level_curve)
+            errors.append(exc)
+    if not layouts:
+        raise errors[0]
     return layouts
 
 
@@ -540,8 +546,11 @@ def hs_norm(phi: Symbol, psi: Symbol) -> HsIntegral:
     which equals sum_k || phi^k - psi^k ||^2.  The grid deepens toward the
     contact point and densifies, for at most 14 rounds, until the value moves
     by less than 1e-6 relative; persistent growth across refinements flags
-    divergence and the value is reported as +inf.
+    divergence and the value is reported as +inf.  Both symbols must be
+    self-maps of the disc (:class:`NotSelfMap` otherwise).
     """
+    ensure_self_map(phi)
+    ensure_self_map(psi)
     octaves, per_octave = 8, 8
     prev_value = None
     prev_delta = None
@@ -629,33 +638,8 @@ def weighted_lower_certificate(omega: Symbol, phi: Symbol,
 
 
 # ---------------------------------------------------------------------------
-# weighted differences and triangularly separated bidisc symbols
+# triangularly separated bidisc symbols
 # ---------------------------------------------------------------------------
-
-def _cross_bound(sup0: float, sup1: float, d01: float,
-                 a_diff: float, a0: float, a1: float) -> float:
-    """min over i of sup_i a_diff + d01 a_{1-i}, the two cross combinations."""
-    return min(sup0 * a_diff + d01 * a1, sup1 * a_diff + d01 * a0)
-
-
-def weighted_difference_bound(u0: Symbol, u1: Symbol,
-                              phi0: Symbol, phi1: Symbol, n: int,
-                              diff_spectrum: SingularSpectrum,
-                              phi0_spectrum: SingularSpectrum,
-                              phi1_spectrum: SingularSpectrum) -> float:
-    """min of the two cross combinations bounding a_n(M_u0 C_phi0 - M_u1 C_phi1):
-
-    ||u_i||_inf a_n(C_phi0 - C_phi1) + ||u0 - u1||_inf a_n(C_phi_{1-i}).
-    """
-    a_diff = diff_spectrum.sigma_checked(n)
-    a0 = phi0_spectrum.sigma_checked(n)
-    a1 = phi1_spectrum.sigma_checked(n)
-    sup0 = boundary_sup(u0)
-    sup1 = boundary_sup(u1)
-    d01 = float(np.abs(_sup_values(u0, _SUP_SAMPLES)
-                       - _sup_values(u1, _SUP_SAMPLES)).max())
-    return _cross_bound(sup0, sup1, d01, a_diff, a0, a1)
-
 
 @dataclass(frozen=True)
 class TriangularBound:
@@ -715,11 +699,12 @@ def triangular_bound(u0: Symbol, u1: Symbol, phi0: Symbol, phi1: Symbol,
     k_count = len(sizes) - 1
     blocks = []
     for k, n_k in enumerate(sizes):
+        a_diff, a0, a1 = (sigma(s, n_k) for s in
+                          (diff_spectrum, phi0_spectrum, phi1_spectrum))
         d_k = float(np.abs(u0_v ** k - u1_v ** k).max())
-        blocks.append(_cross_bound(sup0 ** k, sup1 ** k, d_k,
-                                   sigma(diff_spectrum, n_k),
-                                   sigma(phi0_spectrum, n_k),
-                                   sigma(phi1_spectrum, n_k)))
+        # min over i of ||u_i^k|| a_diff + ||u0^k - u1^k|| a_{1-i}
+        blocks.append(min(sup0 ** k * a_diff + d_k * a1,
+                          sup1 ** k * a_diff + d_k * a0))
 
     tail = (sup0 ** (k_count + 1) * operator_norm_bound(phi0)
             + sup1 ** (k_count + 1) * operator_norm_bound(phi1))

@@ -253,8 +253,15 @@ def cmd_weighted(args) -> int:
     return 0
 
 
+def _given(args, **options) -> dict:
+    """Driver keywords of the options given; ``options`` maps each keyword to
+    its option, and the driver's own default fills any option left out."""
+    return {key: getattr(args, name) for key, name in options.items()
+            if getattr(args, name) is not None}
+
+
 def cmd_bidisc(args) -> int:
-    result = run_bidisc(args.kind, c=args.c, n_trunc=args.N)
+    result = run_bidisc(args.kind, **_given(args, c="c", n_trunc="N"))
     out = resolve_outdir(args)
     path = result.write(out)
     print(f"bidisc {args.kind}: verdicts {result.verdicts}")
@@ -264,11 +271,12 @@ def cmd_bidisc(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.which == "smooth":
-        result = run_smooth_perturbation(args.alpha, args.c, args.N)
+        result = run_smooth_perturbation(
+            **_given(args, alpha="alpha", c="c", n_trunc="N"))
     elif args.which == "corner":
-        result = run_corner_perturbation(args.c, args.N)
+        result = run_corner_perturbation(**_given(args, c="c", n_trunc="N"))
     else:
-        result = run_weighted_power(args.alpha, args.N)
+        result = run_weighted_power(**_given(args, alpha="alpha", n_trunc="N"))
     out = resolve_outdir(args)
     path = result.write(out)
     for name, ok in sorted(result.verdicts.items()):
@@ -326,7 +334,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="interpolation lower certificate")
     p.add_argument("--phi", type=parse_symbol, required=True)
     p.add_argument("--psi", type=parse_symbol, required=True)
-    p.add_argument("--n", type=int, default=16)
+    p.add_argument("--n", type=int, default=16,
+                   help="pinch: the n points of the 2n-point sequence; "
+                        "radial: the last index, and the start trim drops "
+                        "the first points (--n 40 certifies n = 28)")
     p.add_argument("--sequence", type=parse_sequence, default="pinch",
                    metavar="{pinch,radial}")
     p.set_defaults(handler=cmd_lower_bound)
@@ -359,16 +370,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="bidisc constructions: split / glued / triangular")
     p.add_argument("--kind", choices=("split", "glued", "triangular"),
                    required=True)
-    p.add_argument("--c", type=float, default=0.01)
-    p.add_argument("--N", type=int, default=512)
+    # None: the driver's default (see the README)
+    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--N", type=int, default=None)
     p.set_defaults(handler=cmd_bidisc)
 
     p = sub.add_parser("experiment", parents=[common],
                        help="end-to-end experiment with verdicts")
     p.add_argument("which", choices=("smooth", "corner", "weighted"))
-    p.add_argument("--alpha", type=float, default=3.0)
-    p.add_argument("--c", type=float, default=0.005)
-    p.add_argument("--N", type=int, default=1024)
+    # None: the driver's default (see the README)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--N", type=int, default=None)
     p.set_defaults(handler=cmd_experiment)
 
     p = sub.add_parser("fit", parents=[common],

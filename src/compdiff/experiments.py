@@ -117,10 +117,13 @@ def fit_series(ns: Sequence[int], values: Sequence[float], model: str,
 
 def _fit_raw(spectrum: SingularSpectrum, model: str, window: tuple,
              q: float = 0.0) -> DecayFit:
-    """Fit without the horizon guard (used only with flagged fallback windows)."""
+    """Fit sigma_n over ``window`` without the horizon guard; flagged
+    fallback windows fit here, and :func:`fit_decay` after its guards."""
     lo, hi = int(window[0]), int(window[1])
-    ns = np.arange(lo, hi + 1)
-    return fit_series(ns, spectrum.values[lo - 1: hi], model, q=q)
+    values = spectrum.values[lo - 1: hi]
+    if np.any(values <= 0):
+        raise ZeroInWindow(f"sigma_n <= 0 inside window [{lo}, {hi}]")
+    return fit_series(np.arange(lo, hi + 1), values, model, q=q)
 
 
 def fit_decay(spectrum: SingularSpectrum, model: str, window: tuple,
@@ -137,11 +140,7 @@ def fit_decay(spectrum: SingularSpectrum, model: str, window: tuple,
             f"window top {hi} exceeds horizon {spectrum.horizon}")
     if hi > len(spectrum):
         raise WindowExceedsHorizon(f"window top {hi} exceeds truncation {len(spectrum)}")
-    ns = np.arange(lo, hi + 1)
-    vals = spectrum.values[lo - 1: hi]
-    if np.any(vals <= 0):
-        raise ZeroInWindow(f"sigma_n <= 0 inside window [{lo}, {hi}]")
-    return fit_series(ns, vals, model, q=q)
+    return _fit_raw(spectrum, model, window, q)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,8 @@ def _track_certificates(result: ExperimentResult, n_grid, lower,
             (cert.n, cert.value) for cert in series), "power")
 
 
-def run_smooth_perturbation(alpha: float, c: float, n_trunc: int = 1024,
+def run_smooth_perturbation(alpha: float = 3.0, c: float = 0.005,
+                            n_trunc: int = 1024,
                             window: tuple = (8, 64),
                             r_grid: Sequence[float] = DEFAULT_R_GRID,
                             certificates: bool = True) -> ExperimentResult:
@@ -472,7 +472,7 @@ def run_corner_perturbation(c: float = 0.01, n_trunc: int = 1024,
     return result.derive_verdicts()
 
 
-def run_weighted_power(alpha: float, n_trunc: int = 1024,
+def run_weighted_power(alpha: float = 1.0, n_trunc: int = 1024,
                        window: tuple = (8, 100),
                        r_grid: Sequence[float] = DEFAULT_R_GRID,
                        certificates: bool = True) -> ExperimentResult:

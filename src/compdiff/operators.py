@@ -22,38 +22,11 @@ approximation number from below; every spectrum carries a stability horizon
 ``n*`` up to which values move by less than 1% when N doubles, and nothing
 beyond the horizon should be fed into fits or certificates.
 
-The horizon compares the N0 spectrum (a full dense SVD) with the leading
-values of the 2*N0 truncation A.  Those come from randomized subspace
-iteration (Halko, Martinsson & Tropp 2011, Alg. 4.4) with a fixed seed:
-for an orthonormal Q, B = Q^H A and E = A - Q B give A^H A = B^H B + E^H E,
-so by Weyl's inequality sigma_j(A) lies in [sigma_j(B), sqrt(sigma_j(B)**2
-+ ||E||_F**2)].  A comparison is decided only when the 1% test gives one
-answer over the whole interval.  The intervals hold for every Q, so they are
-scanned for the sketch's first Q and again after each power pass, and the
-scan stops at the first Q that decides every comparison up to index
-horizon+1; when no Q does, or N0 <= k, a full SVD of A decides.  The horizon
-therefore always equals the full-SVD one.  At N0 = 1024 the first Q, before
-any power pass, decides the corner matrices (c in {0.008, 0.01, 0.012}), the
-weighted family (alpha in {1, 1.5, 2}) and the smooth pair (c in {0.004,
-0.005, 0.006}) at alpha = 2.5, and at alpha = 3 with c = 0.004; the smooth
-pair at alpha in {3.5, 4}, and at alpha = 3 with c in {0.005, 0.006}, needs
-one power pass.
-
-The N0 SVD and the 2*N0 build do not depend on each other, so each doubling
-runs them at once: the caller's thread builds the N0 matrix, submits its SVD
-as one future to a single-worker pool, builds the 2*N0 matrix and leaves the
-pool, which joins the worker, before the sketch starts.  The join sits there
-for memory, not speed: a sketch running beside the SVD would hold the 2*N0
-matrix, its sketch buffers, the N0 matrix and the SVD workspace at once (peak
-memory of the smooth benchmark pipeline at N0 = 1024: 149 MB instead of
-130 MB).  ``singular_spectrum`` is looked up through this module when the
-future is submitted, so a wrapper installed on it sees the call; an error of
-the N0 SVD is raised in preference to one of the 2*N0 build, as when the SVD
-ran first.  Holding the N0 matrix during the 2*N0 build is paid for by the
-one-buffer table: the power recursions of the terms run in lockstep and each
-column, or pair of columns subtracted, goes into one N x N buffer of the
-result dtype, so no power table of a term is ever held whole.  The values of
-a difference are those of the two tables subtracted, bit for bit.
+The horizon compares the N0 spectrum, a full dense SVD, with the leading
+values of the 2*N0 truncation, each certified to an interval; a comparison
+counts only when its whole interval gives one answer, so the horizon is
+always the one a full SVD of the 2*N0 matrix gives.
+:func:`convergence_horizon` describes the doubling.
 """
 
 from __future__ import annotations
@@ -344,18 +317,22 @@ def _passes(a: float, b: float, floor: float) -> bool:
     return abs(a - b) <= _HORIZON_RTOL * max(b, floor)
 
 
-def _scan_horizon(small: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  floor_lo: float, floor_hi: float) -> Optional[int]:
+def _scan_horizon(small: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> Optional[int]:
     """Horizon of ``small`` against 2*N0 values known to lie in [lo, hi], or None.
 
-    Each comparison is evaluated at both ends of its interval, the floor at
-    both ends of [floor_lo, floor_hi].  The pass set of the 1% test is an
-    interval in b that contains a and grows with the floor, so a comparison
-    that passes at both ends (lowest floor), or fails at both ends on the
-    same side of a (highest floor), is decided for every value inside.
-    Returns None when a comparison before the first decided failure is not
-    decided; exact values (lo = hi, one floor) always decide.
+    The floor of the 1% test is ``_HORIZON_FLOOR`` times sigma_1 of the
+    2*N0 spectrum, so it lies between the floors of lo[0] and hi[0].  Each
+    comparison is evaluated at both ends of its interval, the floor at both
+    ends of its range.  The pass set of the 1% test is an interval in b that
+    contains a and grows with the floor, so a comparison that passes at both
+    ends (lowest floor), or fails at both ends on the same side of a
+    (highest floor), is decided for every value inside.  Returns None when a
+    comparison before the first decided failure is not decided; exact values
+    (lo = hi) always decide.
     """
+    floor_lo, floor_hi = (_HORIZON_FLOOR * max(end[0], 1e-300)
+                          for end in (lo, hi))
     for n, a in enumerate(small):
         if _passes(a, lo[n], floor_lo) and _passes(a, hi[n], floor_lo):
             continue
@@ -372,27 +349,37 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
 
     The horizon is the largest n* such that sigma_n agrees within 1% between
     the two truncations for every n <= n*.  The N0 spectrum is a full dense
-    SVD.  Of the 2*N0 matrix A only the leading k values are computed
-    (:func:`_leading_values`, k = 128): each sigma_n(A) is known to lie in
-    [s_n, sqrt(s_n**2 + e**2)], widened by 1e-13 sigma_1 for rounding.  The
-    scan decides a comparison only when the 1% test gives the same answer
-    over the whole interval, so the horizon is the one a full SVD of A gives.
-    It runs on the intervals of the sketch and again after each power pass,
-    and returns at the first that decides (which one, for the benchmark
-    matrices, is listed in the module docstring).  When no pass decides every
-    comparison up to index horizon+1, or N0 <= 128, the 2*N0 spectrum is a
-    full dense SVD and the scan runs on it.  A comparison that passes can be
-    certified only while sigma_n stays above about 1e-11 sigma_1 (the slack
-    over the 1% tolerance), so a horizon that reaches past that level (a
-    dilation's exact truncations) costs the sketch through every power pass
-    on top of the full SVD.
+    SVD.  Of the 2*N0 matrix A only the leading k = 128 values are computed
+    first (:func:`_leading_values`, randomized subspace iteration): each
+    sigma_n(A) is known to lie in [s_n, sqrt(s_n**2 + e**2)], widened by
+    1e-13 sigma_1 for rounding.  The scan decides a comparison only when the
+    1% test gives the same answer over the whole interval.  It runs on the
+    intervals of the sketch and again after each power pass, and returns at
+    the first that decides every comparison up to index horizon+1; when none
+    does, or N0 <= 128, it runs on the exact values of a full dense SVD of A,
+    which always decide.  So the horizon is the one a full SVD gives.
+
+    At N0 = 1024 the sketch decides before any power pass for the corner
+    matrices (c in {0.008, 0.01, 0.012}), the weighted family (alpha in {1,
+    1.5, 2}) and the smooth pair (c in {0.004, 0.005, 0.006}) at alpha =
+    2.5, and at alpha = 3 with c = 0.004; the smooth pair at alpha in {3.5,
+    4}, and at alpha = 3 with c in {0.005, 0.006}, needs one power pass.  A
+    comparison that passes can be certified only while sigma_n stays above
+    about 1e-11 sigma_1 (the slack over the 1% tolerance), so a horizon that
+    reaches past that level (a dilation's exact truncations) costs the
+    sketch through every power pass on top of the full SVD.
 
     The N0 SVD is one future on a single-worker pool while the caller's
     thread builds the 2*N0 matrix; leaving the pool joins the worker before
     the sketch, so the sketch never overlaps the SVD: that would hold the N0
-    matrix and the SVD workspace next to the 2*N0 matrix and its sketch, and
-    raise peak memory.  An error of the N0 SVD wins over one of the 2*N0
-    build.  The values are the same bits as with the two steps in sequence.
+    matrix and the SVD workspace next to the 2*N0 matrix and its sketch
+    (peak memory of the smooth benchmark pipeline at N0 = 1024: 149 MB
+    instead of 130 MB).  Holding the N0 matrix during the 2*N0 build is paid
+    for by the one-buffer table of :func:`_table`.  ``singular_spectrum`` is
+    looked up through this module when the future is submitted, so a wrapper
+    installed on it sees the call.  An error of the N0 SVD wins over one of
+    the 2*N0 build.  The values are the same bits as with the two steps in
+    sequence.
     """
     if n0 < 16:
         raise ValueError("doubling diagnostics start at N0 >= 16")
@@ -414,21 +401,18 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
                 # Weyl intervals, s_n = 0 past k, every end widened by the
                 # slack
                 s_n = np.pad(s, (0, n0 - len(s)))
-                hi_1 = math.sqrt(s[0] ** 2 + e ** 2)
-                slack = _ROUNDING_SLACK * hi_1
-                horizon = _scan_horizon(
-                    s_small.values, np.maximum(s_n - slack, 0.0),
-                    np.sqrt(s_n ** 2 + e ** 2) + slack,
-                    _HORIZON_FLOOR * max(s[0] - slack, 1e-300),
-                    _HORIZON_FLOOR * max(hi_1 + slack, 1e-300))
+                hi = np.sqrt(s_n ** 2 + e ** 2)
+                slack = _ROUNDING_SLACK * hi[0]
+                horizon = _scan_horizon(s_small.values,
+                                        np.maximum(s_n - slack, 0.0),
+                                        hi + slack)
                 if horizon is not None:
                     return replace(s_small, horizon=horizon)
         except np.linalg.LinAlgError:
             pass
+    # the exact values of a full SVD always decide
     b = singular_spectrum(big).values
-    floor = _HORIZON_FLOOR * max(b[0], 1e-300)
-    return replace(s_small,
-                   horizon=_scan_horizon(s_small.values, b, b, floor, floor))
+    return replace(s_small, horizon=_scan_horizon(s_small.values, b, b))
 
 
 # ---------------------------------------------------------------------------

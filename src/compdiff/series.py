@@ -456,10 +456,13 @@ CATALOGUE = {
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.S)
 _COMPLEX_CHARS = frozenset("0123456789.eE+-")
+# a sign after a digit or a point can only join the real and imaginary parts
+# (an exponent's sign follows an 'e'); spaces may surround that sign alone
+_JOINING_SIGN_RE = re.compile(r"(?<=[0-9.]) *([+-]) *")
 
 
-def _parse_value(token: str) -> complex:
-    token = token.strip().replace(" ", "")
+def _parse_value(text: str) -> complex:
+    token = _JOINING_SIGN_RE.sub(r"\1", text.strip())
     if not token:
         raise ParseError("empty parameter value")
     try:
@@ -473,7 +476,8 @@ def _parse_value(token: str) -> complex:
             return complex(token[:-1] + "j")
         except ValueError:
             pass
-    raise ParseError(f"cannot parse value {token!r} (expected a real or a+bi)")
+    raise ParseError(
+        f"cannot parse value {text.strip()!r} (expected a real or a+bi)")
 
 
 def parse_symbol(text: str) -> Symbol:

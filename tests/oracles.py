@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from compdiff.bounds import _SUP_SAMPLES, _sup_values, boundary_sup
 from compdiff.hardy import (as_points, cumulative_hyperbolic_length,
                             pseudo_distance_array)
 from compdiff.operators import (_POWER_ITERATIONS, _SKETCH_SEED,
@@ -96,3 +97,22 @@ def hyperbolic_length_refined(parametrize, t0, t1, rel_tol=1e-6, start=64,
         prev = length
         n *= 2
     return prev
+
+
+def weighted_difference_bound(u0, u1, n, diff_spectrum, phi0_spectrum,
+                              phi1_spectrum):
+    """min of the two cross combinations bounding a_n(M_u0 C_phi0 - M_u1 C_phi1):
+
+    ||u_i||_inf a_n(C_phi0 - C_phi1) + ||u0 - u1||_inf a_n(C_phi_{1-i}),
+
+    each a_n read within its spectrum's horizon.  It is block k = 1 of
+    ``bounds.triangular_bound`` written out on its own.
+    """
+    a_diff = diff_spectrum.sigma_checked(n)
+    a0 = phi0_spectrum.sigma_checked(n)
+    a1 = phi1_spectrum.sigma_checked(n)
+    sup0 = boundary_sup(u0)
+    sup1 = boundary_sup(u1)
+    d01 = float(np.abs(_sup_values(u0, _SUP_SAMPLES)
+                       - _sup_values(u1, _SUP_SAMPLES)).max())
+    return min(sup0 * a_diff + d01 * a1, sup1 * a_diff + d01 * a0)

@@ -13,10 +13,11 @@ import compdiff as cd
 from compdiff import bounds
 from compdiff.bounds import _level_curve, _sup_values, split_zeros
 from compdiff.errors import (CollidingImages, DisconnectedLevelSet, EmptyRange,
-                             HorizonExceeded, ImageOnBoundary, WeightTooLarge)
+                             HorizonExceeded, ImageOnBoundary, NotSelfMap,
+                             WeightTooLarge)
 from compdiff.hardy import cumulative_hyperbolic_length
 from compdiff.series import Const, Product, Sum, Var, eval_array, sup_grid
-from oracles import hs_parseval_sum
+from oracles import hs_parseval_sum, weighted_difference_bound
 
 
 class TestSequences:
@@ -153,6 +154,19 @@ class TestBlaschkeZeros:
         s1 = (math.log(sups[20]) - math.log(sups[40])) / 20
         s2 = (math.log(sups[40]) - math.log(sups[80])) / 40
         assert 0.5 <= s1 / s2 <= 2.0
+
+    @pytest.mark.parametrize("n, on_phi, on_psi", [
+        (1, 0, 0), (2, 1, 0), (3, 1, 1), (8, 4, 3), (9, 4, 4)])
+    def test_split_shares_and_order(self, n, on_phi, on_psi):
+        # phi's zeros first, then psi's, each at their own level curve's
+        # equal hyperbolic spacing
+        phi, psi = cd.half_map(), cd.power_perturbation(3, 0.005)
+        zeros = split_zeros(phi, psi, n, 0.9).zeros
+        expected = np.concatenate([
+            cd.blaschke_zeros_for_symbol(phi, 0.9, on_phi + 1).zeros,
+            cd.blaschke_zeros_for_symbol(psi, 0.9, on_psi + 1).zeros])
+        assert len(zeros) == n - 1
+        assert zeros.tobytes() == expected.tobytes()
 
 
 class TestUpperCertificate:
@@ -464,6 +478,30 @@ class TestOptimizeUpper:
                 lambda g: cd.optimize_weighted_upper(cd.weight_power(1), phi, 8, g)):
             assert search(grid).to_dict() == search(grid[::-1]).to_dict()
 
+    def test_layouts_without_a_level_curve_are_left_out(self):
+        # psi is an automorphism, so {|psi| <= r} is empty for every r < 1:
+        # the split layout cannot be built, the single-curve one can
+        phi, psi = cd.half_map(), cd.mobius(0.3 + 0.2j)
+        layouts = bounds._candidate_zero_layouts(phi, psi, 8, 0.6)
+        assert len(layouts) == 1
+        assert np.array_equal(layouts[0].zeros,
+                              cd.blaschke_zeros_for_symbol(phi, 0.6, 8).zeros)
+        best = cd.optimize_upper(phi, psi, 8, [0.6, 0.9])
+        assert best.r == 0.6
+        assert best.value == pytest.approx(6.385109, rel=1e-6)
+        assert best.flags["empty_sets"] == ["B_psi"]
+
+    def test_no_layout_with_a_level_curve_raises(self):
+        with pytest.raises(ValueError, match="empty on the circle"):
+            bounds._candidate_zero_layouts(cd.mobius(0.5), cd.mobius(0.3), 8, 0.6)
+
+    def test_both_layouts_when_both_curves_exist(self):
+        phi, psi = cd.half_map(), cd.power_perturbation(3, 0.005)
+        split, single = bounds._candidate_zero_layouts(phi, psi, 8, 0.9)
+        assert np.array_equal(split.zeros, split_zeros(phi, psi, 8, 0.9).zeros)
+        assert np.array_equal(single.zeros,
+                              cd.blaschke_zeros_for_symbol(phi, 0.9, 8).zeros)
+
     def test_corner_optimal_gap_tracks_log_n_over_n(self):
         phi, psi = cd.corner_map(), cd.corner_perturbation(0.01)
         grid = 1.0 - np.geomspace(1e-4, 0.5, 17)
@@ -516,6 +554,15 @@ class TestHsNorm:
         below = cd.hs_norm(cd.half_map(), cd.power_perturbation(2.4, 0.005))
         above = cd.hs_norm(cd.half_map(), cd.power_perturbation(2.6, 0.005))
         assert below.diverged and not above.diverged
+
+    @pytest.mark.parametrize("other", [
+        cd.dilation(2.0),  # boundary modulus 2
+        cd.power_perturbation(8, 0.0075),  # boundary modulus 1.92
+    ], ids=lambda s: s.name)
+    def test_refuses_symbols_that_are_not_self_maps(self, other):
+        for phi, psi in ((cd.half_map(), other), (other, cd.half_map())):
+            with pytest.raises(NotSelfMap):
+                cd.hs_norm(phi, psi)
 
 
 class TestWeightedUpper:
@@ -627,15 +674,21 @@ def _toy_spectra():
     return s
 
 
+def _block_one(u0, u1, phi0, phi1, n, s_diff, s0, s1):
+    """Block k = 1 of the triangular bound: the bound on
+    a_n(M_u0 C_phi0 - M_u1 C_phi1) (block 0 reads n = 4)."""
+    return cd.triangular_bound(u0, u1, phi0, phi1, [4, n],
+                               s_diff, s0, s1).block_terms[1]
+
+
 class TestWeightedDifferenceBound:
     def test_equal_weights(self):
         s_diff = cd.convergence_horizon(
             lambda m: cd.difference_matrix(cd.dilation(0.5), cd.dilation(0.25), m), 16)
         s_phi = _toy_spectra()
         u = cd.constant(0.5)
-        got = cd.weighted_difference_bound(u, u, cd.dilation(0.5),
-                                           cd.dilation(0.25), 4,
-                                           s_diff, s_phi, s_phi)
+        got = _block_one(u, u, cd.dilation(0.5), cd.dilation(0.25), 4,
+                         s_diff, s_phi, s_phi)
         assert got == pytest.approx(0.5 * s_diff.sigma(4), rel=1e-12)
 
     def test_equal_symbols(self):
@@ -644,8 +697,7 @@ class TestWeightedDifferenceBound:
         s_diff = cd.SingularSpectrum(np.zeros(16), order=16, horizon=16)
         s_phi = _toy_spectra()
         u0, u1 = cd.constant(0.5), cd.constant(0.25)
-        got = cd.weighted_difference_bound(u0, u1, phi, phi, 4,
-                                           s_diff, s_phi, s_phi)
+        got = _block_one(u0, u1, phi, phi, 4, s_diff, s_phi, s_phi)
         assert got == pytest.approx(0.25 * s_phi.sigma(4), rel=1e-12)
 
     def test_swap_symmetry(self):
@@ -655,22 +707,21 @@ class TestWeightedDifferenceBound:
         s_psi = cd.convergence_horizon(
             lambda m: cd.composition_matrix(cd.dilation(0.25), m), 16)
         u0, u1 = cd.constant(0.5), cd.dilation(0.5)
-        a = cd.weighted_difference_bound(u0, u1, cd.dilation(0.5),
-                                         cd.dilation(0.25), 4,
-                                         s_diff, s_phi, s_psi)
-        b = cd.weighted_difference_bound(u1, u0, cd.dilation(0.25),
-                                         cd.dilation(0.5), 4,
-                                         s_diff, s_psi, s_phi)
+        a = _block_one(u0, u1, cd.dilation(0.5), cd.dilation(0.25), 4,
+                       s_diff, s_phi, s_psi)
+        b = _block_one(u1, u0, cd.dilation(0.25), cd.dilation(0.5), 4,
+                       s_diff, s_psi, s_phi)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_horizon_guard(self):
+        # the default enforce_horizons=True path: n = 17 lies past both
+        # horizons (15 for the difference, 16 for C_phi)
         s_diff = cd.convergence_horizon(
             lambda m: cd.difference_matrix(cd.dilation(0.5), cd.dilation(0.25), m), 16)
         s_phi = _toy_spectra()
         with pytest.raises(HorizonExceeded):
-            cd.weighted_difference_bound(cd.constant(0.5), cd.constant(0.5),
-                                         cd.dilation(0.5), cd.dilation(0.25),
-                                         17, s_diff, s_phi, s_phi)
+            _block_one(cd.constant(0.5), cd.constant(0.5), cd.dilation(0.5),
+                       cd.dilation(0.25), 17, s_diff, s_phi, s_phi)
 
 
 class TestTriangularBound:
@@ -711,8 +762,8 @@ class TestTriangularBound:
         phi0, phi1, s_diff, s0, s1 = self._spectra()
         u0, u1 = cd.constant(0.5), cd.dilation(0.5)
         tb = cd.triangular_bound(u0, u1, phi0, phi1, [4, 6], s_diff, s0, s1)
-        assert tb.block_terms[1] == cd.weighted_difference_bound(
-            u0, u1, phi0, phi1, 6, s_diff, s0, s1)
+        assert tb.block_terms[1] == weighted_difference_bound(
+            u0, u1, 6, s_diff, s0, s1)
 
     def test_weight_norm_guard(self):
         phi0, phi1, s_diff, s0, s1 = self._spectra()

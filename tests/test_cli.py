@@ -1,6 +1,7 @@
 """CLI: subcommands, exit codes, config files, output determinism."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compdiff import cli
+from compdiff import cli, experiments
 from compdiff.cli import build_parser, main
 from compdiff.operators import spectrum_from_csv
 from compdiff.series import dilation
@@ -101,6 +102,13 @@ class TestHsNorm:
         assert payload["value"] == pytest.approx(oracle, rel=1e-5)
         assert not payload["diverged"]
 
+    def test_not_self_map_exits_3(self, tmp_path, capsys):
+        code = run(["hs-norm", "--phi", "half_map", "--psi", "dilation(a=2)"],
+                   tmp_path)
+        assert code == 3
+        assert "NotSelfMap" in capsys.readouterr().err
+        assert not (tmp_path / "hs_norm.json").exists()
+
 
 class TestBounds:
     def test_lower_bound(self, tmp_path):
@@ -155,6 +163,16 @@ class TestBounds:
         assert code == 0
         expected = (DATA / "lower_bound_radial_n40.json").read_bytes()
         assert (tmp_path / "lower_bound.json").read_bytes() == expected
+
+    def test_upper_bound_without_a_split_layout(self, tmp_path):
+        # {|psi| <= r} is empty for an automorphism; the single-curve layout
+        # still certifies
+        code = run(["upper-bound", "--phi", "half_map",
+                    "--psi", "mobius(a=0.3+0.2i)", "--n", "8"], tmp_path)
+        assert code == 0
+        doc = json.loads((tmp_path / "upper_bound.json").read_text())
+        assert doc["r"] == 0.6
+        assert doc["flags"]["empty_sets"] == ["B_psi"]
 
     def test_colliding_images_exit_3(self, tmp_path):
         code = run(["lower-bound", "--phi", "half_map", "--psi", "half_map",
@@ -237,6 +255,61 @@ class TestExperimentAndFit:
         assert code == 0
         out = capsys.readouterr().out
         assert "power_band" in out or "zero_slope" in out
+
+
+class TestDriverDefaults:
+    """``experiment`` and ``bidisc`` pass on only the flags given, so a flag
+    left out takes the driver's default."""
+
+    @pytest.mark.parametrize("argv, driver, expected", [
+        (["experiment", "smooth"], "run_smooth_perturbation",
+         {"alpha": 3.0, "c": 0.005, "n_trunc": 1024}),
+        (["experiment", "corner"], "run_corner_perturbation",
+         {"c": 0.01, "n_trunc": 1024}),
+        (["experiment", "weighted"], "run_weighted_power",
+         {"alpha": 1.0, "n_trunc": 1024}),
+        (["bidisc", "--kind", "split"], "_run_split",
+         {"c": 0.01, "n_trunc": 512}),
+        (["bidisc", "--kind", "glued"], "_run_glued",
+         {"c": 0.01, "n_trunc": 256}),
+        (["bidisc", "--kind", "triangular"], "_run_triangular",
+         {"c": 0.01, "n_trunc": 2048}),
+        (["experiment", "corner", "--c", "0.02", "--N", "64"],
+         "run_corner_perturbation", {"c": 0.02, "n_trunc": 64}),
+        (["bidisc", "--kind", "glued", "--N", "32"], "_run_glued",
+         {"c": 0.01, "n_trunc": 32}),
+    ])
+    def test_driver_receives(self, tmp_path, monkeypatch, argv, driver,
+                             expected):
+        seen = []
+        module = cli if hasattr(cli, driver) else experiments
+        real = getattr(module, driver)
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments)
+            return experiments.ExperimentResult(name=driver, parameters={})
+
+        monkeypatch.setattr(module, driver, spy)
+        assert run(argv, tmp_path) == 0
+        (arguments,) = seen
+        assert {key: arguments[key] for key in expected} == expected
+
+    def test_config_values_pass_the_converters(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(**kwargs):
+            seen.append(kwargs)
+            return experiments.ExperimentResult(name="w", parameters={})
+
+        monkeypatch.setattr(cli, "run_weighted_power", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 2\nN = 64\n")
+        assert run(["experiment", "weighted"], tmp_path,
+                   extra=["--config", str(cfg)]) == 0
+        assert seen == [{"alpha": 2.0, "n_trunc": 64}]
+        assert type(seen[0]["alpha"]) is float
 
 
 class TestConfigFile:
@@ -523,7 +596,7 @@ class TestThreads:
         assert counts and all(c == 1 for c in counts)
 
     def test_no_setter_is_a_configuration_error(self, tmp_path, monkeypatch):
-        from compdiff import cli
+        from compdiff import cli, experiments
 
         monkeypatch.setattr(cli, "_BLAS_THREAD_SETTERS", ())
         code = run(["spectrum", "--symbol", "dilation(a=0.5)", "--N", "16"],

@@ -518,6 +518,26 @@ class TestCertifiedHorizon:
         assert state[2:] == after[2:]
 
 
+class TestScanHorizon:
+    def test_exact_values_always_decide(self):
+        # the full-SVD fallback passes exact values (lo = hi): the scan must
+        # return a horizon, never None, also for values below the floor
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            big = 10.0 ** rng.uniform(-30, 0, n)
+            big[rng.random(n) < 0.1] = 0.0
+            big = np.sort(big)[::-1]
+            noise = rng.choice([0.0, 1e-3, 5e-2], n) * rng.standard_normal(n)
+            small = np.sort(np.abs(big * (1 + noise)))[::-1]
+            horizon = operators._scan_horizon(small, big, big)
+            assert isinstance(horizon, int)
+            floor = 1e-14 * max(big[0], 1e-300)
+            assert horizon == next(
+                (i for i, (a, b) in enumerate(zip(small, big))
+                 if abs(a - b) > 1e-2 * max(b, floor)), n)
+
+
 def _sequential_horizon(build, n0):
     """The N0 SVD, then the 2*N0 build, one after the other on this thread."""
     small = cd.singular_spectrum(build(n0))

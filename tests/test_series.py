@@ -268,6 +268,20 @@ class TestParser:
         with pytest.raises(ParseError, match="cannot parse value"):
             cd.parse_symbol(f"constant(c={value})")
 
+    @pytest.mark.parametrize("spec", ["dilation(a=0.1 5)",
+                                      "constant(c=1 e-3)",
+                                      "constant(c=1e - 3)",
+                                      "constant(c=0.5 i)",
+                                      "constant(c=- 0.5)"])
+    def test_whitespace_inside_a_number_is_a_parse_error(self, spec):
+        with pytest.raises(ParseError, match="cannot parse value"):
+            cd.parse_symbol(spec)
+
+    def test_spaces_around_the_joining_sign_and_the_ends(self):
+        assert cd.parse_symbol("mobius(a=0.3 + 0.2i)") == cd.mobius(0.3 + 0.2j)
+        assert cd.parse_symbol("constant(c=1e-3 -2i)") == cd.constant(1e-3 - 2j)
+        assert cd.parse_symbol("dilation(a= 0.15 )") == cd.dilation(0.15)
+
     def test_unknown_symbol_named_in_error(self):
         with pytest.raises(ParseError, match="frobnicate"):
             cd.parse_symbol("frobnicate(x=1)")
