@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import inspect
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .bounds import (hs_norm, lower_certificate, optimize_upper,
                      optimize_weighted_upper, sequence_boundary_pinch,
                      sequence_radial, weighted_lower_certificate)
 from .errors import CompdiffError, ParseError
-from .experiments import (DEFAULT_R_GRID, fit_decay, run_bidisc,
+from .experiments import (DEFAULT_R_GRID, bidisc_driver, fit_decay,
                           run_corner_perturbation, run_smooth_perturbation,
                           run_weighted_power)
 from .operators import (composition_matrix, convergence_horizon,
@@ -88,6 +89,13 @@ def parse_r_grid(text: str):
     return rs
 
 
+def parse_threads(text: str) -> int:
+    """OpenBLAS thread count; 0 leaves the library alone."""
+    if not text.strip().isdecimal():
+        raise ParseError(f"thread count must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def parse_sequence(text: str):
     """Test sequence builder taking n: 2n pinch points, or n radial ones."""
     if text == "pinch":
@@ -119,6 +127,23 @@ def _parse_args(parser: argparse.ArgumentParser, commands: dict, argv):
             defaults[key] = text
     commands[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
+
+
+def _driver_run(args):
+    """The driver call of an ``experiment`` or ``bidisc`` run, with the options given."""
+    run = args.kind if args.command == "bidisc" else args.which
+    driver = bidisc_driver(run) if args.command == "bidisc" else {
+        "smooth": run_smooth_perturbation, "corner": run_corner_perturbation,
+        "weighted": run_weighted_power}[run]
+    keywords = {}
+    for option, key in (("alpha", "alpha"), ("c", "c"), ("N", "n_trunc")):
+        if getattr(args, option, None) is not None:
+            keywords[key] = getattr(args, option)
+            try:
+                inspect.signature(driver).bind_partial(**keywords)
+            except TypeError:
+                raise ParseError(f"{args.command} {run} takes no --{option}") from None
+    return lambda: driver(**keywords)
 
 
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
@@ -253,15 +278,8 @@ def cmd_weighted(args) -> int:
     return 0
 
 
-def _given(args, **options) -> dict:
-    """Driver keywords of the options given; ``options`` maps each keyword to
-    its option, and the driver's own default fills any option left out."""
-    return {key: getattr(args, name) for key, name in options.items()
-            if getattr(args, name) is not None}
-
-
 def cmd_bidisc(args) -> int:
-    result = run_bidisc(args.kind, **_given(args, c="c", n_trunc="N"))
+    result = args.run()
     out = resolve_outdir(args)
     path = result.write(out)
     print(f"bidisc {args.kind}: verdicts {result.verdicts}")
@@ -270,13 +288,7 @@ def cmd_bidisc(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.which == "smooth":
-        result = run_smooth_perturbation(
-            **_given(args, alpha="alpha", c="c", n_trunc="N"))
-    elif args.which == "corner":
-        result = run_corner_perturbation(**_given(args, c="c", n_trunc="N"))
-    else:
-        result = run_weighted_power(**_given(args, alpha="alpha", n_trunc="N"))
+    result = args.run()
     out = resolve_outdir(args)
     path = result.write(out)
     for name, ok in sorted(result.verdicts.items()):
@@ -307,7 +319,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         help=f"output directory (default ${_ENV_OUTDIR} or .)")
     common.add_argument("--config", default=None,
                         help="flat key = value config file; flags win")
-    common.add_argument("--threads", type=int, default=0,
+    common.add_argument("--threads", type=parse_threads, default=0,
                         help="OpenBLAS thread count (0 = leave alone)")
     common.add_argument("--dry-run", action="store_true", dest="dry_run",
                         help="parse every option and config value, then exit")
@@ -401,6 +413,8 @@ def main(argv=None) -> int:
     try:
         # a ParseError raised by a type= converter passes through argparse
         args = _parse_args(parser, commands, argv)
+        if args.command in ("experiment", "bidisc"):  # rejects flags before --dry-run
+            args.run = _driver_run(args)
         if args.threads > 0:
             _set_blas_threads(args.threads)
         if args.dry_run:

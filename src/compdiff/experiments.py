@@ -51,6 +51,7 @@ from .operators import (
 MODELS = ("power", "power_log", "stretched", "root_exp", "root_n_over_log")
 
 DEFAULT_R_GRID = tuple(1.0 - np.geomspace(1e-5, 0.4, 17))
+_FIT_POINTS = 3  # the fewest points a decay fit takes
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +92,8 @@ def fit_series(ns: Sequence[int], values: Sequence[float], model: str,
     """Least squares in the model's natural coordinates for (n, value) pairs."""
     n = np.asarray(ns, dtype=float)
     v = np.asarray(values, dtype=float)
-    if len(n) < 3:
-        raise ValueError("need at least 3 points to fit")
+    if len(n) < _FIT_POINTS:
+        raise ValueError(f"need at least {_FIT_POINTS} points to fit")
     if n.min() < 2:
         raise ValueError("fit indices start at n = 2")
     if np.any(v <= 0):
@@ -124,6 +125,15 @@ def _fit_raw(spectrum: SingularSpectrum, model: str, window: tuple,
     if np.any(values <= 0):
         raise ZeroInWindow(f"sigma_n <= 0 inside window [{lo}, {hi}]")
     return fit_series(np.arange(lo, hi + 1), values, model, q=q)
+
+
+def _fit_window(window: tuple, top: Optional[int]) -> tuple:
+    """``window`` cut at ``top``, a horizon or noise-floor index (None counts as 0)."""
+    lo, hi = window[0], min(window[1], top or 0)
+    if hi - lo + 1 < _FIT_POINTS:
+        raise WindowExceedsHorizon(
+            f"under {_FIT_POINTS} points of window {tuple(window)} up to n={top}")
+    return lo, hi
 
 
 def fit_decay(spectrum: SingularSpectrum, model: str, window: tuple,
@@ -324,12 +334,7 @@ def run_smooth_perturbation(alpha: float = 3.0, c: float = 0.005,
     psi = sym.power_perturbation(alpha, c)
     spectrum = convergence_horizon(lambda m: difference_matrix(phi, psi, m),
                                    n_trunc)
-    lo = window[0]
-    hi = min(window[1], spectrum.horizon or 0)
-    if hi < lo:
-        raise WindowExceedsHorizon(
-            f"horizon {spectrum.horizon} below the fit window start {lo}")
-    sigma_window = (lo, hi)
+    sigma_window = _fit_window(window, spectrum.horizon)
 
     result = ExperimentResult(
         name="smooth_perturbation",
@@ -363,22 +368,14 @@ def _floor_index(spectrum: SingularSpectrum) -> int:
     return int(np.count_nonzero(values > _NOISE_FLOOR_RTOL * float(values[0])))
 
 
-def _measurable_window(spectrum: SingularSpectrum, lo: int, hi: int):
-    """Largest fit window of at least 5 points inside [lo, hi],
-    horizon-clamped when possible.
-
-    Corner-type truncations have horizons growing only logarithmically in N,
-    far short of the asymptotic fit ranges; when the horizon cannot host a
-    fit, fall back to the indices above the SVD noise floor and say so.
-    """
-    horizon_top = min(hi, spectrum.horizon or 0)
-    if horizon_top - lo + 1 >= 5:
-        return (lo, horizon_top), False
-    top = min(hi, _floor_index(spectrum))
-    if top - lo + 1 < 5:
-        raise WindowExceedsHorizon(
-            f"no usable fit window above n={lo} (horizon {spectrum.horizon})")
-    return (lo, top), True
+def _measurable_window(spectrum: SingularSpectrum, window: tuple):
+    """``window`` cut at the horizon, with False; if too few points are left,
+    cut at the noise-floor index, with True (a flagged fallback window), as
+    corner-type horizons grow only logarithmically in N."""
+    try:
+        return _fit_window(window, spectrum.horizon), False
+    except WindowExceedsHorizon:
+        return _fit_window(window, _floor_index(spectrum)), True
 
 
 def trusted_separation(spec_single: SingularSpectrum,
@@ -432,8 +429,8 @@ def run_corner_perturbation(c: float = 0.01, n_trunc: int = 1024,
     if spec_diff is None:
         spec_diff = convergence_horizon(lambda m: difference_matrix(phi, psi, m),
                                         n_trunc)
-    w_single, single_raw = _measurable_window(spec_single, *window)
-    w_diff, diff_raw = _measurable_window(spec_diff, *window)
+    w_single, single_raw = _measurable_window(spec_single, window)
+    w_diff, diff_raw = _measurable_window(spec_diff, window)
 
     result = ExperimentResult(
         name="corner_perturbation",
@@ -478,8 +475,8 @@ def run_weighted_power(alpha: float = 1.0, n_trunc: int = 1024,
                        certificates: bool = True) -> ExperimentResult:
     """Power weight (1-z)**alpha against the half map: a_n ~ n**-alpha.
 
-    alpha = 0 degenerates to the plain (non-compact) composition operator and
-    takes the zero-slope verdict path instead of a power-band verdict.
+    alpha = 0 (the non-compact C_phi) has a collapsed horizon and raises
+    WindowExceedsHorizon; a fitted |p| < 0.1 gives the zero-slope verdict.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -487,24 +484,17 @@ def run_weighted_power(alpha: float = 1.0, n_trunc: int = 1024,
     phi = sym.half_map()
     spectrum = convergence_horizon(
         lambda m: weighted_composition_matrix(omega, phi, m), n_trunc)
+    lo, hi = _fit_window(window, spectrum.horizon)
 
     result = ExperimentResult(
         name="weighted_power",
         parameters={"alpha": alpha, "N": n_trunc},
         spectra={"weighted": spectrum},
+        details={"window": [lo, hi]},
     )
-    lo = window[0]
-    hi = min(window[1], spectrum.horizon or 0)
-    if hi - lo + 1 < 5:
-        # non-compact degenerate case (e.g. the unit weight): the stability
-        # horizon collapses and no power fit is possible
-        result.details = {"window": None, "zero_slope": True,
-                          "fit_sources": {}}
-        return result.derive_verdicts()
     fit = result.add_fit("sigma_power", {
         "type": "spectrum", "label": "weighted", "window": [lo, hi]}, "power")
-    zero_slope = abs(fit.params["p"]) < 0.1
-    result.details.update(window=[lo, hi], zero_slope=zero_slope)
+    result.details["zero_slope"] = zero_slope = abs(fit.params["p"]) < 0.1
 
     if certificates and not zero_slope:
         _track_certificates(
@@ -535,15 +525,17 @@ def glued_difference_matrix(phi: sym.Symbol, psi: sym.Symbol,
     return out
 
 
+def bidisc_driver(kind: str):
+    """The driver of a bidisc construction: ``split``, ``glued`` or ``triangular``."""
+    drivers = {"split": _run_split, "glued": _run_glued, "triangular": _run_triangular}
+    if kind not in drivers:
+        raise ValueError(f"unknown bidisc kind {kind!r}")
+    return drivers[kind]
+
+
 def run_bidisc(kind: str, **params) -> ExperimentResult:
-    """Bidisc constructions: ``split``, ``glued`` or ``triangular``."""
-    if kind == "split":
-        return _run_split(**params)
-    if kind == "glued":
-        return _run_glued(**params)
-    if kind == "triangular":
-        return _run_triangular(**params)
-    raise ValueError(f"unknown bidisc kind {kind!r}")
+    """Run the bidisc construction ``kind`` (see :func:`bidisc_driver`)."""
+    return bidisc_driver(kind)(**params)
 
 
 def _kronecker_mismatch(a: np.ndarray, b: np.ndarray, sa: SingularSpectrum,
@@ -566,7 +558,8 @@ def _run_split(c: float = 0.01, n_trunc: int = 512) -> ExperimentResult:
     the dilation z -> z/2 (a corner-type factor would cap the trusted tensor
     range at its tiny stability horizon).  C_{z/2} is diagonal on the
     monomials, so every truncation of it is exact and the factor's horizon is
-    N by construction; no doubling measures it.
+    N by construction; no doubling measures it.  The square-index fit reads
+    sigma_{m^2}, m >= 3, at every m^2 inside the tensor's own horizon.
     """
     phi0 = sym.corner_map()
     phi1 = sym.corner_perturbation(c)
@@ -592,26 +585,28 @@ def _run_split(c: float = 0.01, n_trunc: int = 512) -> ExperimentResult:
                  "factor": factor_spectrum},
         details={"kronecker_max_mismatch": mismatch, "fit_sources": {}},
     )
-    m_hor = min(diff_spectrum.horizon or 0, factor_spectrum.horizon or 0)
-    m_max = min(int(math.isqrt(len(tensor))), m_hor)
-    if m_max >= 6:
-        ms = np.arange(3, m_max + 1)
-        vals = np.array([tensor.values[m * m - 1] for m in ms])
-        if np.all(vals > 0):
-            result.add_fit("square_index_stretched",
-                           _series_source(zip(ms, vals)), "stretched")
+    try:
+        lo, hi = _fit_window((3, len(tensor)), math.isqrt(tensor.horizon or 0))
+    except WindowExceedsHorizon:  # under three trusted squares: no fit
+        return result.derive_verdicts()
+    ms = np.arange(lo, hi + 1)
+    vals = tensor.values[ms * ms - 1]
+    if np.all(vals > 0):
+        result.add_fit("square_index_stretched",
+                       _series_source(zip(ms, vals)), "stretched")
     return result.derive_verdicts()
 
 
 def _run_glued(c: float = 0.01, n_trunc: int = 256) -> ExperimentResult:
     """Glued symbols (phi(z1), phi(z1)): the z2-independent subspace carries C_phi.
 
-    The restriction identity is checked on the order-8 glued truncation.
+    The difference spectrum is a doubling at ``n_trunc`` (N < 16 is a
+    ValueError); the restriction identity is checked on the order-8 glued
+    truncation.
     """
     phi = sym.corner_map()
     psi = sym.corner_perturbation(c)
-    spectrum = convergence_horizon(lambda m: difference_matrix(phi, psi, m),
-                                   max(n_trunc, 16))
+    spectrum = convergence_horizon(lambda m: difference_matrix(phi, psi, m), n_trunc)
 
     m = 8
     glued = glued_difference_matrix(phi, psi, m)
@@ -630,7 +625,7 @@ def _run_glued(c: float = 0.01, n_trunc: int = 256) -> ExperimentResult:
 
     result = ExperimentResult(
         name="bidisc_glued",
-        parameters={"c": c, "N": max(n_trunc, 16), "check_order": m},
+        parameters={"c": c, "N": n_trunc, "check_order": m},
         spectra={"difference": spectrum},
         details={"restriction_max_error": err, "fit_sources": {}},
     )

@@ -249,6 +249,12 @@ class TestExperimentAndFit:
             actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert actual == digest, name
 
+    def test_smooth_window_below_three_points_exits_3(self, tmp_path, capsys):
+        code = run(["experiment", "smooth", "--N", "80"], tmp_path)
+        assert code == 3
+        assert "WindowExceedsHorizon" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_experiment_weighted_small(self, tmp_path, capsys):
         code = run(["experiment", "weighted", "--alpha", "1", "--N", "256"],
                    tmp_path)
@@ -310,6 +316,17 @@ class TestDriverDefaults:
                    extra=["--config", str(cfg)]) == 0
         assert seen == [{"alpha": 2.0, "n_trunc": 64}]
         assert type(seen[0]["alpha"]) is float
+
+    @pytest.mark.parametrize("argv, message", [
+        (["experiment", "weighted", "--c", "0.3"],
+         "experiment weighted takes no --c"),
+        (["experiment", "corner", "--alpha", "3"],
+         "experiment corner takes no --alpha"),
+    ], ids=["weighted c", "corner alpha"])
+    def test_flag_the_run_does_not_take_is_named(self, tmp_path, capsys,
+                                                 argv, message):
+        assert run(argv, tmp_path, extra=["--dry-run"]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 class TestConfigFile:
@@ -407,6 +424,11 @@ BAD_VALUES = {
     # argparse holds only flags to choices=, so a converter checks the name
     "sequence": (["lower-bound", "--phi", "half_map", "--psi", "corner_map",
                   "--n", "4"], "sequence", "foo"),
+    # a flag the chosen run's driver does not take
+    "weighted c": (["experiment", "weighted", "--N", "64"], "c", "0.3"),
+    "corner alpha": (["experiment", "corner", "--N", "64"], "alpha", "3"),
+    "threads": (["spectrum", "--symbol", "half_map", "--N", "16"],
+                "threads", "-3"),
 }
 
 
@@ -493,15 +515,24 @@ def test_missing_input_file_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert "missing." in capsys.readouterr().err
 
 
-def test_triangular_below_its_largest_block_exits_2(tmp_path, capsys):
-    code = run(["bidisc", "--kind", "triangular", "--N", "64"], tmp_path)
+@pytest.mark.parametrize("kind, n, message", [
+    ("triangular", "64", "N >= 128"),  # its largest block
+    ("glued", "8", "N0 >= 16"),        # the smallest doubling
+], ids=["triangular", "glued"])
+def test_triangular_below_its_largest_block_exits_2(tmp_path, capsys, kind,
+                                                    n, message):
+    code = run(["bidisc", "--kind", kind, "--N", n], tmp_path)
     assert code == 2
-    assert "N >= 128" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
+def _readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def _readme_cli_lines():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = _readme_text()
     block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
     block = block.split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("compdiff ")]
@@ -523,6 +554,49 @@ class TestReadmeExamples:
         assert code == 0
         assert capsys.readouterr().out == f"dry-run: {argv[0]}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+# the driver behind each run of the README's driver-default table
+TABLE_DRIVERS = {
+    "experiment smooth": experiments.run_smooth_perturbation,
+    "experiment corner": experiments.run_corner_perturbation,
+    "experiment weighted": experiments.run_weighted_power,
+    "bidisc --kind split": experiments.bidisc_driver("split"),
+    "bidisc --kind glued": experiments.bidisc_driver("glued"),
+    "bidisc --kind triangular": experiments.bidisc_driver("triangular"),
+}
+
+
+def _exit_code(argv):
+    """``main``'s exit code, also for a flag argparse does not know."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_readme_driver_table_matches_the_drivers(tmp_path, capsys):
+    """Each number of the table is its driver's default; each dash is a
+    keyword the driver lacks, and the flag exits 2 under --dry-run."""
+    table = _readme_text().split("| run | `--alpha` | `--c` | `--N` |\n", 1)[1]
+    rows = [line.strip("|").split("|")
+            for line in table.split("\n\n", 1)[0].splitlines()[1:]]
+    assert sorted(cell[0].strip(" `") for cell in rows) == sorted(TABLE_DRIVERS)
+    for run_cell, *cells in rows:
+        argv = shlex.split(run_cell.strip(" `"))
+        params = inspect.signature(TABLE_DRIVERS[" ".join(argv)]).parameters
+        for flag, key, cell in zip(("--alpha", "--c", "--N"),
+                                   ("alpha", "c", "n_trunc"), cells):
+            cell = cell.strip()
+            if cell == "\u2014":
+                assert key not in params, (argv, flag)
+                code = _exit_code([*argv, flag, "1", "--out", str(tmp_path),
+                                   "--dry-run"])
+                assert code == 2, (argv, flag)
+            else:
+                assert params[key].default == float(cell), (argv, flag)
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_leaves_mpmath_and_scipy_unloaded():

@@ -9,7 +9,8 @@ import pytest
 import compdiff as cd
 from compdiff import experiments
 from compdiff.errors import WindowExceedsHorizon, ZeroInWindow
-from compdiff.experiments import (_derive_verdicts, _kronecker_mismatch,
+from compdiff.experiments import (DecayFit, _derive_verdicts,
+                                  _kronecker_mismatch, _measurable_window,
                                   _run_glued, _run_split, _run_triangular,
                                   fit_series, glued_difference_matrix, recheck)
 
@@ -97,6 +98,12 @@ class TestSmoothDriver:
         with pytest.raises(ValueError):
             cd.run_smooth_perturbation(1.5, 0.005, n_trunc=64)
 
+    def test_one_point_window_raises(self):
+        # horizon 8 leaves [8, 8] of the (8, 64) window: too few to fit
+        with pytest.raises(WindowExceedsHorizon, match=r"window \(8, 64\)"):
+            cd.run_smooth_perturbation(3.0, 0.005, n_trunc=80,
+                                       certificates=False)
+
     def test_write_and_recheck(self, tmp_path):
         result = cd.run_smooth_perturbation(3.0, 0.005, n_trunc=128,
                                             certificates=False)
@@ -116,6 +123,32 @@ class TestSmoothDriver:
                 == (tmp_path / "b" / "result.json").read_bytes())
         assert ((tmp_path / "a" / "spectrum.csv").read_bytes()
                 == (tmp_path / "b" / "spectrum.csv").read_bytes())
+
+
+def _spectrum_with(horizon, floor_index, n=64):
+    """sigma_n = 2^-n above the 1e-13 noise floor up to ``floor_index``,
+    1e-20 past it, with the given horizon."""
+    values = np.full(n, 1e-20)
+    values[:floor_index] = 0.5 ** np.arange(1, floor_index + 1)
+    return cd.SingularSpectrum(values, order=n, horizon=horizon)
+
+
+class TestMeasurableWindow:
+    def test_horizon_window_of_three_points(self):
+        spectrum = _spectrum_with(horizon=18, floor_index=40)
+        assert _measurable_window(spectrum, (16, 100)) == ((16, 18), False)
+
+    def test_floor_window_is_flagged(self):
+        # a horizon below the window start: the fit falls back to the
+        # indices above the noise floor, four of them here
+        spectrum = _spectrum_with(horizon=3, floor_index=19)
+        assert experiments._floor_index(spectrum) == 19
+        assert _measurable_window(spectrum, (16, 100)) == ((16, 19), True)
+
+    def test_no_window_raises(self):
+        spectrum = _spectrum_with(horizon=3, floor_index=17)
+        with pytest.raises(WindowExceedsHorizon, match="up to n=17"):
+            _measurable_window(spectrum, (16, 100))
 
 
 class TestCornerDriver:
@@ -157,12 +190,26 @@ class TestCornerDriver:
 
 
 class TestWeightedDriver:
-    def test_zero_slope_path(self):
-        # the unit weight leaves the non-compact composition operator: a flat
-        # spectrum head whose fitted power slope is ~0
-        result = cd.run_weighted_power(0.0, n_trunc=256)
-        assert result.verdicts == {"zero_slope": True}
-        assert result.details["zero_slope"]
+    # alpha = 0 is the non-compact composition operator (horizon 2); the
+    # others have horizons 9 and 5 against the window start 8
+    @pytest.mark.parametrize("alpha, n", [(0.0, 256), (0.3, 256), (1.0, 32)])
+    def test_short_horizon_raises(self, alpha, n):
+        with pytest.raises(WindowExceedsHorizon):
+            cd.run_weighted_power(alpha, n_trunc=n, certificates=False)
+
+    def test_four_point_window_is_fitted(self):
+        # horizon 11: [8, 11] is fitted, not reported flat without a fit
+        result = cd.run_weighted_power(1.0, n_trunc=128, certificates=False)
+        assert result.details["window"] == [8, 11]
+        assert result.fits["sigma_power"].window == (8, 11)
+        assert result.verdicts == {"power_band": True, "zero_slope": False}
+
+    def test_fitted_flat_slope_takes_the_zero_slope_verdict(self):
+        flat = DecayFit("power", {"p": 0.05, "log_C": 0.0}, 0.5, (8, 20))
+        verdicts = _derive_verdicts("weighted_power", {"alpha": 0.0},
+                                    {"sigma_power": flat}, {},
+                                    {"zero_slope": True})
+        assert verdicts == {"zero_slope": True}
 
     def test_weighted_small(self):
         result = cd.run_weighted_power(1.0, n_trunc=256, certificates=False)
@@ -179,6 +226,18 @@ class TestBidiscSplit:
         # for the square-index rate fit
         assert "square_index_stretched" in result.fits
         assert result.verdicts["square_index_rate"]
+
+    @pytest.mark.parametrize("n, m_top", [(256, 5), (512, 7)])
+    def test_fit_reads_only_trusted_tensor_indices(self, n, m_top):
+        # sigma_{m^2} is fitted for m = 3 up to the last square inside the
+        # tensor's horizon (28 at N=256, 56 at N=512)
+        result = _run_split(c=0.01, n_trunc=n)
+        horizon = result.spectra["tensor"].horizon
+        assert result.fits["square_index_stretched"].window == (3, m_top)
+        ms = [m for m, _ in result.details["fit_sources"][
+            "square_index_stretched"]["series"]]
+        assert ms == list(range(3, m_top + 1))
+        assert m_top ** 2 <= horizon < (m_top + 1) ** 2
 
     @pytest.mark.parametrize("n", [16, 64, 128, 256])
     def test_factor_spectrum_equals_the_doubling_path(self, n):
