@@ -52,7 +52,7 @@ from .errors import (
 from .hardy import (
     BlaschkeProduct,
     PointSequence,
-    _min_pairwise_distance,
+    _separation,
     as_points,
     blaschke_eval,
     carleson_norm,
@@ -203,22 +203,20 @@ def _kernel_lower(kind: str, points, terms) -> Certificate:
     W concatenates the images phi_t(Z) in term order; the ratio is
     sum_t |omega_t(z)|^2 (1-|z|^2)/(1-|phi_t(z)|^2), None meaning omega_t = 1.
     """
-    seq = as_points(points, distinct=True)
+    seq = as_points(points)
     z = seq.points
+    delta_z = uniform_separation(seq)
     images = [_images_inside(phi, z) for _, phi in terms]
     w = np.concatenate(images)
-    gap = _min_pairwise_distance(w)
+    gap, delta_w = _separation(w)
     if gap < _IMAGE_COLLISION_TOL:
         raise CollidingImages(
             ("phi(Z) u psi(Z) has fewer than 2 card(Z) points (min gap"
              if kind == "lower" else "phi is not injective on Z (min image gap")
             + f" {gap:.3g})")
 
-    w_seq = PointSequence(w, distinct=False)  # the gap check made W distinct
-    delta_z = uniform_separation(seq)
-    delta_w = uniform_separation(w_seq)
     carl_z = carleson_norm(seq)
-    carl_w = carleson_norm(w_seq)
+    carl_w = carleson_norm(PointSequence(w))
     m_w = math.sqrt(carl_w) / delta_w
 
     base = 1.0 - np.abs(z) ** 2

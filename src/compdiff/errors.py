@@ -22,7 +22,7 @@ class ParseError(CompdiffError):
 
 
 class DuplicatePoints(CompdiffError):
-    """A point sequence flagged distinct contains (numerically) repeated points."""
+    """A point set whose separation is required holds (numerically) repeated points."""
 
 
 class NotSelfMap(CompdiffError):

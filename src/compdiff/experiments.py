@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -256,12 +256,13 @@ def _derive_verdicts(name: str, parameters: dict, fits: dict, spectra: dict,
         diff_re = fits["diff_root_exp"].r2
         s = spectra["single"]
         d = spectra["difference"]
+        trusted = min(_trusted_top(s), _trusted_top(d))
         return {
             "diff_stretched_r2": diff_st >= 0.95,
             "diff_stretched_beats_root_exp": diff_st - diff_re >= 0.02,
             "single_root_exp_r2": single_re >= 0.95,
             "single_root_exp_beats_stretched": single_re - single_st >= 0.02,
-            "sigma64_separation": d.sigma(64) < 1e-2 * s.sigma(64),
+            "sigma64_separation": trusted >= 64 and d.sigma(64) < 1e-2 * s.sigma(64),
         }
     if name == "weighted_power":
         if details.get("zero_slope"):
@@ -368,6 +369,11 @@ def _floor_index(spectrum: SingularSpectrum) -> int:
     return int(np.count_nonzero(values > _NOISE_FLOOR_RTOL * float(values[0])))
 
 
+def _trusted_top(spectrum: SingularSpectrum) -> int:
+    """Last trusted n: the smaller of the horizon and the noise-floor index."""
+    return min(spectrum.horizon or 0, _floor_index(spectrum))
+
+
 def _measurable_window(spectrum: SingularSpectrum, window: tuple):
     """``window`` cut at the horizon, with False; if too few points are left,
     cut at the noise-floor index, with True (a flagged fallback window), as
@@ -389,7 +395,7 @@ def trusted_separation(spec_single: SingularSpectrum,
     horizon's 1% tolerance).  A ratio at an index below 1 is ``None``.
     """
     n_a = min(spec_single.horizon or 0, spec_diff.horizon or 0)
-    n_b = min(spec_diff.horizon or 0, _floor_index(spec_diff))
+    n_b = _trusted_top(spec_diff)
 
     def rho(n: int) -> Optional[float]:
         if n < 1:
@@ -414,11 +420,11 @@ def run_corner_perturbation(c: float = 0.01, n_trunc: int = 1024,
     n / log n are so correlated (corr^2 >= 0.998 on [16, 41]) that no data
     on [16, n <= 42] reaches the 0.02 margin with the winner's R^2 >= 0.95,
     and data that follow either model exactly reach at most 0.0022 up to
-    n = 48.  ``sigma64_separation`` compares sigma_64 values that lie beyond
-    both horizons and below the noise floor.  The claim that the difference
-    is far smaller and decays faster is measured on trusted indices only,
-    by :func:`trusted_separation`: ``details["trusted_separation"]`` holds
-    its n_a, n_b and rho values, and ``details["floor_index_single"]`` and
+    n = 48.  ``sigma64_separation`` is False unless index 64 is trusted in
+    both spectra.  The claim that the difference is far smaller and decays
+    faster is measured on trusted indices only, by
+    :func:`trusted_separation`: ``details["trusted_separation"]`` holds its
+    n_a, n_b and rho values, and ``details["floor_index_single"]`` and
     ``details["floor_index_diff"]`` the noise-floor index of each spectrum.
     """
     phi = sym.corner_map()
@@ -460,8 +466,6 @@ def run_corner_perturbation(c: float = 0.01, n_trunc: int = 1024,
             result.fits["single_stretched"], result.fits["single_root_exp"]),
         "model_competition_diff": competition(
             result.fits["diff_stretched"], result.fits["diff_root_exp"]),
-        "sigma64_single": spec_single.sigma(64),
-        "sigma64_difference": spec_diff.sigma(64),
         "floor_index_single": _floor_index(spec_single),
         "floor_index_diff": _floor_index(spec_diff),
         "trusted_separation": trusted_separation(spec_single, spec_diff),
@@ -556,9 +560,9 @@ def _run_split(c: float = 0.01, n_trunc: int = 512) -> ExperimentResult:
 
     The corner pair supplies the first factor; the compact second factor is
     the dilation z -> z/2 (a corner-type factor would cap the trusted tensor
-    range at its tiny stability horizon).  C_{z/2} is diagonal on the
-    monomials, so every truncation of it is exact and the factor's horizon is
-    N by construction; no doubling measures it.  The square-index fit reads
+    range at its tiny stability horizon).  C_{z/2} is diagonal with entries
+    2^-k, so its spectrum and horizon N are written in closed form, with no
+    matrix, SVD or doubling.  The square-index fit reads
     sigma_{m^2}, m >= 3, at every m^2 inside the tensor's own horizon.
     """
     phi0 = sym.corner_map()
@@ -566,8 +570,8 @@ def _run_split(c: float = 0.01, n_trunc: int = 512) -> ExperimentResult:
     factor = sym.dilation(0.5)
     diff_spectrum = convergence_horizon(
         lambda m: difference_matrix(phi0, phi1, m), n_trunc)
-    factor_spectrum = replace(
-        singular_spectrum(composition_matrix(factor, n_trunc)), horizon=n_trunc)
+    factor_spectrum = SingularSpectrum(0.5 ** np.arange(n_trunc), order=n_trunc,
+                                       horizon=n_trunc)
     tensor = tensor_spectrum(diff_spectrum, factor_spectrum, _SPLIT_COUNT)
 
     # cross-check the tensor rule against an explicit Kronecker SVD at a

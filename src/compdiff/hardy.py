@@ -30,41 +30,28 @@ _DISTINCT_TOL = 1e-15
 
 @dataclass(frozen=True)
 class PointSequence:
-    """A finite ordered list of points of the open disc."""
+    """A finite ordered list of points of the open disc, duplicates allowed."""
 
     points: np.ndarray
-    distinct: bool = True
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).ravel()
         if np.any(np.abs(pts) >= 1):
             raise ValueError("all points must lie in the open disc")
-        if self.distinct and len(pts) > 1:
-            if _min_pairwise_distance(pts) < _DISTINCT_TOL:
-                raise DuplicatePoints("points closer than 1e-15 in a distinct sequence")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 PointsLike = Union[PointSequence, Sequence[complex], np.ndarray]
 
 
-def as_points(z: PointsLike, distinct: bool = True) -> PointSequence:
+def as_points(z: PointsLike) -> PointSequence:
     if isinstance(z, PointSequence):
         return z
-    return PointSequence(np.asarray(list(z), dtype=complex), distinct=distinct)
-
-
-def _min_pairwise_distance(pts: np.ndarray) -> float:
-    diff = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
+    return PointSequence(np.asarray(list(z), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +100,13 @@ class BlaschkeProduct:
 def blaschke_eval(product: BlaschkeProduct, z) -> np.ndarray:
     """Evaluate prod_a (|a|/a)(a - z)/(1 - conj(a) z), with factor z when a = 0."""
     zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
     out = np.ones_like(zz)
     for a in product.zeros:
         if a == 0:
             out = out * zz
         else:
             out = out * (abs(a) / a) * (a - zz) / (1 - a.conjugate() * zz)
-    return complex(out[0]) if scalar else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +128,30 @@ def cumulative_hyperbolic_length(pts: np.ndarray) -> np.ndarray:
 # separation and Carleson norm
 # ---------------------------------------------------------------------------
 
-def uniform_separation(points: PointsLike) -> float:
-    """delta(Z) = inf_j prod_{k != j} rho(z_j, z_k); empty products are 1.
-    Duplicates are caught in the |z_j - z_k| matrix that rho needs anyway."""
-    pts = as_points(points, distinct=True).points
+def _separation(pts: np.ndarray) -> tuple:
+    """(min_{j != k} |z_j - z_k|, delta) from one |z_j - z_k| matrix; delta is
+    0 when the gap is below 1e-15, and 1 (the empty product) for one point."""
     if len(pts) <= 1:
-        return 1.0
+        return math.inf, 1.0
     num = np.abs(pts[:, None] - pts[None, :])
     np.fill_diagonal(num, np.inf)
-    if num.min() < _DISTINCT_TOL:
-        raise DuplicatePoints("uniform separation requires distinct points")
+    gap = float(num.min())
+    if gap < _DISTINCT_TOL:
+        return gap, 0.0
     den = np.abs(1 - np.conj(pts)[:, None] * pts[None, :])
     # products over many near-unit factors: run in the log domain
     log_rho = np.log(num) - np.log(den)
     np.fill_diagonal(log_rho, 0.0)
-    return float(np.exp(log_rho.sum(axis=1).min()))
+    return gap, float(np.exp(log_rho.sum(axis=1).min()))
+
+
+def uniform_separation(points: PointsLike) -> float:
+    """delta(Z) = inf_j prod_{k != j} rho(z_j, z_k); empty products are 1.
+    Duplicates are caught in the |z_j - z_k| matrix that rho needs anyway."""
+    gap, delta = _separation(as_points(points).points)
+    if gap < _DISTINCT_TOL:
+        raise DuplicatePoints("uniform separation requires distinct points")
+    return delta
 
 
 def carleson_norm(points: PointsLike) -> float:
@@ -166,13 +160,13 @@ def carleson_norm(points: PointsLike) -> float:
     The supremum runs over dyadic windows of side 2^-m, m <= 52, centred on a
     half-side angular grid.
     """
-    seq = as_points(points, distinct=False)
-    pts = seq.points
+    pts = as_points(points).points
     if len(pts) == 0:
         raise ValueError("carleson_norm requires a nonempty sequence")
     masses = 1.0 - np.abs(pts) ** 2
     gaps = 1.0 - np.abs(pts)
-    angles = np.angle(pts)
+    # each angle and its 2 pi shifts; no window meets two copies of a point
+    thetas = np.angle(pts)[:, None] + np.array([-2 * math.pi, 0.0, 2 * math.pi])
 
     best = 0.0
     for m in range(53):
@@ -181,17 +175,16 @@ def carleson_norm(points: PointsLike) -> float:
         if not np.any(admissible):
             break
         step = delta / 2.0
-        k_lo = math.ceil(-math.pi / step)
-        k_hi = math.floor(math.pi / step)
-        acc: dict = {}
-        for theta, mass in zip(angles[admissible], masses[admissible]):
-            for shift in (-2 * math.pi, 0.0, 2 * math.pi):
-                th = theta + shift
-                lo = max(k_lo, math.ceil((th - delta) / step - 1e-12))
-                hi = min(k_hi, math.floor((th + delta) / step + 1e-12))
-                for k in range(lo, hi + 1):
-                    acc[k] = acc.get(k, 0.0) + mass
-        if acc:
-            best = max(best, max(acc.values()) / delta)
+        th = thetas[admissible]
+        lo = np.maximum(math.ceil(-math.pi / step),
+                        np.ceil((th - delta) / step - 1e-12).astype(np.int64))
+        hi = np.minimum(math.floor(math.pi / step),
+                        np.floor((th + delta) / step + 1e-12).astype(np.int64))
+        # the windows k = lo..hi of each copy, listed point by point, so that
+        # bincount sums every window's masses in point order
+        inside = np.arange((hi - lo).max() + 1) <= (hi - lo)[..., None]
+        windows = (lo[..., None] + np.arange(inside.shape[-1]))[inside]
+        slot = np.unique(windows, return_inverse=True)[1]
+        mass = np.repeat(masses[admissible], inside.sum(axis=(1, 2)))
+        best = max(best, np.bincount(slot, mass).max() / delta)
     return float(best)
-

@@ -71,8 +71,44 @@ def leading_values_all_passes(matrix, k):
 
 def kernel_gram(points):
     """Gram matrix G[j, k] = <k_{z_k}, k_{z_j}> = 1/(1 - conj(z_j) z_k)."""
-    z = as_points(points, distinct=False).points
+    z = as_points(points).points
     return 1.0 / (1.0 - np.conj(z)[:, None] * z[None, :])
+
+
+def carleson_norm_by_window(points):
+    """Dyadic-window Carleson estimate with one dict entry per window.
+
+    The window-by-window form of ``hardy.carleson_norm``: the same windows,
+    the same 1e-12 rounding guard, and each window's masses summed in point
+    order, so the two agree bit for bit.
+    """
+    pts = as_points(points).points
+    if len(pts) == 0:
+        raise ValueError("carleson_norm requires a nonempty sequence")
+    masses = 1.0 - np.abs(pts) ** 2
+    gaps = 1.0 - np.abs(pts)
+    angles = np.angle(pts)
+
+    best = 0.0
+    for m in range(53):
+        delta = 2.0 ** (-m)
+        admissible = gaps <= delta
+        if not np.any(admissible):
+            break
+        step = delta / 2.0
+        k_lo = math.ceil(-math.pi / step)
+        k_hi = math.floor(math.pi / step)
+        acc = {}
+        for theta, mass in zip(angles[admissible], masses[admissible]):
+            for shift in (-2 * math.pi, 0.0, 2 * math.pi):
+                th = theta + shift
+                lo = max(k_lo, math.ceil((th - delta) / step - 1e-12))
+                hi = min(k_hi, math.floor((th + delta) / step + 1e-12))
+                for k in range(lo, hi + 1):
+                    acc[k] = acc.get(k, 0.0) + mass
+        if acc:
+            best = max(best, max(acc.values()) / delta)
+    return float(best)
 
 
 def hyperbolic_distance(z, w):

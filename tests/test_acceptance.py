@@ -136,14 +136,12 @@ def test_criterion_4_corner_pair(corner_spectra):
     sep = result.details["trusted_separation"]
     checks = _separation_checks(sep)
     failed = [name for name, passed in checks.items() if not passed]
-    # the verdicts below read the R^2 competition and sigma_64, which no
-    # feasible truncation can settle; they are printed, not asserted
+    # the R^2 competition below cannot be settled at any feasible
+    # truncation; it is printed, not asserted
     diff_st = result.fits["diff_stretched"].r2
     diff_re = result.fits["diff_root_exp"].r2
     single_re = result.fits["single_root_exp"].r2
     single_st = result.fits["single_stretched"].r2
-    ratio = (result.details["sigma64_difference"]
-             / result.details["sigma64_single"])
     ok = not failed and elapsed <= 1800
     assert _verdict(
         "criterion 4 (corner pair)", ok,
@@ -152,7 +150,7 @@ def test_criterion_4_corner_pair(corner_spectra):
         f"{' failed: ' + ', '.join(failed) if failed else ''}; "
         f"beyond reach: diff stretched R2={diff_st:.4f} "
         f"(margin {diff_st - diff_re:+.4f}), single root_exp R2={single_re:.4f} "
-        f"(margin {single_re - single_st:+.4f}), sigma64 ratio={ratio:.3g}, "
+        f"(margin {single_re - single_st:+.4f}), "
         f"windows {result.details['window_diff']}"
         f"/{result.details['window_single']}; elapsed={elapsed:.0f}s")
 

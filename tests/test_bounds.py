@@ -79,22 +79,43 @@ class TestLowerCertificate:
             cd.lower_certificate(cd.constant(1.0), cd.dilation(0.5), [0.3])
 
     def test_one_pairwise_gap_matrix_per_certificate(self, monkeypatch):
-        # the CollidingImages check on W is the only distinctness scan;
-        # Z is checked when its sequence is built, outside the certificate
+        # one |z_j - z_k| matrix per point set: Z's gives delta_Z and its
+        # duplicate check, W's gives delta_W and the CollidingImages gap
         from compdiff import hardy
 
         calls = []
-        real = hardy._min_pairwise_distance
+        real = hardy._separation
 
         def counting(pts):
             calls.append(len(pts))
             return real(pts)
 
         z = cd.sequence_boundary_pinch(24)
-        monkeypatch.setattr(hardy, "_min_pairwise_distance", counting)
-        monkeypatch.setattr(bounds, "_min_pairwise_distance", counting)
+        monkeypatch.setattr(hardy, "_separation", counting)
+        monkeypatch.setattr(bounds, "_separation", counting)
         cd.lower_certificate(cd.half_map(), cd.power_perturbation(3, 0.005), z)
-        assert calls == [2 * len(z)]
+        assert calls == [len(z), 2 * len(z)]
+
+    @pytest.mark.parametrize("make", [
+        lambda z: cd.lower_certificate(cd.constant(1.0), cd.dilation(0.5), z),
+        lambda z: cd.weighted_lower_certificate(cd.weight_power(1),
+                                                cd.constant(1.0), z),
+    ], ids=["lower", "weighted_lower"])
+    def test_duplicate_z_raises_before_the_images(self, make):
+        # a duplicate in Z is caught before the images are evaluated, so it
+        # wins over an image on the circle
+        with pytest.raises(cd.DuplicatePoints):
+            make([0.3, 0.1, 0.3])
+        with pytest.raises(ImageOnBoundary):
+            make([0.3, 0.1])
+
+    def test_equal_symbols_collide_on_distinct_z(self):
+        z = cd.sequence_boundary_pinch(8)
+        with pytest.raises(CollidingImages, match="fewer than 2 card"):
+            cd.lower_certificate(cd.corner_map(), cd.corner_map(), z)
+        square = cd.Symbol("square", Product((Var(), Var())))
+        with pytest.raises(CollidingImages, match="not injective"):
+            cd.weighted_lower_certificate(cd.weight_power(1), square, [0.3, -0.3])
 
     def test_sanity_envelope(self):
         cert = cd.lower_certificate(cd.identity(), cd.dilation(0.5), [0.5])

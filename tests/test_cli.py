@@ -527,6 +527,21 @@ def test_triangular_below_its_largest_block_exits_2(tmp_path, capsys, kind,
     assert list(tmp_path.iterdir()) == []
 
 
+EXIT_CONTRACT_RUNS = (
+    [["experiment", which, "--N", str(n)]
+     for which in ("smooth", "corner", "weighted") for n in range(16, 65, 8)]
+    + [["bidisc", "--kind", kind, "--N", str(n)]
+       for kind in ("split", "glued", "triangular") for n in (16, 32, 64, 128)])
+
+
+@pytest.mark.parametrize("argv", EXIT_CONTRACT_RUNS, ids=" ".join)
+def test_small_driver_runs_keep_the_exit_code_contract(tmp_path, capsys, argv):
+    # 0 for a run, 2 for a configuration error, 3 for a numeric failure;
+    # an exception escaping main breaks the contract
+    assert run(argv, tmp_path) in (0, 2, 3)
+    capsys.readouterr()
+
+
 def _readme_text():
     return (Path(__file__).resolve().parents[1] / "README.md").read_text()
 

@@ -183,6 +183,28 @@ class TestCornerDriver:
         result.write(tmp_path)
         assert recheck(tmp_path) == result.verdicts
 
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_sigma64_verdict_false_below_trusted_index_64(self, n):
+        # sigma_64 lies past both horizons here (and past N = 48 itself):
+        # the verdict reads False instead of comparing rounding noise
+        result = cd.run_corner_perturbation(0.01, n_trunc=n)
+        assert result.verdicts["sigma64_separation"] is False
+        assert not {"sigma64_single", "sigma64_difference"} & set(result.details)
+
+    @pytest.mark.parametrize("horizon, expected", [(64, True), (63, False)])
+    def test_sigma64_verdict_reads_trusted_values(self, horizon, expected):
+        # 0.8^63 / 0.9^63 ~ 6e-4 < 1e-2, read once index 64 is trusted in both
+        spectra = {
+            "single": cd.SingularSpectrum(0.9 ** np.arange(128), order=128,
+                                          horizon=horizon),
+            "difference": cd.SingularSpectrum(0.8 ** np.arange(128), order=128,
+                                              horizon=100)}
+        fits = dict.fromkeys(("single_root_exp", "single_stretched",
+                              "diff_stretched", "diff_root_exp"),
+                             DecayFit("stretched", {}, 0.0, (1, 2)))
+        verdicts = _derive_verdicts("corner_perturbation", {}, fits, spectra, {})
+        assert verdicts["sigma64_separation"] is expected
+
     def test_write_and_recheck(self, tmp_path):
         result = cd.run_corner_perturbation(0.01, n_trunc=256)
         result.write(tmp_path)
@@ -240,16 +262,20 @@ class TestBidiscSplit:
         assert m_top ** 2 <= horizon < (m_top + 1) ** 2
 
     @pytest.mark.parametrize("n", [16, 64, 128, 256])
-    def test_factor_spectrum_equals_the_doubling_path(self, n):
-        # C_{z/2} is diagonal on the monomials, so the driver takes the
-        # factor's horizon as N without a doubling; the doubling gives the
-        # same values, bit for bit, and the same horizon
+    def test_factor_spectrum_is_exact(self, n):
+        # C_{z/2} is diagonal with entries 2^-k: the driver records them in
+        # closed form with horizon N; the doubling's SVD agrees to 1e-12
+        # relative, bit for bit up to N = 128
+        recorded = _run_split(c=0.01, n_trunc=n).spectra["factor"]
+        assert recorded.values.tobytes() == (0.5 ** np.arange(n)).tobytes()
+        assert recorded.horizon == recorded.order == n
         doubled = cd.convergence_horizon(
             lambda m: cd.composition_matrix(cd.dilation(0.5), m), n)
-        recorded = _run_split(c=0.01, n_trunc=n).spectra["factor"]
-        assert doubled.horizon == recorded.horizon == n
-        assert recorded.order == doubled.order
-        assert recorded.values.tobytes() == doubled.values.tobytes()
+        assert doubled.horizon == n
+        np.testing.assert_allclose(doubled.values, recorded.values, rtol=1e-12,
+                                   atol=0)
+        if n <= 128:
+            assert doubled.values.tobytes() == recorded.values.tobytes()
 
     def test_kronecker_check_recorded(self):
         result = _run_split(c=0.01, n_trunc=128)

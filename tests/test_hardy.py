@@ -9,7 +9,9 @@ import compdiff as cd
 from compdiff.errors import DuplicatePoints
 from compdiff.hardy import (as_points, cumulative_hyperbolic_length,
                             pseudo_distance_array)
-from oracles import hyperbolic_distance, hyperbolic_length_refined, kernel_gram
+from compdiff.series import eval_array
+from oracles import (carleson_norm_by_window, hyperbolic_distance,
+                     hyperbolic_length_refined, kernel_gram)
 
 RNG_SEED = 20240817
 
@@ -49,6 +51,37 @@ def brute_carleson(pts):
             k += 1
         m += 1
     return best
+
+
+def carleson_point_sets(family):
+    """Point sets of one family for the Carleson oracle comparison."""
+    rng = np.random.default_rng(RNG_SEED + 6)
+    if family == "pinch":
+        return [cd.sequence_boundary_pinch(n).points for n in (4, 16, 64, 256)]
+    if family == "images":
+        pairs = [(cd.half_map(), cd.power_perturbation(3, 0.005)),
+                 (cd.corner_map(), cd.corner_perturbation(0.01))]
+        return [np.concatenate([eval_array(phi, z), eval_array(psi, z)])
+                for z in (cd.sequence_boundary_pinch(n).points for n in (8, 64, 256))
+                for phi, psi in pairs]
+    sets = []
+    for _ in range(12):
+        size = int(rng.integers(2, 30))
+        # moduli from the origin to within 1e-16 of the circle
+        pts = (1 - 10.0 ** rng.uniform(-16, 0, size)) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, size))
+        if family == "random":  # with pairs 1e-15 apart
+            pts = np.concatenate([pts, pts[:2] + 1e-15])
+        elif family == "duplicates":
+            pts = np.concatenate([pts, pts[: size // 2]])
+        elif family == "near_circle":  # within 2^-53 of it, and at angle pi
+            edge = 1 - 2.0 ** -53
+            pts = np.concatenate([pts, [-edge, edge * np.exp(-1j * np.pi)], edge
+                                  * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))])
+        elif family == "dyadic_angles":  # window edges up to rounding
+            pts = np.abs(pts) * np.exp(1j * rng.integers(-25, 26, size) / 8)
+        sets.append(pts[np.abs(pts) < 1])
+    return sets
 
 
 class TestPseudoDistance:
@@ -190,9 +223,12 @@ class TestUniformSeparation:
             cd.uniform_separation([0.5, 0.5])
 
     def test_duplicates_rejected_in_a_non_distinct_sequence(self):
-        # the sequence skips its own check; the separation matrix catches it
+        # a sequence checks only the open disc; the separation matrix
+        # catches the duplicate
+        seq = cd.PointSequence([0.5, 0.5])
+        assert len(seq) == 2
         with pytest.raises(DuplicatePoints):
-            cd.uniform_separation(cd.PointSequence([0.5, 0.5], distinct=False))
+            cd.uniform_separation(seq)
 
 
 class TestCarleson:
@@ -206,8 +242,7 @@ class TestCarleson:
 
     def test_duplication_doubles(self):
         one = cd.carleson_norm([0.4 + 0.1j])
-        two = cd.carleson_norm(as_points([0.4 + 0.1j, 0.4 + 0.1j],
-                                         distinct=False))
+        two = cd.carleson_norm(as_points([0.4 + 0.1j, 0.4 + 0.1j]))
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_random_against_brute_force(self):
@@ -219,6 +254,14 @@ class TestCarleson:
                 continue
             assert cd.carleson_norm(pts) == pytest.approx(brute_carleson(pts),
                                                           rel=1e-9)
+
+    @pytest.mark.parametrize("family", ["pinch", "images", "random",
+                                        "duplicates", "near_circle",
+                                        "dyadic_angles"])
+    def test_matches_the_window_by_window_oracle(self, family):
+        # the same windows summed in the same order: equal bit for bit
+        for pts in carleson_point_sets(family):
+            assert cd.carleson_norm(pts) == carleson_norm_by_window(pts)
 
     def test_kernel_combination_inequality(self):
         # ||sum b_j k_{z_j}||^2 <= carleson * sum |b_j|^2 / (1 - |z_j|^2), 5% slack
