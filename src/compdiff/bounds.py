@@ -145,6 +145,8 @@ def sequence_radial(n: int) -> PointSequence:
     The start index j0 = |log eps| / (2 eps) trims the initial points that
     are too far from the boundary to separate the perturbed images.
     """
+    if n < 2:
+        raise ValueError(f"radial sequence needs n >= 2, got n = {n}")
     eps = math.log(n) / n
     j0 = abs(math.log(eps)) / (2 * eps)
     start = math.ceil(j0)
@@ -255,9 +257,9 @@ def _level_curve(phi: Symbol, r: float,
 
     The sublevel set is decomposed into circular runs of consecutive kept
     grid samples (a run break means grid points with |phi| > r sit in
-    between, e.g. the excluded contact neighbourhood).  A single run gives
-    the curve directly; several runs are chained only if their image
-    endpoints nearly meet, otherwise the level set is reported disconnected.
+    between, e.g. the excluded contact neighbourhood).  The runs are joined
+    in circular order; a pseudohyperbolic gap above 0.2 between the image
+    endpoints of consecutive runs reports the level set disconnected.
     """
     values = _sup_values(phi, samples_per_side)
     keep = np.isfinite(values) & (np.abs(values) <= r)
@@ -265,28 +267,20 @@ def _level_curve(phi: Symbol, r: float,
         raise ValueError(f"sublevel set |{phi.name}| <= {r} is empty on the circle")
 
     idx = np.nonzero(keep)[0]
-    breaks = np.nonzero(np.diff(idx) > 1)[0]
-    comps = np.split(idx, breaks + 1)
+    # positions in idx where a new run starts
+    starts = np.nonzero(np.diff(idx) > 1)[0] + 1
     # the grid holds -pi and +pi separately; the boundary point is the same,
-    # so runs touching both ends wrap into one component
-    if len(comps) > 1 and keep[0] and keep[-1]:
-        comps = [np.concatenate([comps[-1], comps[0]])] + comps[1:-1]
-
-    if len(comps) > 1:
-        # keep the circular order and require consecutive components to
-        # (numerically) meet in the image
-        chain = comps[0]
-        for comp in comps[1:]:
-            gap = float(pseudo_distance_array(values[chain[-1]],
-                                              values[comp[0]]))
-            if gap > 0.2:
-                raise DisconnectedLevelSet(
-                    f"sampled level set of {phi.name} at r={r} splits "
-                    f"(pseudohyperbolic gap {gap:.3g})")
-            chain = np.concatenate([chain, comp])
-        idx = chain
-    else:
-        idx = comps[0]
+    # so runs touching both ends wrap into one run, which comes first
+    if len(starts) and keep[0] and keep[-1]:
+        wrap = len(idx) - starts[-1]
+        idx = np.roll(idx, wrap)
+        starts = starts[:-1] + wrap
+    gaps = pseudo_distance_array(values[idx[starts - 1]], values[idx[starts]])
+    far = gaps[gaps > 0.2]
+    if far.size:
+        raise DisconnectedLevelSet(
+            f"sampled level set of {phi.name} at r={r} splits "
+            f"(pseudohyperbolic gap {far[0]:.3g})")
 
     curve = values[idx]
     curve.setflags(write=False)
@@ -376,15 +370,15 @@ def _refined_sup(values: np.ndarray, kept: np.ndarray,
     return coarse, fine, not values.size
 
 
-def _blaschke_sups(zeros: BlaschkeProduct, symbol: Symbol, r: float) -> tuple:
+def _blaschke_sups(zeros: BlaschkeProduct, symbol: Symbol, r: float,
+                   inside: np.ndarray) -> tuple:
     """sup of |B o symbol| over {|symbol| <= r} on the coarse and fine grids.
 
-    B is evaluated once, on the kept points of the fine grid.  Peak
-    candidates between consecutive zeros along the ordered level curve keep
-    both sups honest where the grid is coarse.
+    ``inside`` is the caller's fine-grid mask of that set; B is evaluated
+    once, on its points.  Peak candidates between consecutive zeros along the
+    ordered level curve keep both sups honest where the grid is coarse.
     """
     values = _sup_values(symbol, 2 * _SUP_SAMPLES)
-    inside = np.abs(values) <= r
     moduli = np.abs(blaschke_eval(zeros, values[inside]))
     peak = 0.0
     if moduli.size:
@@ -430,11 +424,12 @@ def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
     """
     _check_upper_args(n, r, zeros)
     w = _w_values(phi, psi, 2 * _SUP_SAMPLES)
-    out_phi, out_psi = (~(np.abs(_sup_values(s, 2 * _SUP_SAMPLES)) <= r)
-                        for s in (phi, psi))
+    in_phi, in_psi = (np.abs(_sup_values(s, 2 * _SUP_SAMPLES)) <= r
+                      for s in (phi, psi))
+    out_phi, out_psi = ~in_phi, ~in_psi
     sups = {
-        "B_phi": _blaschke_sups(zeros, phi, r),
-        "B_psi": _blaschke_sups(zeros, psi, r),
+        "B_phi": _blaschke_sups(zeros, phi, r, in_phi),
+        "B_psi": _blaschke_sups(zeros, psi, r, in_psi),
         "w_phi": _refined_sup(w[out_phi], out_phi),
         "w_psi": _refined_sup(w[out_psi], out_psi),
     }
@@ -602,11 +597,12 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
     """
     _check_upper_args(n, r, zeros)
     phi_v = _sup_values(phi, 2 * _SUP_SAMPLES)
-    outside = ~(np.abs(phi_v) <= r)
+    inside = np.abs(phi_v) <= r
+    outside = ~inside
     omega_phi = np.abs(eval_array(omega, phi_v))
     omega_phi = np.where(np.isfinite(omega_phi), omega_phi, 0.0)
     sups = {
-        "B_phi": _blaschke_sups(zeros, phi, r),
+        "B_phi": _blaschke_sups(zeros, phi, r, inside),
         "delta0": _refined_sup(omega_phi[outside], outside),
     }
     sup_b, delta0 = sups["B_phi"][1], sups["delta0"][1]

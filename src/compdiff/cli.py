@@ -174,8 +174,10 @@ def resolve_outdir(args) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
+    """Standard JSON: a non-finite number raises instead of being written."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _spectrum_run(args, build, label: str) -> Path:
@@ -248,8 +250,10 @@ def cmd_upper_bound(args) -> int:
 def cmd_hs_norm(args) -> int:
     result = hs_norm(args.phi, args.psi)
     out = resolve_outdir(args)
+    # a divergent integral has no value; "diverged" says why
     _write_json(out / "hs_norm.json", {
-        "value": result.value, "diverged": result.diverged,
+        "value": None if result.diverged else result.value,
+        "diverged": result.diverged,
         "converged": result.converged, "rounds": result.rounds,
         "samples": result.samples,
     })

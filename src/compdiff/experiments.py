@@ -523,9 +523,9 @@ def glued_difference_matrix(phi: sym.Symbol, psi: sym.Symbol,
     # column k holds the first m coefficients of phi**k - psi**k
     diff = _table([(None, phi), (None, psi)], m, 2 * m - 1)
     out = np.zeros((m * m, m * m), dtype=diff.dtype)
-    for j in range(m):
-        for k in range(m):
-            out[0: m * m: m, j * m + k] = diff[:, j + k]  # rows (p, q=0) at index p*m
+    # rows (p, q=0) sit at index p*m; basis column j*m + k takes diff[:, j + k]
+    j, k = divmod(np.arange(m * m), m)
+    out[::m] = diff[:, j + k]
     return out
 
 

@@ -252,19 +252,16 @@ def tensor_spectrum(s: SingularSpectrum, t: SingularSpectrum,
     if len(s) == 0 or len(t) == 0:
         raise ValueError("tensor_spectrum requires nonempty spectra")
     products = np.sort(np.outer(s.values, t.values).ravel())[::-1]
-    count = min(count, len(products))
-    values = products[:count]
+    values = products[:count].copy()  # a view would keep every product alive
     horizon = None
     if s.horizon is not None and t.horizon is not None:
-        trusted = np.sort(np.outer(s.values[: s.horizon],
-                                   t.values[: t.horizon]).ravel())[::-1]
-        # the leading tensor values are trusted as long as the full product
-        # list agrees with the trusted-only list
-        horizon = 0
-        for a, b in zip(values, trusted):
-            if a != b:
-                break
-            horizon += 1
+        # the sorted products agree with the sorted trusted ones (both factors
+        # inside their horizons) down to the largest product with an untrusted
+        # factor, the trusted products tied with it included
+        edge = max(s.values[s.horizon:].max(initial=0.0) * t.values.max(),
+                   s.values.max() * t.values[t.horizon:].max(initial=0.0))
+        trusted = np.outer(s.values[: s.horizon], t.values[: t.horizon])
+        horizon = min(len(values), int(np.count_nonzero(trusted >= edge)))
     return SingularSpectrum(values, order=s.order * t.order, horizon=horizon)
 
 

@@ -69,6 +69,29 @@ def leading_values_all_passes(matrix, k):
     return np.linalg.svd(b, compute_uv=False), math.sqrt(e_sq)
 
 
+def tensor_values_walk(s, t, count):
+    """Leading ``count`` tensor products and their horizon, by two sorted lists.
+
+    The walk form of ``operators.tensor_spectrum``: the trusted products
+    (both factors inside their horizons) are sorted on their own, and the
+    horizon is the length of the common prefix of the two sorted lists.
+    Returns ``(values, horizon)``; the horizon is None unless both factors
+    carry one.
+    """
+    products = np.sort(np.outer(s.values, t.values).ravel())[::-1]
+    values = products[:min(count, len(products))]
+    if s.horizon is None or t.horizon is None:
+        return values, None
+    trusted = np.sort(np.outer(s.values[: s.horizon],
+                               t.values[: t.horizon]).ravel())[::-1]
+    horizon = 0
+    for a, b in zip(values, trusted):
+        if a != b:
+            break
+        horizon += 1
+    return values, horizon
+
+
 def kernel_gram(points):
     """Gram matrix G[j, k] = <k_{z_k}, k_{z_j}> = 1/(1 - conj(z_j) z_k)."""
     z = as_points(points).points

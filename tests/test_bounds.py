@@ -54,6 +54,11 @@ class TestSequences:
         with pytest.raises(EmptyRange):
             cd.sequence_radial(2)
 
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_radial_below_two_names_the_bound(self, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            cd.sequence_radial(n)
+
 
 class TestLowerCertificate:
     def test_worked_example(self):
@@ -327,7 +332,8 @@ class TestFineGridSups:
         for zeros in bounds._candidate_zero_layouts(phi, psi, n, r):
             coarse, fine, empties = _two_pass_sups(zeros, phi, psi, r, side)
             for slot, sym in enumerate((phi, psi)):
-                assert bounds._blaschke_sups(zeros, sym, r) == (
+                inside = np.abs(_sup_values(sym, 2 * side)) <= r
+                assert bounds._blaschke_sups(zeros, sym, r, inside) == (
                     coarse[slot], fine[slot], empties[slot])
             cert = cd.upper_certificate(phi, psi, n, r, zeros)
             assert [cert.fields[key] for key in UPPER_SUPS] == list(fine)
@@ -385,7 +391,8 @@ class TestFineGridSups:
         coarse, fine, empties = _two_pass_weighted(
             cd.weight_power(1), phi, zeros, 0.001, bounds._SUP_SAMPLES)
         assert coarse[0] == 0 < fine[0] and empties == (False, False)
-        assert bounds._blaschke_sups(zeros, phi, 0.001) == (
+        inside = np.abs(_sup_values(phi, 2 * bounds._SUP_SAMPLES)) <= 0.001
+        assert bounds._blaschke_sups(zeros, phi, 0.001, inside) == (
             coarse[0], fine[0], False)
         cert = cd.weighted_upper_certificate(cd.weight_power(1), phi, 3, 0.001,
                                              zeros)
@@ -543,6 +550,34 @@ class TestDisconnectedLevelSet:
         two_lobe = Symbol("two_lobe", expr)
         with pytest.raises(DisconnectedLevelSet):
             cd.blaschke_zeros_for_symbol(two_lobe, 0.35, 8)
+
+    @staticmethod
+    def _quintic(c5):
+        from compdiff.series import Const, IntPower, Product, Sum, Symbol, Var
+        return Symbol("quintic", Sum((Product((Const(0.5), Var())),
+                                      Product((Const(c5), IntPower(Var(), 5))))))
+
+    @pytest.mark.parametrize("c5, kept", [(0.01, 326), (-0.01, 8168)],
+                             ids=["inner", "wrapping"])
+    def test_close_runs_join_in_circular_order(self, c5, kept):
+        # 0.5 z + c5 z^5 at r = 0.5095: the kept samples fall into four
+        # circular runs whose image endpoints lie at most 0.15 apart; for
+        # c5 < 0 one run wraps through t = +-pi, so it leads the curve
+        phi, r = self._quintic(c5), 0.5095
+        values = _sup_values(phi, 4096)
+        keep = np.abs(values) <= r
+        idx = np.nonzero(keep)[0]
+        runs = 1 + np.count_nonzero(np.diff(idx) > 1) - int(keep[0] and keep[-1])
+        assert len(idx) == kept and runs == 4
+        if keep[0] and keep[-1]:
+            idx = np.roll(idx, np.argmin(keep[::-1]))
+        curve = _level_curve(phi, r)
+        assert curve.tobytes() == values[idx].tobytes()
+
+    def test_wrapped_runs_that_do_not_meet_split(self):
+        # the wrapping symbol at r = 0.505: consecutive runs lie 0.369 apart
+        with pytest.raises(DisconnectedLevelSet, match=r"gap 0\.369\)"):
+            _level_curve(self._quintic(-0.01), 0.505)
 
     def test_empty_sublevel_set(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,11 @@ def run(args, tmp_path, extra=()):
     return main([*args, "--out", str(tmp_path), *extra])
 
 
+def _refuse_constant(name):
+    """``parse_constant`` hook: NaN and Infinity are not standard JSON."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 class TestSpectrum:
     def test_dilation_csv(self, tmp_path):
         code = run(["spectrum", "--symbol", "dilation(a=0.5)", "--N", "64"],
@@ -101,6 +106,20 @@ class TestHsNorm:
         oracle = hs_parseval_sum(dilation(0.5), dilation(0.25), 64)
         assert payload["value"] == pytest.approx(oracle, rel=1e-5)
         assert not payload["diverged"]
+
+    def test_divergent_value_is_null(self, tmp_path, capsys):
+        code = run(["hs-norm", "--phi", "half_map",
+                    "--psi", "power_perturbation(alpha=2.2, c=0.005)"], tmp_path)
+        assert code == 0
+        payload = json.loads((tmp_path / "hs_norm.json").read_text(),
+                             parse_constant=_refuse_constant)
+        assert payload["value"] is None and payload["diverged"]
+        assert "divergent" in capsys.readouterr().out
+
+    def test_non_finite_values_are_not_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "out.json", {"value": math.inf})
+        assert not (tmp_path / "out.json").exists()
 
     def test_not_self_map_exits_3(self, tmp_path, capsys):
         code = run(["hs-norm", "--phi", "half_map", "--psi", "dilation(a=2)"],
@@ -178,6 +197,17 @@ class TestBounds:
         code = run(["lower-bound", "--phi", "half_map", "--psi", "half_map",
                     "--n", "8"], tmp_path)
         assert code == 3
+
+    @pytest.mark.parametrize("n, code, message", [
+        ("0", 2, "n >= 2"), ("1", 2, "n >= 2"), ("2", 3, "EmptyRange"),
+    ])
+    def test_radial_below_its_smallest_n(self, tmp_path, capsys, n, code,
+                                         message):
+        assert run(["lower-bound", "--phi", "half_map",
+                    "--psi", "power_perturbation(alpha=3, c=0.005)",
+                    "--sequence", "radial", "--n", n], tmp_path) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "lower_bound.json").exists()
 
 
 class TestExperimentAndFit:
@@ -531,15 +561,20 @@ EXIT_CONTRACT_RUNS = (
     [["experiment", which, "--N", str(n)]
      for which in ("smooth", "corner", "weighted") for n in range(16, 65, 8)]
     + [["bidisc", "--kind", kind, "--N", str(n)]
-       for kind in ("split", "glued", "triangular") for n in (16, 32, 64, 128)])
+       for kind in ("split", "glued", "triangular") for n in (16, 32, 64, 128)]
+    + [["hs-norm", "--phi", "half_map",
+        "--psi", "power_perturbation(alpha=2.2, c=0.005)"]])
 
 
 @pytest.mark.parametrize("argv", EXIT_CONTRACT_RUNS, ids=" ".join)
 def test_small_driver_runs_keep_the_exit_code_contract(tmp_path, capsys, argv):
     # 0 for a run, 2 for a configuration error, 3 for a numeric failure;
-    # an exception escaping main breaks the contract
+    # an exception escaping main breaks the contract, and so does a JSON
+    # file that is not standard JSON (NaN or Infinity)
     assert run(argv, tmp_path) in (0, 2, 3)
     capsys.readouterr()
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 def _readme_text():

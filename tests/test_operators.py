@@ -13,7 +13,7 @@ from compdiff import operators
 from compdiff.errors import (BoundaryFixedOrigin, HorizonExceeded, NotSelfMap,
                              NumericalBreakdown)
 from compdiff.series import IntPower, Symbol
-from oracles import leading_values_all_passes
+from oracles import leading_values_all_passes, tensor_values_walk
 
 RNG_SEED = 911
 
@@ -271,6 +271,33 @@ class TestTensor:
             cd.SingularSpectrum(sa, order=12),
             cd.SingularSpectrum(sb, order=14), 12 * 14)
         np.testing.assert_allclose(via.values, direct, atol=1e-10)
+
+    @staticmethod
+    def _random_factor(rng):
+        # unsorted values drawn from a few levels (ties, zeros) or uniform,
+        # with a horizon anywhere in 0..len or none
+        n = int(rng.integers(1, 13))
+        if rng.random() < 0.5:
+            values = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+        else:
+            values = rng.uniform(0, 1, n) * (rng.random(n) < 0.8)
+        horizon = None if rng.random() < 0.1 else int(rng.integers(0, n + 1))
+        return cd.SingularSpectrum(values, order=n, horizon=horizon)
+
+    def test_prefix_count_matches_the_walk(self):
+        rng = np.random.default_rng(RNG_SEED + 2)
+        for _ in range(2000):
+            s, t = self._random_factor(rng), self._random_factor(rng)
+            count = int(rng.integers(1, len(s) * len(t) + 3))
+            out = cd.tensor_spectrum(s, t, count)
+            values, horizon = tensor_values_walk(s, t, count)
+            assert out.values.tobytes() == values.tobytes()
+            assert out.horizon == horizon
+
+    def test_values_own_their_data(self):
+        s = cd.SingularSpectrum(np.array([1.0, 0.5, 0.25]), order=3, horizon=2)
+        out = cd.tensor_spectrum(s, s, 4)
+        assert out.values.base is None
 
 
 class TestHorizon:
