@@ -4,10 +4,13 @@ Every truncation is built by one table function from a term ``(omega, phi)``
 standing for M_omega C_phi (``omega`` None for C_phi), or from two terms, the
 second subtracted (C_phi - C_psi); one constructor checks every symbol.  On
 the monomial basis of H^2, column k of a term's matrix holds the Taylor
-coefficients of ``omega * phi**k``.  Powers are built by iterated truncated
-Cauchy products of the base coefficient vector (column-wise recursion, never
-boundary-FFT extraction, whose ``r**-j`` factor would amplify errors for maps
-that touch the circle).
+coefficients of ``omega * phi**k``.  Powers are built by truncated Cauchy
+products of coefficient vectors, never by boundary-FFT extraction, whose
+``r**-j`` factor would amplify errors for maps that touch the circle.  Up to
+N = 128 each column is the product of the one before it with the base; above,
+the columns come in blocks of ``_BLOCK``, each column of a block the product
+of the last column before the block with a precomputed truncated power of
+the base, so one forward and one batched inverse FFT serve a whole block.
 
 Real symbols get real arithmetic.  When the Taylor coefficients of the map
 and of the weight have imaginary parts that are exactly zero (for these
@@ -59,6 +62,8 @@ _SKETCH_RANK = 128
 _POWER_ITERATIONS = 2
 _SKETCH_SEED = 0
 _ROUNDING_SLACK = 1e-13
+# columns per batched inverse FFT of the power-table build (n > 128)
+_BLOCK = 8
 
 
 @functools.lru_cache(maxsize=256)
@@ -139,10 +144,11 @@ def _power_columns(base: np.ndarray, first: np.ndarray, n: int,
                    cols: int) -> tuple:
     """Columns first, first*base, first*base^2, ... truncated to n coefficients.
 
-    Returns ``(dtype, columns)``: float64 when both inputs have exactly zero
-    imaginary parts, complex128 otherwise, and an iterator over the ``cols``
-    columns, each computed from the one before it, so a caller can store or
-    combine each column as it comes.
+    Returns ``(dtype, blocks)``: float64 when both inputs have exactly zero
+    imaginary parts, complex128 otherwise, and an iterator over blocks of
+    consecutive columns (see :func:`_powers`), one column per row of an
+    ``(m, n)`` array, ``cols`` columns in all, so a caller can store or
+    combine each block as it comes.
     """
     real = not (np.any(np.imag(base)) or np.any(np.imag(first)))
     if real:
@@ -152,20 +158,46 @@ def _power_columns(base: np.ndarray, first: np.ndarray, n: int,
 
 def _powers(base: np.ndarray, first: np.ndarray, n: int, cols: int,
             real: bool):
-    yield first
+    """The blocks of :func:`_power_columns`.
+
+    The first block is the column ``first``.  Up to n = 128 every later
+    block is one column, the truncated product of the one before it with
+    ``base`` (``np.convolve``).  Above, every later block holds the next
+    B = ``_BLOCK`` columns: truncation commutes with these lower-triangular
+    Toeplitz products, so column k + j is trunc(col_k * P_j) with
+    P_j = trunc(base^j), and a block is one forward FFT of its anchor col_k,
+    the last column before it, times the precomputed transforms of
+    P_1 ... P_B, and one batched inverse FFT.  The linear product has
+    2n - 1 <= ``size`` coefficients, so the cyclic one does not alias.
+    """
+    yield first[None]
     col = first
     if n <= 128:
         for _ in range(1, cols):
             col = np.convolve(col, base)[:n]
-            yield col
+            yield col[None]
+        return
+    if cols == 1:
         return
     size = 1 << (2 * n - 1).bit_length()
     # size is even, so irfft's default output length is size
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    steps = min(_BLOCK, cols - 1)
+    # P_1 ... P_steps by the one-column recursion, transformed once
+    trunc = np.empty((steps, n), dtype=base.dtype)
+    trunc[0] = base
     fbase = fft(base, size)
-    for _ in range(1, cols):
-        col = ifft(fft(col, size) * fbase)[:n]
-        yield col
+    for j in range(1, steps):
+        trunc[j] = ifft(fft(trunc[j - 1], size) * fbase)[:n]
+    ftrunc = fft(trunc, size, axis=1)
+    del trunc, fbase
+    prod = np.empty_like(ftrunc)
+    for k in range(1, cols, steps):
+        m = min(steps, cols - k)
+        np.multiply(fft(col, size), ftrunc[:m], out=prod[:m])
+        block = ifft(prod[:m], axis=1)[:, :n]
+        yield block
+        col = block[-1]
 
 
 def _unit(n: int) -> np.ndarray:
@@ -179,8 +211,10 @@ def _table(terms, n: int, cols: int) -> np.ndarray:
 
     Column k of a term ``(omega, phi)`` holds taylor(omega * phi**k, n), with
     ``omega`` None read as 1.  Each term keeps its own real or complex
-    arithmetic (see _power_columns); their recursions run in lockstep into
-    one buffer of the result dtype, so no power table of a term is held.
+    arithmetic (see _power_columns); their block streams run in lockstep
+    (both split the columns alike) into one buffer of the result dtype, each
+    block written through a transposed view, so no power table of a term is
+    held.
     """
     dtypes, streams = zip(*(
         _power_columns(taylor_array(phi, n),
@@ -188,11 +222,14 @@ def _table(terms, n: int, cols: int) -> np.ndarray:
                        n, cols)
         for omega, phi in terms))
     out = np.empty((n, cols), dtype=np.result_type(*dtypes))
-    for k, (col, *minus) in enumerate(zip(*streams)):
+    k = 0
+    for block, *minus in zip(*streams):
+        dest = out[:, k:k + len(block)].T
         if minus:
-            np.subtract(col, minus[0], out=out[:, k])
+            np.subtract(block, minus[0], out=dest)
         else:
-            out[:, k] = col
+            dest[...] = block
+        k += len(block)
     return out
 
 

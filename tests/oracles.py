@@ -47,6 +47,21 @@ def hs_parseval_sum(phi, psi, n0=256, rel_tol=1e-6, max_doublings=5):
     return prev
 
 
+def power_table_by_convolution(base, first, n, cols):
+    """n x cols table with column k = trunc(first * base**k), by direct sums.
+
+    The one-column ``np.convolve`` recursion of the n <= 128 build, run at
+    any n and always in complex128: no FFT, no blocking.
+    """
+    out = np.empty((n, cols), dtype=complex)
+    col = np.asarray(first, dtype=complex)
+    out[:, 0] = col
+    for k in range(1, cols):
+        col = np.convolve(col, base)[:n]
+        out[:, k] = col
+    return out
+
+
 def leading_values_all_passes(matrix, k):
     """Randomized subspace iteration run through every power pass at once.
 

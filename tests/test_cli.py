@@ -62,8 +62,10 @@ class TestSpectrum:
         assert ((tmp_path / "a" / "spectrum.csv").read_bytes()
                 == (tmp_path / "b" / "spectrum.csv").read_bytes())
 
-    # N=256 runs the FFT power recursion of one term; both bases are dense,
-    # so exact tables for sparse bases leave these bytes alone
+    # N=256 runs the blocked FFT power build of one term (rewritten when the
+    # build went from one column to 8 per batched inverse FFT: the horizon
+    # stayed, every value moved by under 2e-17 sigma_1); both bases are
+    # dense, so exact tables for sparse bases leave these bytes alone
     @pytest.mark.parametrize("extra, fname", [
         ([], "spectrum_corner_N256.csv"),
         (["--weight", "weight_power(alpha=1)"],
@@ -87,7 +89,9 @@ class TestDiffSpectrum:
 
     def test_corner_csv_bytes_pinned(self, tmp_path):
         # N=256 decides the horizon on the leading 2*N0 values; the file was
-        # written when that horizon still came from a full SVD
+        # written with the horizon from a full SVD, and rewritten for the
+        # blocked FFT build (horizon 6 kept, every value within 1.2e-15
+        # sigma_1, a rounding move of the two terms of size 1)
         code = run(["diff-spectrum", "--phi", "corner_map",
                     "--psi", "corner_perturbation(c=0.01)", "--N", "256"],
                    tmp_path)

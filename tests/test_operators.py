@@ -13,9 +13,11 @@ from compdiff import operators
 from compdiff.errors import (BoundaryFixedOrigin, HorizonExceeded, NotSelfMap,
                              NumericalBreakdown)
 from compdiff.series import IntPower, Symbol
-from oracles import leading_values_all_passes, tensor_values_walk
+from oracles import (leading_values_all_passes, power_table_by_convolution,
+                     tensor_values_walk)
 
 RNG_SEED = 911
+_B = operators._BLOCK  # columns per block of the FFT power build
 
 
 class TestCompositionMatrix:
@@ -39,11 +41,13 @@ class TestCompositionMatrix:
             cd.composition_matrix(cd.dilation(2), 8)
 
     def test_columns_match_series_powers(self):
-        # column k must equal the series-module expansion of phi^k
+        # column k must equal the series-module expansion of phi^k; the FFT
+        # orders (n > 128) are also read at the edges of the column blocks
         for symbol, n in ((cd.corner_map(), 96), (cd.half_map(), 160),
-                          (cd.power_perturbation(3, 0.005), 96)):
+                          (cd.power_perturbation(3, 0.005), 96),
+                          (cd.power_perturbation(3, 0.005), 300)):
             op = cd.composition_matrix(symbol, n)
-            for k in (0, 1, 2, 5, n // 2, n - 1):
+            for k in (0, 1, 2, 5, _B - 1, _B, _B + 1, 2 * _B, n // 2, n - 1):
                 expected = cd.taylor_array(
                     Symbol("p", IntPower(symbol.expr, k)), n)
                 np.testing.assert_allclose(op.matrix[:, k], expected,
@@ -90,6 +94,45 @@ class TestCompositionMatrix:
             assert not d.flags.writeable
 
 
+_TERM_SETS = {
+    "single real": [(None, cd.corner_map())],
+    "weighted real": [(cd.weight_power(1), cd.corner_map())],
+    "complex difference": [(None, cd.power_perturbation(3, 0.005)),
+                           (None, cd.dilation(0.4 + 0.3j))],
+    "real-complex difference": [(None, cd.half_map()),
+                                (None, cd.power_perturbation(3, 0.005))],
+}
+
+
+def _oracle_table(terms, n, cols):
+    """The oracle table of ``terms`` and the largest entry of any term's table.
+
+    A difference carries the rounding of its terms, so the scale of its
+    error is that of the terms, not of the difference: the real-complex pair
+    differs by at most 1.5e-2 against terms of size 1.
+    """
+    tables = [power_table_by_convolution(
+        cd.taylor_array(phi, n),
+        operators._unit(n) if omega is None else cd.taylor_array(omega, n),
+        n, cols) for omega, phi in terms]
+    scale = max(np.abs(t).max() for t in tables)
+    return (tables[0] - tables[1] if len(tables) == 2 else tables[0]), scale
+
+
+class TestBlockedPowers:
+    # both orders on the FFT path; cols at the block edges, the square table
+    # and the glued table's 2n - 1
+    @pytest.mark.parametrize("n, cols", [
+        (n, cols) for n in (129, 300)
+        for cols in (1, 2, _B, _B + 1, 2 * _B + 1, n, 2 * n - 1)])
+    @pytest.mark.parametrize("terms", list(_TERM_SETS))
+    def test_table_matches_convolution_oracle(self, terms, n, cols):
+        got = operators._table(_TERM_SETS[terms], n, cols)
+        expected, scale = _oracle_table(_TERM_SETS[terms], n, cols)
+        assert got.shape == (n, cols)
+        assert np.abs(got - expected).max() <= 1e-14 * scale
+
+
 def _composition_columns(phi, n):
     """Power table of phi at order n, built on its own."""
     return cd.composition_matrix(phi, n).matrix
@@ -103,6 +146,30 @@ _DTYPE_PAIRS = {
 }
 
 
+# every public builder, on bases with dense Taylor vectors: a build at order
+# n, the dtype of its matrix and its number of terms
+_PUBLIC_BUILDS = [
+    (lambda n: cd.composition_matrix(cd.corner_map(), n), np.float64, 1),
+    (lambda n: cd.weighted_composition_matrix(cd.weight_power(1),
+                                              cd.corner_map(), n),
+     np.float64, 1),
+    (lambda n: cd.difference_matrix(cd.half_map(),
+                                    cd.power_perturbation(3, 0.005), n),
+     np.complex128, 2),
+]
+
+
+def _traced_build(build):
+    """The operator ``build()`` returns and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        op = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return op, peak
+
+
 class TestOneBufferDifference:
     @pytest.mark.parametrize("n", [64, 300])  # convolve and FFT paths
     @pytest.mark.parametrize("pair", list(_DTYPE_PAIRS))
@@ -114,28 +181,24 @@ class TestOneBufferDifference:
         assert got.tobytes() == expected.tobytes()
 
     def test_peak_memory_is_one_buffer(self):
-        # every public builder, on bases with dense Taylor vectors
         n = 1024
-        for i, (build, dtype) in enumerate([
-            (lambda: cd.composition_matrix(cd.corner_map(), n), np.float64),
-            (lambda: cd.weighted_composition_matrix(cd.weight_power(1),
-                                                    cd.corner_map(), n),
-             np.float64),
-            (lambda: cd.difference_matrix(cd.half_map(),
-                                          cd.power_perturbation(3, 0.005), n),
-             np.complex128),
-        ]):
-            tracemalloc.start()
-            try:
-                op = build()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        for i, (build, dtype, _) in enumerate(_PUBLIC_BUILDS):
+            op, peak = _traced_build(lambda: build(n))
             assert op.matrix.dtype == dtype, f"build {i}"
             buffer = n * n * op.matrix.dtype.itemsize
             # a power table held beside the buffer (the old difference build)
             # peaks at 1.5 buffers or more
             assert peak < 1.25 * buffer, f"build {i}"
+
+    def test_transient_memory_per_term(self):
+        # what a build holds beside its output: the transforms of the
+        # truncated powers, one product and one inverse-transform block per
+        # term (1.1 MB for one real term, 3.7 MB for the complex difference
+        # at 8 columns per block; 32 columns per block take 4.3 and 13.1 MB)
+        n = 2048
+        for i, (build, _, terms) in enumerate(_PUBLIC_BUILDS):
+            op, peak = _traced_build(lambda: build(n))
+            assert peak - op.matrix.nbytes <= 2.5e6 * terms, f"build {i}"
 
 
 class TestWeightedMatrix:
