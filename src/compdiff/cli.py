@@ -182,8 +182,9 @@ def _write_json(path: Path, payload) -> None:
 
 def _spectrum_run(args, build, label: str) -> Path:
     """Doubling spectrum of ``build`` at ``args.N``: write ``args.csv``, print
-    sigma_n at n = 1, 2, 4, ..., 256 (values past the horizon are marked) and
-    return the CSV path."""
+    sigma_n at n = 1, 2, 4, ..., 256 up to ``len(spectrum)`` (128 values when
+    the sketches decide; values past the horizon are marked) and return the
+    CSV path."""
     spectrum = convergence_horizon(build, args.N)
     out = resolve_outdir(args)
     out.mkdir(parents=True, exist_ok=True)

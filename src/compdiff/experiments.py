@@ -364,7 +364,9 @@ _NOISE_FLOOR_RTOL = 1e-13
 
 
 def _floor_index(spectrum: SingularSpectrum) -> int:
-    """Last n with sigma_n above the SVD noise floor (0 if there is none)."""
+    """Last n with sigma_n above the SVD noise floor (0 if there is none);
+    ``len(spectrum)`` when the floor lies past the values held, as for the
+    128 sketched values of smooth and weighted spectra above N = 128."""
     values = spectrum.values
     return int(np.count_nonzero(values > _NOISE_FLOOR_RTOL * float(values[0])))
 
@@ -645,7 +647,9 @@ def _run_triangular(c: float = 0.01, n_trunc: int = 2048,
     """Triangularly separated symbols with the doubling block schedule n_k = 2^K.
 
     The weights are the constant 1/2 and the dilation z -> z/2, both of
-    sup-norm 1/2.
+    sup-norm 1/2.  Every spectrum, given or built, must hold sigma at the
+    largest block size 2^max(K): a doubling spectrum above N = 128 holds
+    128 values (see :func:`convergence_horizon`), so there K <= 7.
     """
     largest = 2 ** max(k_range)  # every block reads sigma at its own size
     if largest > n_trunc:
@@ -665,6 +669,12 @@ def _run_triangular(c: float = 0.01, n_trunc: int = 2048,
     if phi1_spectrum is None:
         phi1_spectrum = convergence_horizon(
             lambda m: composition_matrix(phi1, m), n_trunc)
+    spectra = {"difference": diff_spectrum, "phi0": phi0_spectrum,
+               "phi1": phi1_spectrum}
+    for label, spectrum in spectra.items():
+        if largest > len(spectrum):
+            raise ValueError(f"triangular block size {largest} needs sigma_{largest}, "
+                             f"but the {label} spectrum holds {len(spectrum)} values")
 
     # corner-pair truncations cannot certify sigma_n at the 2^K block sizes
     # (their stability horizons grow only logarithmically in N); the raw
@@ -685,8 +695,7 @@ def _run_triangular(c: float = 0.01, n_trunc: int = 2048,
         name="bidisc_triangular",
         parameters={"c": c, "weight_modulus": weight_modulus, "N": n_trunc,
                     "K_range": [int(k) for k in k_range]},
-        spectra={"difference": diff_spectrum, "phi0": phi0_spectrum,
-                 "phi1": phi1_spectrum},
+        spectra=spectra,
         certificates={"triangular": docs},
         details={"bound_series": source["series"]},
     )

@@ -25,11 +25,11 @@ approximation number from below; every spectrum carries a stability horizon
 ``n*`` up to which values move by less than 1% when N doubles, and nothing
 beyond the horizon should be fed into fits or certificates.
 
-The horizon compares the N0 spectrum, a full dense SVD, with the leading
-values of the 2*N0 truncation, each certified to an interval; a comparison
-counts only when its whole interval gives one answer, so the horizon is
-always the one a full SVD of the 2*N0 matrix gives.
-:func:`convergence_horizon` describes the doubling.
+Above N = 128 the horizon compares the leading values of the N0 and the
+2*N0 truncations, each certified to an interval by one sketch; a comparison
+counts only when both intervals give one answer, so the horizon is always
+the one full SVDs of both matrices give.  The spectrum then holds the 128
+sketched values.  :func:`convergence_horizon` describes the doubling.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from __future__ import annotations
 import functools
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +54,7 @@ from .series import Symbol, evaluate, taylor_array, validate_self_map
 _VALIDATION_SAMPLES = 2048
 _HORIZON_RTOL = 1e-2
 _HORIZON_FLOOR = 1e-14  # relative to sigma_1 of the 2*N0 spectrum
-# leading values of the 2*N0 matrix: sketch size, power iterations,
+# leading values of the N0 and 2*N0 matrices: sketch size, power iterations,
 # fixed sketch seed, and the rounding slack (relative to sigma_1) that widens
 # every certified interval
 _SKETCH_RANK = 128
@@ -263,12 +262,16 @@ def difference_matrix(phi: Symbol, psi: Symbol, n: int) -> TruncatedOperator:
 # spectra
 # ---------------------------------------------------------------------------
 
-def singular_spectrum(op: TruncatedOperator) -> SingularSpectrum:
-    """Dense SVD of the truncation, values sorted non-increasing."""
+def _finite(op: TruncatedOperator) -> TruncatedOperator:
     if not np.all(np.isfinite(op.matrix)):
         raise NumericalBreakdown("matrix contains non-finite entries")
+    return op
+
+
+def singular_spectrum(op: TruncatedOperator) -> SingularSpectrum:
+    """Dense SVD of the truncation, values sorted non-increasing."""
     try:
-        values = np.linalg.svd(op.matrix, compute_uv=False)
+        values = np.linalg.svd(_finite(op).matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(str(exc)) from exc
     return SingularSpectrum(values, order=op.order)
@@ -351,30 +354,40 @@ def _passes(a: float, b: float, floor: float) -> bool:
     return abs(a - b) <= _HORIZON_RTOL * max(b, floor)
 
 
-def _scan_horizon(small: np.ndarray, lo: np.ndarray,
+def _weyl_intervals(s: np.ndarray, e: float) -> tuple:
+    """``(lo, hi)``: sigma_j lies in [s_j, sqrt(s_j**2 + e**2)] (see
+    :func:`_leading_values`), every end widened by the rounding slack."""
+    hi = np.sqrt(s ** 2 + e ** 2)
+    slack = _ROUNDING_SLACK * hi[0]
+    return np.maximum(s - slack, 0.0), hi + slack
+
+
+def _scan_horizon(small_lo: np.ndarray, small_hi: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray) -> Optional[int]:
-    """Horizon of ``small`` against 2*N0 values known to lie in [lo, hi], or None.
+    """Horizon of N0 values in [small_lo, small_hi] against 2*N0 values in
+    [lo, hi], or None.
 
     The floor of the 1% test is ``_HORIZON_FLOOR`` times sigma_1 of the
-    2*N0 spectrum, so it lies between the floors of lo[0] and hi[0].  Each
-    comparison is evaluated at both ends of its interval, the floor at both
-    ends of its range.  The pass set of the 1% test is an interval in b that
-    contains a and grows with the floor, so a comparison that passes at both
-    ends (lowest floor), or fails at both ends on the same side of a
-    (highest floor), is decided for every value inside.  Returns None when a
-    comparison before the first decided failure is not decided; exact values
-    (lo = hi) always decide.
+    2*N0 spectrum, so it lies between the floors of lo[0] and hi[0].  A pair
+    (a, b) passes when b - t <= a <= b + t, t = 1% max(b, floor); both ends
+    grow with b and the band with the floor.  So a comparison passes for all
+    pairs in its rectangle when it passes at the corners (a_hi, b_lo) and
+    (a_lo, b_hi) at the lowest floor, and fails for all when a_lo lies above
+    the band of b_hi, or a_hi below that of b_lo, at the highest floor.
+    Returns None when a comparison before the first decided failure is not
+    decided; exact values (small_lo = small_hi, lo = hi) always decide.
     """
     floor_lo, floor_hi = (_HORIZON_FLOOR * max(end[0], 1e-300)
                           for end in (lo, hi))
-    for n, a in enumerate(small):
-        if _passes(a, lo[n], floor_lo) and _passes(a, hi[n], floor_lo):
+    for n, (a_lo, a_hi, b_lo, b_hi) in enumerate(
+            zip(small_lo, small_hi, lo, hi)):
+        if _passes(a_hi, b_lo, floor_lo) and _passes(a_lo, b_hi, floor_lo):
             continue
-        if (not _passes(a, lo[n], floor_hi) and not _passes(a, hi[n], floor_hi)
-                and not lo[n] <= a <= hi[n]):
+        if (a_lo > b_hi and not _passes(a_lo, b_hi, floor_hi)
+                or a_hi < b_lo and not _passes(a_hi, b_lo, floor_hi)):
             return n
         return None
-    return len(small)
+    return len(small_lo)
 
 
 def convergence_horizon(build: Callable[[int], TruncatedOperator],
@@ -382,71 +395,46 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
     """Build at N0 and 2*N0; annotate the N0 spectrum with its stability horizon.
 
     The horizon is the largest n* such that sigma_n agrees within 1% between
-    the two truncations for every n <= n*.  The N0 spectrum is a full dense
-    SVD.  Of the 2*N0 matrix A only the leading k = 128 values are computed
-    first (:func:`_leading_values`, randomized subspace iteration): each
-    sigma_n(A) is known to lie in [s_n, sqrt(s_n**2 + e**2)], widened by
-    1e-13 sigma_1 for rounding.  The scan decides a comparison only when the
-    1% test gives the same answer over the whole interval.  It runs on the
-    intervals of the sketch and again after each power pass, and returns at
-    the first that decides every comparison up to index horizon+1; when none
-    does, or N0 <= 128, it runs on the exact values of a full dense SVD of A,
-    which always decide.  So the horizon is the one a full SVD gives.
+    the two truncations for every n <= n*.  Above N0 = 128 each side is the
+    leading k = 128 values of a sketch (:func:`_leading_values`), each
+    sigma_n in [s_n, sqrt(s_n**2 + e**2)] widened by 1e-13 sigma_1 for
+    rounding: the N0 side before any power pass, its matrix dropped before
+    the 2*N0 build, and the 2*N0 side after each pass in turn, until the
+    scan decides a horizon below k (a horizon of k may reach past the values
+    held).  The spectrum then holds the k values s_n.  Otherwise, and for
+    N0 <= 128, full SVDs of both matrices (the 2*N0 one reused, the N0 one
+    built again) give exact values, which always decide, and the spectrum
+    holds all N0 values.  So the horizon is the one full SVDs give.
 
-    At N0 = 1024 the sketch decides before any power pass for the corner
-    matrices (c in {0.008, 0.01, 0.012}), the weighted family (alpha in {1,
-    1.5, 2}) and the smooth pair (c in {0.004, 0.005, 0.006}) at alpha =
-    2.5, and at alpha = 3 with c = 0.004; the smooth pair at alpha in {3.5,
-    4}, and at alpha = 3 with c in {0.005, 0.006}, needs one power pass.  A
-    comparison that passes can be certified only while sigma_n stays above
-    about 1e-11 sigma_1 (the slack over the 1% tolerance), so a horizon that
-    reaches past that level (a dilation's exact truncations) costs the
-    sketch through every power pass on top of the full SVD.
-
-    The N0 SVD is one future on a single-worker pool while the caller's
-    thread builds the 2*N0 matrix; leaving the pool joins the worker before
-    the sketch, so the sketch never overlaps the SVD: that would hold the N0
-    matrix and the SVD workspace next to the 2*N0 matrix and its sketch
-    (peak memory of the smooth benchmark pipeline at N0 = 1024: 149 MB
-    instead of 130 MB).  Holding the N0 matrix during the 2*N0 build is paid
-    for by the one-buffer table of :func:`_table`.  ``singular_spectrum`` is
-    looked up through this module when the future is submitted, so a wrapper
-    installed on it sees the call.  An error of the N0 SVD wins over one of
-    the 2*N0 build.  The values are the same bits as with the two steps in
-    sequence.
+    A pass is certified only while sigma_n stays above about 1e-11 sigma_1
+    (the slack over the 1% tolerance), so exact truncations such as a
+    dilation's pay both sketches on top of the full SVDs; the README lists
+    the power passes the benchmark matrices need.  A non-finite N0 matrix
+    raises before the 2*N0 build.
     """
     if n0 < 16:
         raise ValueError("doubling diagnostics start at N0 >= 16")
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # the work item holds the only reference to the N0 matrix and the
-        # worker drops it once it has run, so the matrix is freed as soon as
-        # its SVD returns
-        small = pool.submit(singular_spectrum, build(n0))
+    big = None
+    if n0 > _SKETCH_RANK:
         try:
-            big = build(2 * n0)
-        finally:
-            # raises an error of the N0 SVD in preference to one of the build
-            s_small = small.result()
-    # the sketch, stopped at the first power pass that decides; a
-    # non-finite matrix goes straight to singular_spectrum, which raises
-    if n0 > _SKETCH_RANK and np.all(np.isfinite(big.matrix)):
-        try:
+            s_small, e = next(_leading_values(_finite(build(n0)).matrix,
+                                              _SKETCH_RANK))
+            small_lo, small_hi = _weyl_intervals(s_small, e)
+            big = _finite(build(2 * n0))
+            # stopped at the first power pass that decides
             for s, e in _leading_values(big.matrix, _SKETCH_RANK):
-                # Weyl intervals, s_n = 0 past k, every end widened by the
-                # slack
-                s_n = np.pad(s, (0, n0 - len(s)))
-                hi = np.sqrt(s_n ** 2 + e ** 2)
-                slack = _ROUNDING_SLACK * hi[0]
-                horizon = _scan_horizon(s_small.values,
-                                        np.maximum(s_n - slack, 0.0),
-                                        hi + slack)
-                if horizon is not None:
-                    return replace(s_small, horizon=horizon)
+                horizon = _scan_horizon(small_lo, small_hi,
+                                        *_weyl_intervals(s, e))
+                if horizon is not None and horizon < _SKETCH_RANK:
+                    return SingularSpectrum(s_small, order=n0,
+                                            horizon=horizon)
         except np.linalg.LinAlgError:
             pass
-    # the exact values of a full SVD always decide
-    b = singular_spectrum(big).values
-    return replace(s_small, horizon=_scan_horizon(s_small.values, b, b))
+    # the exact values of full SVDs always decide
+    b = singular_spectrum(build(2 * n0) if big is None else big).values
+    del big
+    a = singular_spectrum(build(n0)).values
+    return SingularSpectrum(a, order=n0, horizon=_scan_horizon(a, a, b, b))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,9 @@ class TestSpectrum:
     # N=256 runs the blocked FFT power build of one term (rewritten when the
     # build went from one column to 8 per batched inverse FFT: the horizon
     # stayed, every value moved by under 2e-17 sigma_1); both bases are
-    # dense, so exact tables for sparse bases leave these bytes alone
+    # dense, so exact tables for sparse bases leave these bytes alone.
+    # Rewritten again when the N0 side became a sketch: 128 rows, N and the
+    # horizon (2 and 6) kept, sigma_1 ... sigma_40 within 6e-16 sigma_1
     @pytest.mark.parametrize("extra, fname", [
         ([], "spectrum_corner_N256.csv"),
         (["--weight", "weight_power(alpha=1)"],
@@ -88,10 +90,12 @@ class TestDiffSpectrum:
         assert spectrum.sigma(1) == pytest.approx(0.25, abs=1e-12)
 
     def test_corner_csv_bytes_pinned(self, tmp_path):
-        # N=256 decides the horizon on the leading 2*N0 values; the file was
-        # written with the horizon from a full SVD, and rewritten for the
-        # blocked FFT build (horizon 6 kept, every value within 1.2e-15
-        # sigma_1, a rounding move of the two terms of size 1)
+        # N=256 decides the horizon on the leading N0 and 2*N0 values; the
+        # file was written with the horizon from a full SVD, rewritten for
+        # the blocked FFT build (horizon 6 kept, every value within 1.2e-15
+        # sigma_1, a rounding move of the two terms of size 1), and again
+        # for the N0 sketch (128 rows, horizon 6 kept, sigma_1 ... sigma_40
+        # within 9e-16 sigma_1)
         code = run(["diff-spectrum", "--phi", "corner_map",
                     "--psi", "corner_perturbation(c=0.01)", "--N", "256"],
                    tmp_path)

@@ -372,6 +372,27 @@ class TestBidiscTriangular:
         with pytest.raises(ValueError, match="128 needs N >= 128, got N=127"):
             _run_triangular(c=0.01, n_trunc=127)
 
+    def test_spectrum_shorter_than_a_block_rejected(self):
+        # N0 = 64 spectra hold sigma_1 ... sigma_64, and the default
+        # schedule's last block reads sigma_128
+        spectra = {key: cd.convergence_horizon(build, 64) for key, build in (
+            ("diff_spectrum", lambda m: cd.difference_matrix(
+                cd.corner_map(), cd.corner_perturbation(0.01), m)),
+            ("phi0_spectrum", lambda m: cd.composition_matrix(
+                cd.corner_map(), m)),
+            ("phi1_spectrum", lambda m: cd.composition_matrix(
+                cd.corner_perturbation(0.01), m)))}
+        with pytest.raises(ValueError, match="128 needs sigma_128, but the "
+                           "difference spectrum holds 64 values"):
+            cd.run_bidisc("triangular", c=0.01, n_trunc=128, **spectra)
+
+    def test_block_past_the_sketched_values_rejected(self):
+        # above N = 128 a doubling spectrum holds the 128 sketched values,
+        # so K = 8 (block size 256) is refused even at N = 256
+        with pytest.raises(ValueError, match="256 needs sigma_256, but the "
+                           "difference spectrum holds 128 values"):
+            _run_triangular(c=0.01, n_trunc=256, k_range=range(3, 9))
+
 
 def _small_triangular():
     return _run_triangular(c=0.01, n_trunc=64, k_range=range(1, 4))

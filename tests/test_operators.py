@@ -394,7 +394,8 @@ class TestHorizon:
 
 
 def _full_svd_horizon(small, big):
-    """The horizon scan against a full SVD of the 2*N0 matrix."""
+    """The horizon scan of exact N0 values against a full SVD of the 2*N0
+    matrix."""
     full = np.linalg.svd(big, compute_uv=False)
     floor = 1e-14 * max(full[0], 1e-300)
     horizon = 0
@@ -424,15 +425,15 @@ CERTIFIED_CASES = {
 
 
 def _spy_on_spectra(mp):
-    """Record the sketch sizes, every pass each sketch yields, and the SVD
-    orders convergence_horizon uses."""
+    """Record the order and size of every sketch, every pass each sketch
+    yields, and the SVD orders convergence_horizon uses."""
     calls = {"leading": [], "svd": []}
     real_leading = operators._leading_values
     real_svd = operators.singular_spectrum
 
     def spy_leading(matrix, k):
         passes = []
-        calls["leading"].append((k, passes))
+        calls["leading"].append((matrix.shape[0], k, passes))
         for out in real_leading(matrix, k):
             passes.append(out)
             yield out
@@ -448,16 +449,18 @@ def _spy_on_spectra(mp):
 
 @pytest.fixture(scope="module")
 def certified_runs():
-    """convergence_horizon at N0 = 256 and 512, against a full 2*N0 SVD."""
+    """convergence_horizon at N0 = 256 and 512, against full SVDs at both
+    orders."""
     runs = {}
     for n0 in (256, 512):
         for name, build in CERTIFIED_CASES.items():
             with pytest.MonkeyPatch.context() as mp:
                 calls = _spy_on_spectra(mp)
                 spectrum = cd.convergence_horizon(build, n0)
-            horizon, full = _full_svd_horizon(spectrum.values,
-                                              build(2 * n0).matrix)
-            runs[name, n0] = (spectrum, calls, horizon, full)
+            small = np.linalg.svd(build(n0).matrix, compute_uv=False)
+            horizon, big = _full_svd_horizon(small, build(2 * n0).matrix)
+            runs[name, n0] = (spectrum, calls, horizon,
+                              {n0: small, 2 * n0: big})
     return runs
 
 
@@ -465,27 +468,36 @@ class TestCertifiedHorizon:
     @pytest.mark.parametrize("n0", [256, 512])
     @pytest.mark.parametrize("name", list(CERTIFIED_CASES))
     def test_horizon_equals_full_svd_path(self, certified_runs, name, n0):
-        spectrum, calls, horizon, _ = certified_runs[name, n0]
+        spectrum, calls, horizon, full = certified_runs[name, n0]
         assert spectrum.horizon == horizon
-        # decided on the first sketch, without an SVD of the 2*N0 matrix
-        assert [k for k, _ in calls["leading"]] == [operators._SKETCH_RANK]
-        assert calls["svd"] == [n0]
-        # and before its first power pass: a sketch that ran on past the
-        # deciding pass would yield more
-        (_, passes), = calls["leading"]
-        assert len(passes) == 1
+        # decided on two sketches, N0 then 2*N0, without a full SVD
+        k = operators._SKETCH_RANK
+        assert [(order, size) for order, size, _ in calls["leading"]] == [
+            (n0, k), (2 * n0, k)]
+        assert calls["svd"] == []
+        # each before its first power pass: a sketch that ran on past the
+        # pass it needed would yield more
+        assert [len(passes) for *_, passes in calls["leading"]] == [1, 1]
+        # the spectrum holds the N0 sketch's k values, the lower ends of
+        # their intervals, and matches LAPACK inside the horizon
+        (s, _), = calls["leading"][0][2]
+        assert spectrum.order == n0
+        assert spectrum.values.tobytes() == s.tobytes()
+        np.testing.assert_allclose(spectrum.values[:horizon],
+                                   full[n0][:horizon], rtol=1e-9)
 
     @pytest.mark.parametrize("n0", [256, 512])
     @pytest.mark.parametrize("name", list(CERTIFIED_CASES))
     def test_full_svd_values_inside_weyl_intervals(self, certified_runs,
                                                    name, n0):
         _, calls, _, full = certified_runs[name, n0]
-        (k, passes), = calls["leading"]
-        slack = 1e-13 * full[0]
-        for s, e in passes:
-            assert np.all(full[:k] >= s - slack)
-            assert np.all(full[:k] <= np.sqrt(s ** 2 + e ** 2) + slack)
-            assert np.all(full[k:] <= e + slack)
+        for order, k, passes in calls["leading"]:
+            exact = full[order]
+            slack = 1e-13 * exact[0]
+            for s, e in passes:
+                assert np.all(exact[:k] >= s - slack)
+                assert np.all(exact[:k] <= np.sqrt(s ** 2 + e ** 2) + slack)
+                assert np.all(exact[k:] <= e + slack)
 
     def test_complex_and_real_sketches(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -537,54 +549,80 @@ class TestCertifiedHorizon:
                                               step, deciding):
         # sigma_n = ratio**n at both orders except that the 2*N0 values drop
         # by 10% from index ``step`` on; the slower the decay, the more
-        # passes the intervals need before they decide the drop
+        # passes the 2*N0 intervals need before they decide the drop.  The
+        # N0 matrix has rank k, so its sketch is exact before any pass
         calls = _spy_on_spectra(monkeypatch)
 
         def values_at(m):
             v = ratio ** np.arange(m)
             if m == 512:
                 v[step:] *= 0.9
+            else:
+                v[operators._SKETCH_RANK:] = 0.0
             return v
 
         spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
-        (_, passes), = calls["leading"]
+        (n0, _, small_passes), (n1, _, passes) = calls["leading"]
+        assert (n0, n1) == (256, 512)
+        assert len(small_passes) == 1
         assert len(passes) == deciding + 1
-        assert calls["svd"] == [256]
+        assert calls["svd"] == []
         assert spectrum.horizon == step
+
+    def test_loose_n0_sketch_falls_back(self, monkeypatch):
+        # sigma_n = 0.97**n: the N0 sketch's intervals before any power pass
+        # are wider than the 1% test near the drop at index 20, so no 2*N0
+        # pass decides and full SVDs give the horizon
+        calls = _spy_on_spectra(monkeypatch)
+
+        def values_at(m):
+            v = 0.97 ** np.arange(m)
+            if m == 512:
+                v[20:] *= 0.9
+            return v
+
+        spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
+        assert [len(passes) for *_, passes in calls["leading"]] == [
+            1, operators._POWER_ITERATIONS + 1]
+        assert calls["svd"] == [512, 256]
+        assert spectrum.horizon == 20 and len(spectrum) == 256
 
     def test_slow_tail_falls_back(self, monkeypatch):
         calls = _spy_on_spectra(monkeypatch)
 
         def values_at(m):
             # a flat tail of 1e-3 past index 128 and the same values at both
-            # orders: the first 128 comparisons pass, and at index 129 the
-            # interval [0, e] holds sigma_129 while failing at both ends, so
-            # the fallback runs on the 2*N0 matrix
+            # orders: all 128 comparisons the sketches hold pass, so the
+            # horizon may reach past them, and the fallback runs full SVDs
             v = np.full(m, 1e-3)
             v[:128] = 0.99 ** np.arange(128)
             return v
 
         spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
-        (k, passes), = calls["leading"]
-        assert k == 128
+        (n0, k, small_passes), (n1, _, passes) = calls["leading"]
+        assert (n0, n1, k) == (256, 512, 128)
+        assert len(small_passes) == 1
         assert len(passes) == operators._POWER_ITERATIONS + 1
-        assert calls["svd"] == [256, 512]
-        assert spectrum.horizon == 256
+        assert calls["svd"] == [512, 256]
+        assert spectrum.horizon == len(spectrum) == 256
 
     @pytest.mark.parametrize("n0", [256, 512])
-    def test_dilation_falls_back_after_one_sketch(self, monkeypatch, n0):
+    def test_dilation_falls_back_after_both_sketches(self, monkeypatch, n0):
         # exact truncations: sigma_n = 0.5**n at both orders, so the passes
         # reach below the level (about 1e-11 sigma_1) where the rounding
-        # slack lets a pass be certified; one sketch through every power
-        # pass, then the full SVD
+        # slack lets a pass be certified; both sketches, the 2*N0 one
+        # through every power pass, then full SVDs at both orders
         calls = _spy_on_spectra(monkeypatch)
         build = lambda m: cd.composition_matrix(cd.dilation(0.5), m)
         spectrum = cd.convergence_horizon(build, n0)
-        (k, passes), = calls["leading"]
-        assert k == operators._SKETCH_RANK
+        (order0, k, small_passes), (order1, _, passes) = calls["leading"]
+        assert (order0, order1, k) == (n0, 2 * n0, operators._SKETCH_RANK)
+        assert len(small_passes) == 1
         assert len(passes) == operators._POWER_ITERATIONS + 1
-        assert calls["svd"] == [n0, 2 * n0]
-        horizon, _ = _full_svd_horizon(spectrum.values, build(2 * n0).matrix)
+        assert calls["svd"] == [2 * n0, n0]
+        small = cd.singular_spectrum(build(n0)).values
+        assert spectrum.values.tobytes() == small.tobytes()
+        horizon, _ = _full_svd_horizon(small, build(2 * n0).matrix)
         assert spectrum.horizon == horizon > 37
 
     def test_non_finite_2n0_matrix_raises(self):
@@ -603,15 +641,59 @@ class TestCertifiedHorizon:
         first = cd.convergence_horizon(build, 256)
         second = cd.convergence_horizon(build, 256)
         assert first.horizon == second.horizon == 6
+        assert first.values.tobytes() == second.values.tobytes()
         after = np.random.get_state()
         assert state[0] == after[0] and np.array_equal(state[1], after[1])
         assert state[2:] == after[2:]
 
 
+def _scan_violations(scan, trials):
+    """Decisions of ``scan`` on random interval inputs that a sampled oracle
+    contradicts, and the number of decided passes and failures whose
+    intervals were not points.
+
+    Each comparison's rectangle [small_lo, small_hi] x [lo, hi] is sampled
+    on a 5 x 5 grid (corners included), the floor at five points of its
+    range; a decided pass must pass at every sample, a decided failure must
+    fail at every one.
+    """
+    rng = np.random.default_rng(RNG_SEED)
+    violations, passes, failures = [], 0, 0
+    for trial in range(trials):
+        n = int(rng.integers(1, 40))
+        # true values, some near the floor of the 1% test, and relative
+        # interval widths up to one scale per trial
+        big = np.sort(10.0 ** rng.uniform(-17, 0, n))[::-1]
+        small = big * (1 + rng.choice([0.0, 3e-3, 2e-2], n)
+                       * rng.standard_normal(n))
+        scale = rng.choice([0.0, 1e-3, 5e-3, 2e-2])
+        lo, hi, small_lo, small_hi = (
+            v * (1 + sign * scale * rng.random(n))
+            for v, sign in ((big, -1), (big, 1), (small, -1), (small, 1)))
+        horizon = scan(small_lo, small_hi, lo, hi)
+        if horizon is None:
+            continue
+        floors = 1e-14 * np.linspace(lo[0], hi[0], 5)
+        decided = [(i, True) for i in range(horizon)]
+        if horizon < n:
+            decided.append((horizon, False))
+        for i, want in decided:
+            a = np.linspace(small_lo[i], small_hi[i], 5)[:, None, None]
+            b = np.linspace(lo[i], hi[i], 5)[None, :, None]
+            ok = np.abs(a - b) <= 1e-2 * np.maximum(b, floors[None, None, :])
+            wide = small_lo[i] < small_hi[i] or lo[i] < hi[i]
+            passes += int(want and wide)
+            failures += int(not want and wide)
+            if not np.all(ok == want):
+                violations.append((trial, i, want))
+    return violations, passes, failures
+
+
 class TestScanHorizon:
     def test_exact_values_always_decide(self):
-        # the full-SVD fallback passes exact values (lo = hi): the scan must
-        # return a horizon, never None, also for values below the floor
+        # the full-SVD fallback passes exact values (lo = hi on both sides):
+        # the scan must return a horizon, never None, also for values below
+        # the floor
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(300):
             n = int(rng.integers(1, 80))
@@ -620,70 +702,86 @@ class TestScanHorizon:
             big = np.sort(big)[::-1]
             noise = rng.choice([0.0, 1e-3, 5e-2], n) * rng.standard_normal(n)
             small = np.sort(np.abs(big * (1 + noise)))[::-1]
-            horizon = operators._scan_horizon(small, big, big)
+            horizon = operators._scan_horizon(small, small, big, big)
             assert isinstance(horizon, int)
             floor = 1e-14 * max(big[0], 1e-300)
             assert horizon == next(
                 (i for i, (a, b) in enumerate(zip(small, big))
                  if abs(a - b) > 1e-2 * max(b, floor)), n)
 
+    def test_interval_decisions_hold_at_every_sample(self):
+        # interval N0 sides as the N0 sketch gives them: every decided
+        # pass passes, and every decided failure fails, over the whole
+        # rectangle and floor range; the inputs reach both kinds of decision
+        violations, passes, failures = _scan_violations(
+            operators._scan_horizon, 2000)
+        assert violations == []
+        assert passes > 1000 and failures > 100
 
-def _sequential_horizon(build, n0):
-    """The N0 SVD, then the 2*N0 build, one after the other on this thread."""
-    small = cd.singular_spectrum(build(n0))
-    horizon, _ = _full_svd_horizon(small.values, build(2 * n0).matrix)
-    return small.values, horizon
+    def test_floor_range_can_leave_a_comparison_open(self):
+        # sigma_1 of the 2*N0 side lies in [1, 1.015], so the floor lies in
+        # [1e-14, 1.015e-14]; a gap of 1.008e-16 at b = 2e-16, on either
+        # side, fails at the lowest floor and passes at the highest, so it
+        # is not decided
+        for sign in (1, -1):
+            a = np.array([1.008, 2e-16 + sign * 1.008e-16])
+            lo, hi = np.array([1.0, 2e-16]), np.array([1.015, 2e-16])
+            assert operators._scan_horizon(a, a, lo, hi) is None
+            assert operators._scan_horizon(a, a, lo, lo) == 1
 
 
-class TestOverlap:
-    @pytest.mark.parametrize("name", ["corner diff", "smooth 3.0"])
-    def test_matches_sequential_oracle(self, name):
-        build = CERTIFIED_CASES[name]
-        spectrum = cd.convergence_horizon(build, 256)
-        values, horizon = _sequential_horizon(build, 256)
-        assert spectrum.values.tobytes() == values.tobytes()
-        assert spectrum.horizon == horizon
+class TestOneThread:
+    """convergence_horizon runs on the caller's thread and holds one matrix
+    at a time."""
 
-    def test_2n0_build_error_propagates_and_worker_ends(self):
+    def test_no_thread_starts(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def spy_start(thread):
+            started.append(thread)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        for n0 in (64, 256):
+            cd.convergence_horizon(CERTIFIED_CASES["corner diff"], n0)
+        assert started == []
+
+    def test_n0_matrix_freed_before_the_2n0_build(self):
+        refs, alive = [], []
+
         def build(m):
             if m == 512:
-                raise RuntimeError("2*N0 build failed")
-            return cd.composition_matrix(cd.half_map(), m)
-
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="2\\*N0 build failed"):
-            cd.convergence_horizon(build, 256)
-        assert threading.active_count() == before
-
-    def test_n0_matrix_released_before_the_sketch(self, monkeypatch):
-        # the N0 matrix must not be held next to the 2*N0 matrix and its
-        # sketch buffers
-        refs, alive = [], []
-        real_leading = operators._leading_values
-
-        def build(m):
+                alive.append(refs[0]() is not None)
             op = cd.composition_matrix(cd.corner_map(), m)
             refs.append(weakref.ref(op))
             return op
 
-        def spy_leading(matrix, k):
-            alive.append(refs[0]() is not None)
-            return real_leading(matrix, k)
-
-        monkeypatch.setattr(operators, "_leading_values", spy_leading)
-        cd.convergence_horizon(build, 256)
+        spectrum = cd.convergence_horizon(build, 256)
         assert alive == [False]
+        assert spectrum.horizon == 2  # decided on the sketches
 
-    def test_n0_svd_error_wins_over_2n0_build_error(self):
+    def test_nan_in_n0_matrix_raises_before_the_2n0_build(self):
+        orders = []
+
         def build(m):
-            if m == 512:
-                raise RuntimeError("2*N0 build failed")
+            orders.append(m)
             return cd.TruncatedOperator(np.full((m, m), np.nan))
 
-        before = threading.active_count()
         with pytest.raises(NumericalBreakdown):
             cd.convergence_horizon(build, 256)
-        assert threading.active_count() == before
+        assert orders == [256]
+
+    @pytest.mark.parametrize("n0", [64, 128])
+    @pytest.mark.parametrize("name", ["corner diff", "smooth 3.0"])
+    def test_small_orders_keep_the_full_svd(self, name, n0):
+        # up to N0 = 128 the spectrum is a full SVD, bit for bit
+        build = CERTIFIED_CASES[name]
+        spectrum = cd.convergence_horizon(build, n0)
+        small = cd.singular_spectrum(build(n0)).values
+        horizon, _ = _full_svd_horizon(small, build(2 * n0).matrix)
+        assert spectrum.values.tobytes() == small.tobytes()
+        assert spectrum.horizon == horizon
 
 
 class TestAlgebra:
