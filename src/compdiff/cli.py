@@ -287,6 +287,8 @@ def cmd_bidisc(args) -> int:
     result = args.run()
     out = resolve_outdir(args)
     path = result.write(out)
+    for label, spectrum in result.spectra.items():
+        print(f"{label}: N={spectrum.order} horizon={spectrum.horizon}")
     print(f"bidisc {args.kind}: verdicts {result.verdicts}")
     print(f"wrote {path}")
     return 0

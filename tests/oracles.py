@@ -11,8 +11,8 @@ import numpy as np
 from compdiff.bounds import _SUP_SAMPLES, _sup_values, boundary_sup
 from compdiff.hardy import (as_points, cumulative_hyperbolic_length,
                             pseudo_distance_array)
-from compdiff.operators import (_POWER_ITERATIONS, _SKETCH_SEED,
-                                difference_matrix)
+from compdiff.operators import (_POWER_ITERATIONS, _SKETCH_SEED, _table,
+                                difference_matrix, tensor_spectrum)
 from compdiff.series import eval_array
 
 
@@ -105,6 +105,31 @@ def tensor_values_walk(s, t, count):
             break
         horizon += 1
     return values, horizon
+
+
+def kronecker_mismatch(a, b, sa, sb):
+    """Largest gap between the singular values of ``kron(a, b)`` and
+    ``tensor_spectrum(sa, sb)``, relative to the largest singular value."""
+    direct = np.linalg.svd(np.kron(a, b), compute_uv=False)
+    via = tensor_spectrum(sa, sb, len(direct)).values
+    return float(np.abs(via - direct).max() / max(direct[0], 1e-300))
+
+
+def glued_difference_matrix(phi, psi, m):
+    """Truncation of C_Phi - C_Psi for glued symbols (f(z1, z2) -> f(phi, phi)).
+
+    Basis z1^j z2^k with j, k < m, packed as index j*m + k; the image of
+    every monomial depends on z1 alone, so all rows with z2-degree > 0
+    vanish.  The m^2 x m^2 matrix that the glued driver's column-scaled
+    one-variable table replaces.
+    """
+    # column s holds the first m coefficients of phi**s - psi**s
+    diff = _table([(None, phi), (None, psi)], m, 2 * m - 1)
+    out = np.zeros((m * m, m * m), dtype=diff.dtype)
+    # rows (p, q=0) sit at index p*m; basis column j*m + k takes diff[:, j + k]
+    j, k = divmod(np.arange(m * m), m)
+    out[::m] = diff[:, j + k]
+    return out
 
 
 def kernel_gram(points):

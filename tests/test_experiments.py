@@ -10,9 +10,12 @@ import compdiff as cd
 from compdiff import experiments
 from compdiff.errors import WindowExceedsHorizon, ZeroInWindow
 from compdiff.experiments import (DecayFit, _derive_verdicts,
-                                  _kronecker_mismatch, _measurable_window,
-                                  _run_glued, _run_split, _run_triangular,
-                                  fit_series, glued_difference_matrix, recheck)
+                                  _measurable_window, _run_glued, _run_split,
+                                  _run_triangular, fit_series, recheck)
+from compdiff.operators import _table
+from compdiff.series import IntPower
+
+from oracles import glued_difference_matrix, kronecker_mismatch
 
 
 class TestFitModels:
@@ -242,7 +245,7 @@ class TestWeightedDriver:
 class TestBidiscSplit:
     def test_tensor_verdict_and_fit(self):
         result = _run_split(c=0.01, n_trunc=256)
-        assert result.verdicts["tensor_products_exact"]
+        assert set(result.verdicts) == {"square_index_rate"}
         assert "tensor" in result.spectra
         # the dilation factor keeps the trusted tensor range wide enough
         # for the square-index rate fit
@@ -277,47 +280,112 @@ class TestBidiscSplit:
         if n <= 128:
             assert doubled.values.tobytes() == recorded.values.tobytes()
 
-    def test_kronecker_check_recorded(self):
-        result = _run_split(c=0.01, n_trunc=128)
-        assert 0 <= result.details["kronecker_max_mismatch"] <= 1e-10
+    def test_tensor_rule_matches_kronecker_svd(self):
+        # the split factors at order 8, where the product matrix is cheap
+        # to factor
+        d = cd.difference_matrix(cd.corner_map(), cd.corner_perturbation(0.01), 8)
+        f = cd.composition_matrix(cd.dilation(0.5), 8)
+        sd, sf = cd.singular_spectrum(d), cd.singular_spectrum(f)
+        assert 0 <= kronecker_mismatch(d.matrix, f.matrix, sd, sf) <= 1e-10
 
     def test_perturbed_factor_spectrum_fails_kronecker_check(self):
         d = cd.difference_matrix(cd.corner_map(), cd.corner_perturbation(0.01), 8)
         f = cd.composition_matrix(cd.dilation(0.5), 8)
         sd, sf = cd.singular_spectrum(d), cd.singular_spectrum(f)
-        assert _kronecker_mismatch(d.matrix, f.matrix, sd, sf) <= 1e-10
         bumped = sf.values.copy()
         bumped[1] *= 1 + 1e-6
-        mismatch = _kronecker_mismatch(d.matrix, f.matrix, sd,
-                                       cd.SingularSpectrum(bumped, order=8))
+        mismatch = kronecker_mismatch(d.matrix, f.matrix, sd,
+                                      cd.SingularSpectrum(bumped, order=8))
         assert mismatch > 1e-10
-        verdicts = _derive_verdicts("bidisc_split", {}, {}, {},
-                                    {"kronecker_max_mismatch": mismatch})
-        assert verdicts == {"tensor_products_exact": False}
 
-    def test_recheck_round_trip(self, tmp_path):
-        result = _run_split(c=0.01, n_trunc=128)
+    # split N=128 has too few trusted squares for a fit, so neither run
+    # records a fit source or a verdict
+    @pytest.mark.parametrize("run", [
+        lambda: _run_split(c=0.01, n_trunc=128),
+        lambda: _run_glued(c=0.01, n_trunc=32)], ids=["split", "glued"])
+    def test_recheck_round_trip(self, tmp_path, run):
+        result = run()
         result.write(tmp_path)
-        assert recheck(tmp_path) == result.verdicts
+        assert "fit_sources" not in result.details
+        assert recheck(tmp_path) == result.verdicts == {}
+
+
+def _series_powers(symbol, m):
+    """m x m table with column j the first m coefficients of symbol**j, from
+    the series module's powers (repeated squaring), independent of the
+    column recursion of ``operators._table``."""
+    return np.stack([
+        cd.taylor_array(cd.Symbol("s^j", IntPower(symbol.expr, j)), m)
+        for j in range(m)], axis=1)
+
+
+def _restriction_gap(glued, m=8):
+    """Largest gap between the z2-degree-0 block of the glued corner-pair
+    matrix and the series powers: with the basis packed as
+    (z1 degree) * m + (z2 degree), the block sits at rows and columns that
+    are multiples of m, and its column j holds the coefficients of
+    phi**j - psi**j."""
+    idx = np.arange(m) * m
+    oracle = (_series_powers(cd.corner_map(), m)
+              - _series_powers(cd.corner_perturbation(0.01), m))
+    return float(np.abs(glued[np.ix_(idx, idx)] - oracle).max())
+
+
+def _glued_gap(m, weights):
+    """Largest gap, relative to sigma_1, between the leading 8 singular
+    values of the m^2 x m^2 glued matrix and those of the m x (2m - 1)
+    difference table with column s scaled by ``weights(s)``."""
+    phi, psi = cd.corner_map(), cd.corner_perturbation(0.01)
+    full = np.linalg.svd(glued_difference_matrix(phi, psi, m),
+                         compute_uv=False)[:8]
+    table = _table([(None, phi), (None, psi)], m, 2 * m - 1)
+    scaled = np.linalg.svd(table * weights(np.arange(2 * m - 1)),
+                           compute_uv=False)[:8]
+    return float(np.abs(full - scaled).max() / full[0])
+
+
+def _multiplicity(m):
+    # the number of z1^j z2^k with j, k < m and j + k = s
+    return lambda s: np.minimum(s + 1, 2 * m - 1 - s)
 
 
 class TestBidiscGlued:
-    def test_restriction_identity(self):
-        result = _run_glued(c=0.01, n_trunc=32)
-        assert result.verdicts["restriction_identity"]
-        assert result.details["restriction_max_error"] <= 1e-12
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_multiplicity_identity(self, m):
+        # D D* on the m^2 truncation counts the monomials of each total
+        # degree, so the glued matrix has the singular values of the table
+        # with column s scaled by the square root of that count
+        assert _glued_gap(m, lambda s: np.sqrt(_multiplicity(m)(s))) <= 1e-10
 
-    def test_mispacked_matrix_fails_restriction(self, monkeypatch):
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("weights", ["unscaled", "counts"])
+    def test_wrong_scale_fails_multiplicity_identity(self, m, weights):
+        # a mispacked basis only permutes rows and columns, which the SVD
+        # cannot see; a wrong column scale can be seen
+        scale = {"unscaled": lambda s: np.ones_like(s),
+                 "counts": _multiplicity(m)}[weights]
+        assert _glued_gap(m, scale) > 1e-10
+
+    def test_driver_uses_the_scale(self):
+        phi, psi = cd.corner_map(), cd.corner_perturbation(0.01)
+        scaled = (cd.difference_matrix(phi, psi, 64).matrix
+                  * np.sqrt(np.arange(1, 65)))
+        expected = np.linalg.svd(scaled, compute_uv=False)
+        spectrum = _run_glued(c=0.01, n_trunc=64).spectra["glued"]
+        assert spectrum.values.tobytes() == expected.tobytes()
+
+    def test_restriction_identity(self):
+        glued = glued_difference_matrix(cd.corner_map(),
+                                        cd.corner_perturbation(0.01), 8)
+        assert _restriction_gap(glued) <= 1e-12
+
+    def test_mispacked_matrix_fails_restriction(self):
         # pack the basis as (z2 degree) * m + (z1 degree) instead: the
         # z2-degree-0 block then reads the vanishing rows
-        def mispacked(phi, psi, m):
-            perm = np.arange(m * m).reshape(m, m).T.ravel()
-            return glued_difference_matrix(phi, psi, m)[np.ix_(perm, perm)]
-
-        monkeypatch.setattr(experiments, "glued_difference_matrix", mispacked)
-        result = _run_glued(c=0.01, n_trunc=32)
-        assert not result.verdicts["restriction_identity"]
-        assert result.details["restriction_max_error"] > 1e-3
+        glued = glued_difference_matrix(cd.corner_map(),
+                                        cd.corner_perturbation(0.01), 8)
+        perm = np.arange(64).reshape(8, 8).T.ravel()
+        assert _restriction_gap(glued[np.ix_(perm, perm)]) > 1e-3
 
     def test_glued_matrix_shape(self):
         m = glued_difference_matrix(cd.corner_map(), cd.corner_perturbation(0.01), 4)
@@ -428,7 +496,7 @@ class TestRecheckFits:
         monkeypatch.setattr(experiments, "_derive_verdicts", spy)
         assert recheck(tmp_path) == result.verdicts
         assert seen == result.fits
-        assert set(result.details["fit_sources"]) == set(result.fits)
+        assert set(result.details.get("fit_sources", {})) == set(result.fits)
         if driver != "glued":  # the glued driver fits nothing
             assert result.fits
 

@@ -121,7 +121,7 @@ def _oracle_table(terms, n, cols):
 
 class TestBlockedPowers:
     # both orders on the FFT path; cols at the block edges, the square table
-    # and the glued table's 2n - 1
+    # and the glued oracle's 2n - 1
     @pytest.mark.parametrize("n, cols", [
         (n, cols) for n in (129, 300)
         for cols in (1, 2, _B, _B + 1, 2 * _B + 1, n, 2 * n - 1)])
