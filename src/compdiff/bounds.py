@@ -24,9 +24,12 @@ All unspecified absolute constants are dropped: every certificate carries a
 ``constants: unspecified`` flag and downstream comparisons are rate (slope)
 comparisons, never absolute dominations.  Boundary suprema are dense-grid
 samples with one refinement doubling.  The coarse grid is a subset of the fine
-one, bit for bit, so every supremum is evaluated once, on the fine grid, and
+one, bit for bit, so every supremum is sampled once, on the fine grid, and
 one helper reads each sup as (coarse, fine, empty) off the kept fine-grid
 points, and the upper flags (2% stability, empty sets) come from those triples.
+The r-independent boundary arrays (w, |omega o phi| and each |phi|) are
+computed once per symbol, or symbol pair, and process; a certificate builds
+only its r-dependent sublevel mask.
 
 Every bound is one ``Certificate`` type, whose ``kind`` is ``lower``,
 ``weighted_lower``, ``upper`` or ``weighted_upper``: the constant-free value,
@@ -77,6 +80,23 @@ def _sup_values(symbol: Symbol, side: int) -> np.ndarray:
     values = eval_boundary(symbol, sup_grid(side))
     values.setflags(write=False)
     return values
+
+
+@functools.lru_cache(maxsize=128)
+def _sup_moduli(symbol: Symbol, side: int) -> np.ndarray:
+    """Cached |symbol| on the densified supremum grid."""
+    moduli = np.abs(_sup_values(symbol, side))
+    moduli.setflags(write=False)
+    return moduli
+
+
+@functools.lru_cache(maxsize=16)
+def _composed_moduli(omega: Symbol, phi: Symbol) -> np.ndarray:
+    """Cached |omega o phi| on the fine supremum grid, non-finite values as 0."""
+    moduli = np.abs(eval_array(omega, _sup_values(phi, 2 * _SUP_SAMPLES)))
+    moduli[~np.isfinite(moduli)] = 0.0
+    moduli.setflags(write=False)
+    return moduli
 
 
 _W_DEN_FLOOR = 1e-12
@@ -251,9 +271,9 @@ def lower_certificate(phi: Symbol, psi: Symbol, points) -> Certificate:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=512)
-def _level_curve(phi: Symbol, r: float,
-                 samples_per_side: int = 4096) -> np.ndarray:
-    """Ordered samples of phi({z on T : |phi(z)| <= r}).
+def _level_curve(phi: Symbol, r: float, samples_per_side: int = 4096) -> tuple:
+    """Ordered samples of phi({z on T : |phi(z)| <= r}) and their cumulative
+    hyperbolic arc length, both read-only.
 
     The sublevel set is decomposed into circular runs of consecutive kept
     grid samples (a run break means grid points with |phi| > r sit in
@@ -262,7 +282,7 @@ def _level_curve(phi: Symbol, r: float,
     endpoints of consecutive runs reports the level set disconnected.
     """
     values = _sup_values(phi, samples_per_side)
-    keep = np.isfinite(values) & (np.abs(values) <= r)
+    keep = _sup_moduli(phi, samples_per_side) <= r  # false where not finite
     if not np.any(keep):
         raise ValueError(f"sublevel set |{phi.name}| <= {r} is empty on the circle")
 
@@ -283,8 +303,10 @@ def _level_curve(phi: Symbol, r: float,
             f"(pseudohyperbolic gap {far[0]:.3g})")
 
     curve = values[idx]
+    length = cumulative_hyperbolic_length(curve)
     curve.setflags(write=False)
-    return curve
+    length.setflags(write=False)
+    return curve, length
 
 
 def blaschke_zeros_for_symbol(phi: Symbol, r: float, n: int) -> BlaschkeProduct:
@@ -301,10 +323,9 @@ def blaschke_zeros_for_symbol(phi: Symbol, r: float, n: int) -> BlaschkeProduct:
         raise ValueError("n must be at least 1")
     if n == 1:
         return BlaschkeProduct(np.empty(0, dtype=complex))
-    curve = _level_curve(phi, r)
+    curve, s = _level_curve(phi, r)
     if len(curve) == 1:
         return BlaschkeProduct(np.repeat(curve, n - 1))
-    s = cumulative_hyperbolic_length(curve)
     total = s[-1]
     if n == 2:
         targets = np.array([total / 2])
@@ -319,8 +340,9 @@ def blaschke_zeros_for_symbol(phi: Symbol, r: float, n: int) -> BlaschkeProduct:
 # upper certificates
 # ---------------------------------------------------------------------------
 
-def _blaschke_peak_candidates(zeros: np.ndarray, curve: np.ndarray) -> np.ndarray:
-    """Curve points midway (in arc length) between consecutive zeros.
+def _blaschke_peak_candidates(zeros: np.ndarray, curve: np.ndarray,
+                              s: np.ndarray) -> np.ndarray:
+    """Curve points midway (in arc length ``s``) between consecutive zeros.
 
     |B| peaks between neighbouring zeros along the curve; boundary-grid
     images alone can miss those peaks when the grid is hyperbolically coarse
@@ -328,7 +350,6 @@ def _blaschke_peak_candidates(zeros: np.ndarray, curve: np.ndarray) -> np.ndarra
     """
     if len(curve) < 2 or len(zeros) == 0:
         return curve
-    s = cumulative_hyperbolic_length(curve)
     # locate zeros along the curve by nearest sample
     idx = np.abs(curve[None, :] - zeros[:, None]).argmin(axis=1)
     pos = np.sort(s[idx])
@@ -383,11 +404,11 @@ def _blaschke_sups(zeros: BlaschkeProduct, symbol: Symbol, r: float,
     peak = 0.0
     if moduli.size:
         try:
-            curve = _level_curve(symbol, r)
+            curve, s = _level_curve(symbol, r)
         except ValueError:
             # the default curve grid is empty; take the grid that kept points
-            curve = _level_curve(symbol, r, 2 * _SUP_SAMPLES)
-        cand = _blaschke_peak_candidates(zeros.zeros, curve)
+            curve, s = _level_curve(symbol, r, 2 * _SUP_SAMPLES)
+        cand = _blaschke_peak_candidates(zeros.zeros, curve, s)
         peak = float(np.abs(blaschke_eval(zeros, cand)).max())
     return _refined_sup(moduli, inside, peak)
 
@@ -424,7 +445,7 @@ def upper_certificate(phi: Symbol, psi: Symbol, n: int, r: float,
     """
     _check_upper_args(n, r, zeros)
     w = _w_values(phi, psi, 2 * _SUP_SAMPLES)
-    in_phi, in_psi = (np.abs(_sup_values(s, 2 * _SUP_SAMPLES)) <= r
+    in_phi, in_psi = (_sup_moduli(s, 2 * _SUP_SAMPLES) <= r
                       for s in (phi, psi))
     out_phi, out_psi = ~in_phi, ~in_psi
     sups = {
@@ -583,8 +604,8 @@ def hs_norm(phi: Symbol, psi: Symbol) -> HsIntegral:
 
 def boundary_sup(symbol: Symbol) -> float:
     """Sampled sup-norm on the circle (equals the disc sup-norm for H^inf)."""
-    values = np.abs(_sup_values(symbol, _SUP_SAMPLES))
-    return float(values[np.isfinite(values)].max())
+    moduli = _sup_moduli(symbol, _SUP_SAMPLES)
+    return float(moduli[np.isfinite(moduli)].max())
 
 
 def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
@@ -594,13 +615,14 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
     ( sup_{|phi|<=r} |B o phi|^2 ||T||^2 + delta0(r)^2 ||C_phi||^2 )^{1/2},
     delta0(r) = sup over {|phi| > r} of |omega(phi(e^{it}))|,
     with the plumbing bound ||T|| <= ||omega||_inf ||C_phi|| (flagged).
+
+    |omega o phi| (non-finite samples as 0) and |phi| are computed once per
+    symbol pair and process; each r builds only the mask {|phi| <= r}.
     """
     _check_upper_args(n, r, zeros)
-    phi_v = _sup_values(phi, 2 * _SUP_SAMPLES)
-    inside = np.abs(phi_v) <= r
+    inside = _sup_moduli(phi, 2 * _SUP_SAMPLES) <= r
     outside = ~inside
-    omega_phi = np.abs(eval_array(omega, phi_v))
-    omega_phi = np.where(np.isfinite(omega_phi), omega_phi, 0.0)
+    omega_phi = _composed_moduli(omega, phi)
     sups = {
         "B_phi": _blaschke_sups(zeros, phi, r, inside),
         "delta0": _refined_sup(omega_phi[outside], outside),

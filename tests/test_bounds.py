@@ -141,7 +141,7 @@ class TestBlaschkeZeros:
     def test_single_zero_is_hyperbolic_midpoint(self):
         zeros = cd.blaschke_zeros_for_symbol(cd.half_map(), 0.9, 2).zeros
         assert len(zeros) == 1
-        curve = _level_curve(cd.half_map(), 0.9)
+        curve, _ = _level_curve(cd.half_map(), 0.9)
         s = cumulative_hyperbolic_length(curve)
         mid = np.interp(s[-1] / 2, s, np.arange(len(curve)))
         expected = curve[int(round(mid))]
@@ -165,7 +165,7 @@ class TestBlaschkeZeros:
         # pi^2 / (2 * hyperbolic length of the level curve)
         phi = cd.half_map()
         r = 0.9
-        curve = _level_curve(phi, r)
+        curve, _ = _level_curve(phi, r)
         target = math.pi ** 2 / (2 * cumulative_hyperbolic_length(curve)[-1])
         t = np.linspace(-math.pi, math.pi, 20001)
         vals = eval_array(phi, np.exp(1j * t))
@@ -252,7 +252,7 @@ def _peak(zeros, symbol, r, side):
         curve = _level_curve(symbol, r)
     except ValueError:
         curve = _level_curve(symbol, r, 2 * side)
-    cand = bounds._blaschke_peak_candidates(zeros.zeros, curve)
+    cand = bounds._blaschke_peak_candidates(zeros.zeros, *curve)
     return float(np.abs(cd.blaschke_eval(zeros, cand)).max())
 
 
@@ -452,8 +452,8 @@ class TestFineGridSups:
             calls.append(np.asarray(z))
             return real_eval(product, z)
 
-        def spy_candidates(zeros, curve):
-            out = real_candidates(zeros, curve)
+        def spy_candidates(zeros, curve, s):
+            out = real_candidates(zeros, curve, s)
             candidates.append(out)
             return out
 
@@ -475,6 +475,84 @@ class TestFineGridSups:
                 assert np.all(np.abs(z) <= r), (n, r, sym.name)
                 assert len(z) == np.count_nonzero(
                     np.abs(_sup_values(sym, 2 * side)) <= r)
+
+
+class TestBoundaryArrayCaches:
+    WEIGHTED = (cd.weight_power(1.6), cd.half_map())
+
+    def test_weighted_search_evaluates_omega_on_phi_once(self, monkeypatch):
+        from compdiff.experiments import DEFAULT_R_GRID
+
+        omega, phi = self.WEIGHTED
+        fine = _sup_values(phi, 2 * bounds._SUP_SAMPLES)
+        calls = []
+        real = bounds.eval_array
+
+        def spy(symbol, z):
+            calls.append((symbol, z))
+            return real(symbol, z)
+
+        monkeypatch.setattr(bounds, "eval_array", spy)
+        bounds._composed_moduli.cache_clear()
+        assert len(DEFAULT_R_GRID) == 17
+        for n in (8, 12):  # the second n adds no evaluation
+            cd.optimize_weighted_upper(omega, phi, n, DEFAULT_R_GRID)
+            assert [(sym, z is fine) for sym, z in calls] == [(omega, True)]
+
+    def test_arc_length_once_per_level_curve(self, monkeypatch):
+        from compdiff.experiments import DEFAULT_R_GRID
+
+        calls = []
+        real = bounds.cumulative_hyperbolic_length
+
+        def spy(pts):
+            calls.append(pts)
+            return real(pts)
+
+        monkeypatch.setattr(bounds, "cumulative_hyperbolic_length", spy)
+        bounds._level_curve.cache_clear()
+        omega, phi = self.WEIGHTED
+        for n in (8, 12):
+            cd.optimize_weighted_upper(omega, phi, n, DEFAULT_R_GRID)
+        assert len(calls) == bounds._level_curve.cache_info().misses == 17
+        for r in DEFAULT_R_GRID:
+            curve, s = _level_curve(phi, r)
+            assert np.array_equal(s, real(curve))
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.6])
+    @pytest.mark.parametrize("n,r", N_R_PAIRS)
+    def test_weighted_reads_match_direct_recomputation(self, alpha, n, r):
+        # the cached |omega o phi|, |phi| and |omega| against a recomputation
+        # from the symbols, with no cache in between
+        from compdiff.operators import operator_norm_bound
+        from compdiff.series import eval_boundary
+
+        omega, phi = cd.weight_power(alpha), cd.half_map()
+        side = bounds._SUP_SAMPLES
+        zeros = cd.blaschke_zeros_for_symbol(phi, r, n)
+        cert = cd.weighted_upper_certificate(omega, phi, n, r, zeros)
+
+        phi_v = eval_boundary(phi, sup_grid(2 * side))
+        om = np.abs(eval_array(omega, phi_v))
+        delta0 = _masked_sup(np.where(np.isfinite(om), om, 0.0),
+                             ~(np.abs(phi_v) <= r))
+        om_sup = np.abs(eval_boundary(omega, sup_grid(side)))
+        omega_sup = float(om_sup[np.isfinite(om_sup)].max())
+        sup_b = _two_pass_weighted(omega, phi, zeros, r, side)[1][0]
+        norm_phi = operator_norm_bound(phi)
+        value = math.sqrt(sup_b ** 2 * (omega_sup * norm_phi) ** 2
+                          + delta0 ** 2 * norm_phi ** 2)
+        assert cert.fields["delta0"] == delta0
+        assert cert.fields["omega_sup"] == omega_sup
+        assert cert.value == value
+
+    def test_cached_arrays_are_read_only(self):
+        omega, phi = self.WEIGHTED
+        arrays = [bounds._sup_moduli(phi, 2 * bounds._SUP_SAMPLES),
+                  bounds._composed_moduli(omega, phi), *_level_curve(phi, 0.9)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestOptimizeUpper:
@@ -571,7 +649,7 @@ class TestDisconnectedLevelSet:
         assert len(idx) == kept and runs == 4
         if keep[0] and keep[-1]:
             idx = np.roll(idx, np.argmin(keep[::-1]))
-        curve = _level_curve(phi, r)
+        curve, _ = _level_curve(phi, r)
         assert curve.tobytes() == values[idx].tobytes()
 
     def test_wrapped_runs_that_do_not_meet_split(self):
