@@ -28,8 +28,16 @@ beyond the horizon should be fed into fits or certificates.
 Above N = 128 the horizon compares the leading values of the N0 and the
 2*N0 truncations, each certified to an interval by one sketch; a comparison
 counts only when both intervals give one answer, so the horizon is always
-the one full SVDs of both matrices give.  The spectrum then holds the 128
-sketched values.  :func:`convergence_horizon` describes the doubling.
+the one full SVDs of both matrices give.  The N0 sketch takes 128 columns
+and the spectrum holds its 128 values; the 2*N0 sketch takes only as many
+columns as the N0 values above the horizon floor, and every 2*N0 value past
+them lies in [0, e].  :func:`convergence_horizon` describes the doubling.
+
+The builds of one doubling share their Taylor coefficients: each
+``(symbol, order)`` is expanded once and kept read-only in a small cache, so
+C_phi - C_psi reuses the coefficients of C_phi and C_psi.  A table is filled
+one column per contiguous row of a buffer and returned as its transpose, so
+every truncation is a Fortran-ordered (column-contiguous) array.
 """
 
 from __future__ import annotations
@@ -199,6 +207,14 @@ def _powers(base: np.ndarray, first: np.ndarray, n: int, cols: int,
         col = block[-1]
 
 
+@functools.lru_cache(maxsize=32)
+def _coefficients(symbol: Symbol, n: int) -> np.ndarray:
+    """taylor_array(symbol, n), computed once per pair and read-only."""
+    c = taylor_array(symbol, n)
+    c.setflags(write=False)
+    return c
+
+
 def _unit(n: int) -> np.ndarray:
     first = np.zeros(n)
     first[0] = 1.0
@@ -211,25 +227,25 @@ def _table(terms, n: int, cols: int) -> np.ndarray:
     Column k of a term ``(omega, phi)`` holds taylor(omega * phi**k, n), with
     ``omega`` None read as 1.  Each term keeps its own real or complex
     arithmetic (see _power_columns); their block streams run in lockstep
-    (both split the columns alike) into one buffer of the result dtype, each
-    block written through a transposed view, so no power table of a term is
-    held.
+    (both split the columns alike) into one ``(cols, n)`` buffer of the
+    result dtype, each block into contiguous rows, so no power table of a
+    term is held.  Returns the buffer's transpose, a Fortran-ordered array.
     """
     dtypes, streams = zip(*(
-        _power_columns(taylor_array(phi, n),
-                       _unit(n) if omega is None else taylor_array(omega, n),
+        _power_columns(_coefficients(phi, n),
+                       _unit(n) if omega is None else _coefficients(omega, n),
                        n, cols)
         for omega, phi in terms))
-    out = np.empty((n, cols), dtype=np.result_type(*dtypes))
+    out = np.empty((cols, n), dtype=np.result_type(*dtypes))
     k = 0
     for block, *minus in zip(*streams):
-        dest = out[:, k:k + len(block)].T
+        dest = out[k:k + len(block)]
         if minus:
             np.subtract(block, minus[0], out=dest)
         else:
             dest[...] = block
         k += len(block)
-    return out
+    return out.T
 
 
 def _truncation(terms, n: int) -> TruncatedOperator:
@@ -396,15 +412,22 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
 
     The horizon is the largest n* such that sigma_n agrees within 1% between
     the two truncations for every n <= n*.  Above N0 = 128 each side is the
-    leading k = 128 values of a sketch (:func:`_leading_values`), each
-    sigma_n in [s_n, sqrt(s_n**2 + e**2)] widened by 1e-13 sigma_1 for
-    rounding: the N0 side before any power pass, its matrix dropped before
-    the 2*N0 build, and the 2*N0 side after each pass in turn, until the
-    scan decides a horizon below k (a horizon of k may reach past the values
-    held).  The spectrum then holds the k values s_n.  Otherwise, and for
-    N0 <= 128, full SVDs of both matrices (the 2*N0 one reused, the N0 one
-    built again) give exact values, which always decide, and the spectrum
-    holds all N0 values.  So the horizon is the one full SVDs give.
+    leading values of a sketch (:func:`_leading_values`), each sigma_n in
+    [s_n, sqrt(s_n**2 + e**2)] widened by 1e-13 sigma_1 for rounding.  The
+    N0 side is the k = 128 values before any power pass; its matrix is
+    dropped before the 2*N0 build.  The 2*N0 sketch takes one column per N0
+    value s_n above the horizon floor (1e-14 s_1), at least one and at most
+    k: the range finder needs only as many columns as there are values to
+    resolve.  Past them s_n = 0, so those 2*N0 values lie in [0, e], and the
+    scan compares k values on both sides.  A comparison there never passes
+    (the N0 interval reaches up to the rounding slack, far above the band of
+    1% of the floor around 0), so an all-pass over the sketched values is
+    never read as a horizon.  The 2*N0 intervals are scanned after each
+    pass in turn, until the scan decides a horizon below k (a horizon of k
+    may reach past the values held), and the spectrum then holds the k
+    values s_n of the N0 side.  Otherwise, and for N0 <= 128, full SVDs of
+    both matrices (the 2*N0 one reused, the N0 one built again) give exact
+    values, which always decide, and the spectrum holds all N0 values.  So the horizon is the one full SVDs give.
 
     A pass is certified only while sigma_n stays above about 1e-11 sigma_1
     (the slack over the 1% tolerance), so exact truncations such as a
@@ -420,11 +443,15 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
             s_small, e = next(_leading_values(_finite(build(n0)).matrix,
                                               _SKETCH_RANK))
             small_lo, small_hi = _weyl_intervals(s_small, e)
+            rank = max(1, int(np.count_nonzero(
+                s_small > _HORIZON_FLOOR * s_small[0])))
             big = _finite(build(2 * n0))
-            # stopped at the first power pass that decides
-            for s, e in _leading_values(big.matrix, _SKETCH_RANK):
+            # stopped at the first power pass that decides; past rank,
+            # s_j = 0, so sigma_j lies in [0, e]
+            for s, e in _leading_values(big.matrix, rank):
+                padded = np.pad(s, (0, _SKETCH_RANK - rank))
                 horizon = _scan_horizon(small_lo, small_hi,
-                                        *_weyl_intervals(s, e))
+                                        *_weyl_intervals(padded, e))
                 if horizon is not None and horizon < _SKETCH_RANK:
                     return SingularSpectrum(s_small, order=n0,
                                             horizon=horizon)

@@ -133,6 +133,81 @@ class TestBlockedPowers:
         assert np.abs(got - expected).max() <= 1e-14 * scale
 
 
+def _c_order_table(terms, n, cols):
+    """The table of ``terms`` from the same block streams as ``_table``,
+    each block written through a transposed view of a C-ordered n x cols
+    buffer."""
+    dtypes, streams = zip(*(
+        operators._power_columns(
+            cd.taylor_array(phi, n),
+            operators._unit(n) if omega is None else cd.taylor_array(omega, n),
+            n, cols)
+        for omega, phi in terms))
+    out = np.empty((n, cols), dtype=np.result_type(*dtypes))
+    k = 0
+    for block, *minus in zip(*streams):
+        out[:, k:k + len(block)].T[...] = block - minus[0] if minus else block
+        k += len(block)
+    return out
+
+
+class TestTableLayout:
+    @pytest.mark.parametrize("n", [64, 256])  # convolve and FFT paths
+    @pytest.mark.parametrize("terms", list(_TERM_SETS))
+    def test_fortran_table_equals_c_order_build(self, terms, n):
+        got = operators._table(_TERM_SETS[terms], n, n)
+        expected = _c_order_table(_TERM_SETS[terms], n, n)
+        assert got.flags.f_contiguous and expected.flags.c_contiguous
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("terms", list(_TERM_SETS))
+    def test_sketch_bits_equal_on_both_layouts(self, terms):
+        fortran = operators._table(_TERM_SETS[terms], 256, 256)
+        c_order = np.ascontiguousarray(fortran)
+        for k in (40, 128):
+            for (s, e), (s_c, e_c) in zip(
+                    operators._leading_values(fortran, k),
+                    operators._leading_values(c_order, k)):
+                assert s.tobytes() == s_c.tobytes() and e == e_c
+
+    def test_builders_return_fortran_order(self):
+        for build, _, _ in _PUBLIC_BUILDS:
+            assert build(64).matrix.flags.f_contiguous
+
+
+class TestCoefficientCache:
+    def test_cached_coefficients_are_read_only(self):
+        phi = cd.corner_map()
+        cached = operators._coefficients(phi, 64)
+        assert not cached.flags.writeable
+        assert operators._coefficients(phi, 64) is cached
+        fresh = cd.taylor_array(phi, 64)
+        assert fresh.flags.writeable
+        assert not np.shares_memory(fresh, cached)
+        assert fresh.tobytes() == cached.tobytes()
+
+    def test_each_taylor_array_once_per_doubling(self, monkeypatch):
+        # the three corner spectra: C_phi, C_psi and their difference at N0
+        # and 2*N0 expand phi and psi once per order
+        expanded = []
+        real_taylor = operators.taylor_array
+
+        def spy_taylor(symbol, n):
+            expanded.append((symbol.name, n))
+            return real_taylor(symbol, n)
+
+        monkeypatch.setattr(operators, "taylor_array", spy_taylor)
+        operators._coefficients.cache_clear()
+        phi, psi = _CORNER_PAIR
+        for build in (lambda m: cd.composition_matrix(phi, m),
+                      lambda m: cd.composition_matrix(psi, m),
+                      lambda m: cd.difference_matrix(phi, psi, m)):
+            cd.convergence_horizon(build, 256)
+        assert sorted(expanded) == sorted(
+            (symbol.name, m) for symbol in (phi, psi) for m in (256, 512))
+
+
 def _composition_columns(phi, n):
     """Power table of phi at order n, built on its own."""
     return cd.composition_matrix(phi, n).matrix
@@ -447,6 +522,24 @@ def _spy_on_spectra(mp):
     return calls
 
 
+def _spy_on_scans(mp):
+    """Record the arguments of every horizon scan."""
+    scans = []
+    real_scan = operators._scan_horizon
+
+    def spy_scan(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    mp.setattr(operators, "_scan_horizon", spy_scan)
+    return scans
+
+
+def _sketch_rank(s):
+    """Columns of the 2*N0 sketch: the N0 values above the horizon floor."""
+    return max(1, int(np.count_nonzero(s > 1e-14 * s[0])))
+
+
 @pytest.fixture(scope="module")
 def certified_runs():
     """convergence_horizon at N0 = 256 and 512, against full SVDs at both
@@ -470,17 +563,19 @@ class TestCertifiedHorizon:
     def test_horizon_equals_full_svd_path(self, certified_runs, name, n0):
         spectrum, calls, horizon, full = certified_runs[name, n0]
         assert spectrum.horizon == horizon
-        # decided on two sketches, N0 then 2*N0, without a full SVD
+        # decided on two sketches without a full SVD: N0 with k columns,
+        # then 2*N0 with one column per N0 value above the horizon floor
         k = operators._SKETCH_RANK
+        (s, _), = calls["leading"][0][2]
+        rank = _sketch_rank(s)
         assert [(order, size) for order, size, _ in calls["leading"]] == [
-            (n0, k), (2 * n0, k)]
+            (n0, k), (2 * n0, rank)]
         assert calls["svd"] == []
         # each before its first power pass: a sketch that ran on past the
         # pass it needed would yield more
         assert [len(passes) for *_, passes in calls["leading"]] == [1, 1]
         # the spectrum holds the N0 sketch's k values, the lower ends of
         # their intervals, and matches LAPACK inside the horizon
-        (s, _), = calls["leading"][0][2]
         assert spectrum.order == n0
         assert spectrum.values.tobytes() == s.tobytes()
         np.testing.assert_allclose(spectrum.values[:horizon],
@@ -610,20 +705,56 @@ class TestCertifiedHorizon:
     def test_dilation_falls_back_after_both_sketches(self, monkeypatch, n0):
         # exact truncations: sigma_n = 0.5**n at both orders, so the passes
         # reach below the level (about 1e-11 sigma_1) where the rounding
-        # slack lets a pass be certified; both sketches, the 2*N0 one
-        # through every power pass, then full SVDs at both orders
+        # slack lets a pass be certified; both sketches, the 2*N0 one with
+        # the 47 columns of the values above the floor through every power
+        # pass, then full SVDs at both orders
         calls = _spy_on_spectra(monkeypatch)
+        scans = _spy_on_scans(monkeypatch)
         build = lambda m: cd.composition_matrix(cd.dilation(0.5), m)
         spectrum = cd.convergence_horizon(build, n0)
-        (order0, k, small_passes), (order1, _, passes) = calls["leading"]
+        (order0, k, small_passes), (order1, rank, passes) = calls["leading"]
         assert (order0, order1, k) == (n0, 2 * n0, operators._SKETCH_RANK)
+        assert rank == _sketch_rank(small_passes[0][0]) == 47
         assert len(small_passes) == 1
         assert len(passes) == operators._POWER_ITERATIONS + 1
         assert calls["svd"] == [2 * n0, n0]
+        # every pass scans k values a side; past rank the 2*N0 intervals
+        # are [0, e] widened by the slack (s_j = 0 past the sketch)
+        sketch_scans = scans[:len(passes)]
+        for (s, e), (_, _, lo, hi) in zip(passes, sketch_scans):
+            assert len(lo) == len(hi) == k
+            slack = 1e-13 * np.sqrt(s[0] ** 2 + e ** 2)
+            assert np.all(lo[rank:] == 0.0)
+            np.testing.assert_allclose(hi[rank:], e + slack, rtol=1e-15)
         small = cd.singular_spectrum(build(n0)).values
         assert spectrum.values.tobytes() == small.tobytes()
         horizon, _ = _full_svd_horizon(small, build(2 * n0).matrix)
         assert spectrum.horizon == horizon > 37
+
+    def test_all_pass_over_the_reduced_sketch_is_no_horizon(self,
+                                                            monkeypatch):
+        # 40 values above the floor and a tail of 1e-15 sigma_1, the same
+        # at both orders: the 2*N0 sketch takes 40 columns and every one of
+        # its 40 comparisons passes, but the values past them are only
+        # known to lie in [0, e], so no pass decides, and full SVDs give the
+        # horizon N0, not 40
+        calls = _spy_on_spectra(monkeypatch)
+
+        def values_at(m):
+            v = np.full(m, 1e-15)
+            v[:40] = 0.8 ** np.arange(40)
+            return v
+
+        spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
+        (n0, k, small_passes), (n1, rank, passes) = calls["leading"]
+        assert (n0, n1, k, rank) == (256, 512, operators._SKETCH_RANK, 40)
+        lo, hi = operators._weyl_intervals(*passes[0])
+        small_lo, small_hi = operators._weyl_intervals(*small_passes[0])
+        assert operators._scan_horizon(small_lo[:rank], small_hi[:rank],
+                                       lo, hi) == rank
+        assert len(passes) == operators._POWER_ITERATIONS + 1
+        assert calls["svd"] == [512, 256]
+        assert spectrum.horizon == len(spectrum) == 256
 
     def test_non_finite_2n0_matrix_raises(self):
         def values_at(m):
