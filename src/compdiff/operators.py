@@ -25,19 +25,19 @@ approximation number from below; every spectrum carries a stability horizon
 ``n*`` up to which values move by less than 1% when N doubles, and nothing
 beyond the horizon should be fed into fits or certificates.
 
-Above N = 128 the horizon compares the leading values of the N0 and the
-2*N0 truncations, each certified to an interval by one sketch; a comparison
-counts only when both intervals give one answer, so the horizon is always
-the one full SVDs of both matrices give.  The N0 sketch takes 128 columns
-and the spectrum holds its 128 values; the 2*N0 sketch takes only as many
-columns as the N0 values above the horizon floor, and every 2*N0 value past
-them lies in [0, e].  :func:`convergence_horizon` describes the doubling.
+A doubling builds once, at 2*N0: the N0 truncation is the top-left block of
+the 2*N0 one, read as a view.  Above N = 128 the horizon compares the
+leading values of the two truncations, each certified to an interval by one
+sketch; a comparison counts only when both intervals give one answer, so the
+horizon is always the one full SVDs of both matrices give.  The N0 sketch
+takes 128 columns and the spectrum holds its 128 values; the 2*N0 sketch
+takes only as many columns as the N0 values above the horizon floor, and
+every 2*N0 value past them lies in [0, e].  :func:`convergence_horizon`
+describes the doubling.
 
-The builds of one doubling share their Taylor coefficients: each
-``(symbol, order)`` is expanded once and kept read-only in a small cache, so
-C_phi - C_psi reuses the coefficients of C_phi and C_psi.  A table is filled
-one column per contiguous row of a buffer and returned as its transpose, so
-every truncation is a Fortran-ordered (column-contiguous) array.
+A table is filled one column per contiguous row of a buffer and returned as
+its transpose, so every truncation is a Fortran-ordered (column-contiguous)
+array.
 """
 
 from __future__ import annotations
@@ -207,14 +207,6 @@ def _powers(base: np.ndarray, first: np.ndarray, n: int, cols: int,
         col = block[-1]
 
 
-@functools.lru_cache(maxsize=32)
-def _coefficients(symbol: Symbol, n: int) -> np.ndarray:
-    """taylor_array(symbol, n), computed once per pair and read-only."""
-    c = taylor_array(symbol, n)
-    c.setflags(write=False)
-    return c
-
-
 def _unit(n: int) -> np.ndarray:
     first = np.zeros(n)
     first[0] = 1.0
@@ -232,8 +224,8 @@ def _table(terms, n: int, cols: int) -> np.ndarray:
     term is held.  Returns the buffer's transpose, a Fortran-ordered array.
     """
     dtypes, streams = zip(*(
-        _power_columns(_coefficients(phi, n),
-                       _unit(n) if omega is None else _coefficients(omega, n),
+        _power_columns(taylor_array(phi, n),
+                       _unit(n) if omega is None else taylor_array(omega, n),
                        n, cols)
         for omega, phi in terms))
     out = np.empty((cols, n), dtype=np.result_type(*dtypes))
@@ -408,14 +400,16 @@ def _scan_horizon(small_lo: np.ndarray, small_hi: np.ndarray, lo: np.ndarray,
 
 def convergence_horizon(build: Callable[[int], TruncatedOperator],
                         n0: int) -> SingularSpectrum:
-    """Build at N0 and 2*N0; annotate the N0 spectrum with its stability horizon.
+    """Build at 2*N0; annotate the N0 spectrum with its stability horizon.
 
     The horizon is the largest n* such that sigma_n agrees within 1% between
-    the two truncations for every n <= n*.  Above N0 = 128 each side is the
-    leading values of a sketch (:func:`_leading_values`), each sigma_n in
-    [s_n, sqrt(s_n**2 + e**2)] widened by 1e-13 sigma_1 for rounding.  The
-    N0 side is the k = 128 values before any power pass; its matrix is
-    dropped before the 2*N0 build.  The 2*N0 sketch takes one column per N0
+    the N0 and 2*N0 truncations for every n <= n*.  ``build`` runs once, at
+    2*N0: the N0 truncation P_N0 T P_N0 is the top-left N0 x N0 block of
+    P_2N0 T P_2N0, and is read as a view of it, never copied or built.
+    Above N0 = 128 each side is the leading values of a sketch
+    (:func:`_leading_values`), each sigma_n in [s_n, sqrt(s_n**2 + e**2)]
+    widened by 1e-13 sigma_1 for rounding.  The N0 side is the k = 128
+    values before any power pass.  The 2*N0 sketch takes one column per N0
     value s_n above the horizon floor (1e-14 s_1), at least one and at most
     k: the range finder needs only as many columns as there are values to
     resolve.  Past them s_n = 0, so those 2*N0 values lie in [0, e], and the
@@ -426,26 +420,26 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
     pass in turn, until the scan decides a horizon below k (a horizon of k
     may reach past the values held), and the spectrum then holds the k
     values s_n of the N0 side.  Otherwise, and for N0 <= 128, full SVDs of
-    both matrices (the 2*N0 one reused, the N0 one built again) give exact
-    values, which always decide, and the spectrum holds all N0 values.  So the horizon is the one full SVDs give.
+    the 2*N0 matrix and its block give exact values, which always decide,
+    and the spectrum holds all N0 values.  So the horizon is the one full
+    SVDs give.
 
     A pass is certified only while sigma_n stays above about 1e-11 sigma_1
     (the slack over the 1% tolerance), so exact truncations such as a
     dilation's pay both sketches on top of the full SVDs; the README lists
-    the power passes the benchmark matrices need.  A non-finite N0 matrix
-    raises before the 2*N0 build.
+    the power passes the benchmark matrices need.  A non-finite entry
+    anywhere in the 2*N0 matrix raises before any SVD.
     """
     if n0 < 16:
         raise ValueError("doubling diagnostics start at N0 >= 16")
-    big = None
+    big = _finite(build(2 * n0))
+    small = TruncatedOperator(big.matrix[:n0, :n0])
     if n0 > _SKETCH_RANK:
         try:
-            s_small, e = next(_leading_values(_finite(build(n0)).matrix,
-                                              _SKETCH_RANK))
+            s_small, e = next(_leading_values(small.matrix, _SKETCH_RANK))
             small_lo, small_hi = _weyl_intervals(s_small, e)
             rank = max(1, int(np.count_nonzero(
                 s_small > _HORIZON_FLOOR * s_small[0])))
-            big = _finite(build(2 * n0))
             # stopped at the first power pass that decides; past rank,
             # s_j = 0, so sigma_j lies in [0, e]
             for s, e in _leading_values(big.matrix, rank):
@@ -458,9 +452,8 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
         except np.linalg.LinAlgError:
             pass
     # the exact values of full SVDs always decide
-    b = singular_spectrum(build(2 * n0) if big is None else big).values
-    del big
-    a = singular_spectrum(build(n0)).values
+    b = singular_spectrum(big).values
+    a = singular_spectrum(small).values
     return SingularSpectrum(a, order=n0, horizon=_scan_horizon(a, a, b, b))
 
 

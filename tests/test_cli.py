@@ -67,7 +67,9 @@ class TestSpectrum:
     # stayed, every value moved by under 2e-17 sigma_1); both bases are
     # dense, so exact tables for sparse bases leave these bytes alone.
     # Rewritten again when the N0 side became a sketch: 128 rows, N and the
-    # horizon (2 and 6) kept, sigma_1 ... sigma_40 within 6e-16 sigma_1
+    # horizon (2 and 6) kept, sigma_1 ... sigma_40 within 6e-16 sigma_1; and
+    # when the N0 side became the top-left block of the 2*N0 build: rows and
+    # horizons kept, every value within 1e-16 sigma_1
     @pytest.mark.parametrize("extra, fname", [
         ([], "spectrum_corner_N256.csv"),
         (["--weight", "weight_power(alpha=1)"],
@@ -93,9 +95,12 @@ class TestDiffSpectrum:
         # N=256 decides the horizon on the leading N0 and 2*N0 values; the
         # file was written with the horizon from a full SVD, rewritten for
         # the blocked FFT build (horizon 6 kept, every value within 1.2e-15
-        # sigma_1, a rounding move of the two terms of size 1), and again
-        # for the N0 sketch (128 rows, horizon 6 kept, sigma_1 ... sigma_40
-        # within 9e-16 sigma_1)
+        # sigma_1, a rounding move of the two terms of size 1), again for
+        # the N0 sketch (128 rows, horizon 6 kept, sigma_1 ... sigma_40
+        # within 9e-16 sigma_1), and when the N0 side became the top-left
+        # block of the 2*N0 build (128 rows, horizon 6 kept, in-horizon
+        # values within 9.3e-14 relative, every value within 5.4e-15
+        # sigma_1)
         code = run(["diff-spectrum", "--phi", "corner_map",
                     "--psi", "corner_perturbation(c=0.01)", "--N", "256"],
                    tmp_path)
@@ -277,7 +282,10 @@ class TestExperimentAndFit:
                            "bidisc split: verdicts {}"]
 
     # result.json and certificates.json are pinned as files, each spectrum
-    # CSV by its SHA-256 (the split tensor CSV has 4,096 rows)
+    # CSV by its SHA-256 (the split tensor CSV has 4,096 rows).  The N = 128
+    # pins were rewritten when the N0 side became the top-left block of the
+    # 2*N0 build: horizons and result.json kept, spectra within 3.9e-15
+    # sigma_1, triangular block terms within 5.2e-18; N = 32 did not move
     @pytest.mark.parametrize("kind, n", [
         ("split", 128), ("glued", 32), ("triangular", 128)])
     def test_bidisc_bytes_pinned(self, tmp_path, kind, n):

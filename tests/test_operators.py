@@ -3,7 +3,6 @@
 import math
 import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -121,13 +120,17 @@ def _oracle_table(terms, n, cols):
 
 class TestBlockedPowers:
     # both orders on the FFT path; cols at the block edges, the square table
-    # and the glued oracle's 2n - 1
-    @pytest.mark.parametrize("n, cols", [
-        (n, cols) for n in (129, 300)
-        for cols in (1, 2, _B, _B + 1, 2 * _B + 1, n, 2 * n - 1)])
+    # and the glued oracle's 2n - 1; and the top-left n x n block of the 2n
+    # table, as a doubling reads its N0 side (n = 64 on the convolve path)
+    @pytest.mark.parametrize("n, cols, order", [
+        *(pytest.param(n, cols, n, id=f"{n}-{cols}") for n in (129, 300)
+          for cols in (1, 2, _B, _B + 1, 2 * _B + 1, n, 2 * n - 1)),
+        *(pytest.param(n, n, 2 * n, id=f"{n}-block-of-{2 * n}")
+          for n in (64, 129, 300))])
     @pytest.mark.parametrize("terms", list(_TERM_SETS))
-    def test_table_matches_convolution_oracle(self, terms, n, cols):
-        got = operators._table(_TERM_SETS[terms], n, cols)
+    def test_table_matches_convolution_oracle(self, terms, n, cols, order):
+        got = operators._table(_TERM_SETS[terms], order,
+                               cols if order == n else order)[:n, :cols]
         expected, scale = _oracle_table(_TERM_SETS[terms], n, cols)
         assert got.shape == (n, cols)
         assert np.abs(got - expected).max() <= 1e-14 * scale
@@ -163,49 +166,24 @@ class TestTableLayout:
 
     @pytest.mark.parametrize("terms", list(_TERM_SETS))
     def test_sketch_bits_equal_on_both_layouts(self, terms):
+        # a table and its C-ordered copy; the top-left block of the 2n
+        # table, a strided view as a doubling sketches it, and its Fortran-
+        # and C-ordered copies
         fortran = operators._table(_TERM_SETS[terms], 256, 256)
-        c_order = np.ascontiguousarray(fortran)
-        for k in (40, 128):
-            for (s, e), (s_c, e_c) in zip(
-                    operators._leading_values(fortran, k),
-                    operators._leading_values(c_order, k)):
-                assert s.tobytes() == s_c.tobytes() and e == e_c
+        block = operators._table(_TERM_SETS[terms], 512, 512)[:256, :256]
+        assert not (block.flags.f_contiguous or block.flags.c_contiguous)
+        for matrices in ((fortran, np.ascontiguousarray(fortran)),
+                         (block, np.asfortranarray(block),
+                          np.ascontiguousarray(block))):
+            for k in (40, 128):
+                for (s, e), *copies in zip(*(
+                        operators._leading_values(m, k) for m in matrices)):
+                    for s_c, e_c in copies:
+                        assert s.tobytes() == s_c.tobytes() and e == e_c
 
     def test_builders_return_fortran_order(self):
         for build, _, _ in _PUBLIC_BUILDS:
             assert build(64).matrix.flags.f_contiguous
-
-
-class TestCoefficientCache:
-    def test_cached_coefficients_are_read_only(self):
-        phi = cd.corner_map()
-        cached = operators._coefficients(phi, 64)
-        assert not cached.flags.writeable
-        assert operators._coefficients(phi, 64) is cached
-        fresh = cd.taylor_array(phi, 64)
-        assert fresh.flags.writeable
-        assert not np.shares_memory(fresh, cached)
-        assert fresh.tobytes() == cached.tobytes()
-
-    def test_each_taylor_array_once_per_doubling(self, monkeypatch):
-        # the three corner spectra: C_phi, C_psi and their difference at N0
-        # and 2*N0 expand phi and psi once per order
-        expanded = []
-        real_taylor = operators.taylor_array
-
-        def spy_taylor(symbol, n):
-            expanded.append((symbol.name, n))
-            return real_taylor(symbol, n)
-
-        monkeypatch.setattr(operators, "taylor_array", spy_taylor)
-        operators._coefficients.cache_clear()
-        phi, psi = _CORNER_PAIR
-        for build in (lambda m: cd.composition_matrix(phi, m),
-                      lambda m: cd.composition_matrix(psi, m),
-                      lambda m: cd.difference_matrix(phi, psi, m)):
-            cd.convergence_horizon(build, 256)
-        assert sorted(expanded) == sorted(
-            (symbol.name, m) for symbol in (phi, psi) for m in (256, 512))
 
 
 def _composition_columns(phi, n):
@@ -485,6 +463,23 @@ def _diagonal_build(values_at):
     return lambda m: cd.TruncatedOperator(np.diag(values_at(m)))
 
 
+def _nested_build(a, b):
+    """A build at 2*N0 = 2 len(a) of [[diag(a), diag(sqrt(b**2 - a**2))],
+    [0, 0]]: its top-left N0 x N0 block, the N0 side of a doubling, is
+    diag(a), and its singular values are b (b >= a) and N0 zeros.  A
+    compression cannot raise singular values, so the 2*N0 side of a doubling
+    can only rise above the N0 one."""
+    n0 = len(a)
+
+    def build(m):
+        assert m == 2 * n0
+        matrix = np.zeros((m, m))
+        matrix[:n0, :n0] = np.diag(a)
+        matrix[:n0, n0:] = np.diag(np.sqrt(b ** 2 - a ** 2))
+        return cd.TruncatedOperator(matrix)
+    return build
+
+
 _CORNER_PAIR = (cd.corner_map(), cd.corner_perturbation(0.01))
 CERTIFIED_CASES = {
     "corner single": lambda m: cd.composition_matrix(_CORNER_PAIR[0], m),
@@ -501,14 +496,16 @@ CERTIFIED_CASES = {
 
 def _spy_on_spectra(mp):
     """Record the order and size of every sketch, every pass each sketch
-    yields, and the SVD orders convergence_horizon uses."""
-    calls = {"leading": [], "svd": []}
+    yields, the SVD orders convergence_horizon uses, and the matrices it
+    sketches."""
+    calls = {"leading": [], "svd": [], "matrices": []}
     real_leading = operators._leading_values
     real_svd = operators.singular_spectrum
 
     def spy_leading(matrix, k):
         passes = []
         calls["leading"].append((matrix.shape[0], k, passes))
+        calls["matrices"].append(matrix)
         for out in real_leading(matrix, k):
             passes.append(out)
             yield out
@@ -542,16 +539,20 @@ def _sketch_rank(s):
 
 @pytest.fixture(scope="module")
 def certified_runs():
-    """convergence_horizon at N0 = 256 and 512, against full SVDs at both
-    orders."""
+    """convergence_horizon at N0 = 256 and 512, against full SVDs of the
+    2*N0 matrix it built and of its N0 block."""
     runs = {}
     for n0 in (256, 512):
         for name, build in CERTIFIED_CASES.items():
+            built = []
             with pytest.MonkeyPatch.context() as mp:
                 calls = _spy_on_spectra(mp)
-                spectrum = cd.convergence_horizon(build, n0)
-            small = np.linalg.svd(build(n0).matrix, compute_uv=False)
-            horizon, big = _full_svd_horizon(small, build(2 * n0).matrix)
+                spectrum = cd.convergence_horizon(
+                    lambda m: built.append(build(m)) or built[-1], n0)
+            del calls["matrices"]  # the runs keep values, not matrices
+            matrix = built.pop().matrix
+            small = np.linalg.svd(matrix[:n0, :n0], compute_uv=False)
+            horizon, big = _full_svd_horizon(small, matrix)
             runs[name, n0] = (spectrum, calls, horizon,
                               {n0: small, 2 * n0: big})
     return runs
@@ -639,24 +640,21 @@ class TestCertifiedHorizon:
         assert peaks[0] <= peaks[1]
 
     @pytest.mark.parametrize("ratio, step, deciding", [
-        (0.9, 40, 0), (0.96, 30, 1), (0.97, 20, 2)])
+        (0.9, 40, 0), (0.96, 30, 1), (0.963, 40, 2)])
     def test_stops_at_the_first_deciding_pass(self, monkeypatch, ratio,
                                               step, deciding):
-        # sigma_n = ratio**n at both orders except that the 2*N0 values drop
-        # by 10% from index ``step`` on; the slower the decay, the more
-        # passes the 2*N0 intervals need before they decide the drop.  The
-        # N0 matrix has rank k, so its sketch is exact before any pass
+        # sigma_n = ratio**n at both orders except that the 2*N0 values rise
+        # by 3% from index ``step`` on (still non-increasing); the slower
+        # the decay, the more passes the 2*N0 intervals need before they
+        # decide the rise.  The N0 block has rank k, so its sketch is exact
+        # before any pass
         calls = _spy_on_spectra(monkeypatch)
+        a = ratio ** np.arange(256.0)
+        b = a.copy()
+        b[step:] *= 1.03
+        a[operators._SKETCH_RANK:] = 0.0
 
-        def values_at(m):
-            v = ratio ** np.arange(m)
-            if m == 512:
-                v[step:] *= 0.9
-            else:
-                v[operators._SKETCH_RANK:] = 0.0
-            return v
-
-        spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
+        spectrum = cd.convergence_horizon(_nested_build(a, b), 256)
         (n0, _, small_passes), (n1, _, passes) = calls["leading"]
         assert (n0, n1) == (256, 512)
         assert len(small_passes) == 1
@@ -665,18 +663,17 @@ class TestCertifiedHorizon:
         assert spectrum.horizon == step
 
     def test_loose_n0_sketch_falls_back(self, monkeypatch):
-        # sigma_n = 0.97**n: the N0 sketch's intervals before any power pass
-        # are wider than the 1% test near the drop at index 20, so no 2*N0
-        # pass decides and full SVDs give the horizon
+        # sigma_n = 0.965**n, the 2*N0 values raised by 3% from index 20:
+        # exact N0 values would decide on the first 2*N0 power pass, but the
+        # N0 sketch's intervals before any power pass are wider than the 1%
+        # test near the rise, so no 2*N0 pass decides and full SVDs give
+        # the horizon
         calls = _spy_on_spectra(monkeypatch)
+        a = 0.965 ** np.arange(256.0)
+        b = a.copy()
+        b[20:] *= 1.03
 
-        def values_at(m):
-            v = 0.97 ** np.arange(m)
-            if m == 512:
-                v[20:] *= 0.9
-            return v
-
-        spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
+        spectrum = cd.convergence_horizon(_nested_build(a, b), 256)
         assert [len(passes) for *_, passes in calls["leading"]] == [
             1, operators._POWER_ITERATIONS + 1]
         assert calls["svd"] == [512, 256]
@@ -726,9 +723,10 @@ class TestCertifiedHorizon:
             slack = 1e-13 * np.sqrt(s[0] ** 2 + e ** 2)
             assert np.all(lo[rank:] == 0.0)
             np.testing.assert_allclose(hi[rank:], e + slack, rtol=1e-15)
-        small = cd.singular_spectrum(build(n0)).values
+        matrix = build(2 * n0).matrix
+        small = np.linalg.svd(matrix[:n0, :n0], compute_uv=False)
         assert spectrum.values.tobytes() == small.tobytes()
-        horizon, _ = _full_svd_horizon(small, build(2 * n0).matrix)
+        horizon, _ = _full_svd_horizon(small, matrix)
         assert spectrum.horizon == horizon > 37
 
     def test_all_pass_over_the_reduced_sketch_is_no_horizon(self,
@@ -862,8 +860,8 @@ class TestScanHorizon:
 
 
 class TestOneThread:
-    """convergence_horizon runs on the caller's thread and holds one matrix
-    at a time."""
+    """convergence_horizon runs on the caller's thread and builds one
+    matrix, at 2*N0, whose top-left block is the N0 truncation."""
 
     def test_no_thread_starts(self, monkeypatch):
         started = []
@@ -878,39 +876,50 @@ class TestOneThread:
             cd.convergence_horizon(CERTIFIED_CASES["corner diff"], n0)
         assert started == []
 
-    def test_n0_matrix_freed_before_the_2n0_build(self):
-        refs, alive = [], []
-
-        def build(m):
-            if m == 512:
-                alive.append(refs[0]() is not None)
-            op = cd.composition_matrix(cd.corner_map(), m)
-            refs.append(weakref.ref(op))
-            return op
-
-        spectrum = cd.convergence_horizon(build, 256)
-        assert alive == [False]
-        assert spectrum.horizon == 2  # decided on the sketches
-
-    def test_nan_in_n0_matrix_raises_before_the_2n0_build(self):
+    # decided on the sketches, the fallback after both sketches (exact
+    # dilation values), and the full SVDs up to N0 = 128
+    @pytest.mark.parametrize("build, n0, svd", [
+        pytest.param(CERTIFIED_CASES["corner single"], 256, [], id="sketch"),
+        pytest.param(lambda m: cd.composition_matrix(cd.dilation(0.5), m),
+                     256, [512, 256], id="fallback"),
+        pytest.param(CERTIFIED_CASES["corner diff"], 64, [128, 64],
+                     id="full-64"),
+        pytest.param(CERTIFIED_CASES["corner diff"], 128, [256, 128],
+                     id="full-128")])
+    def test_one_build_at_2n0(self, monkeypatch, build, n0, svd):
         orders = []
+        calls = _spy_on_spectra(monkeypatch)
+        cd.convergence_horizon(lambda m: orders.append(m) or build(m), n0)
+        assert orders == [2 * n0]
+        assert calls["svd"] == svd
 
-        def build(m):
-            orders.append(m)
-            return cd.TruncatedOperator(np.full((m, m), np.nan))
+    def test_n0_sketch_reads_a_view_of_the_2n0_matrix(self, monkeypatch):
+        calls = _spy_on_spectra(monkeypatch)
+        cd.convergence_horizon(CERTIFIED_CASES["corner diff"], 256)
+        small, big = calls["matrices"]
+        assert (small.shape, big.shape) == ((256, 256), (512, 512))
+        assert np.shares_memory(small, big)
+
+    @pytest.mark.parametrize("n0", [64, 256])
+    def test_nan_in_the_n0_block_raises(self, n0):
+        def values_at(m):
+            v = np.ones(m)
+            v[n0 - 1] = np.nan
+            return v
 
         with pytest.raises(NumericalBreakdown):
-            cd.convergence_horizon(build, 256)
-        assert orders == [256]
+            cd.convergence_horizon(_diagonal_build(values_at), n0)
 
     @pytest.mark.parametrize("n0", [64, 128])
     @pytest.mark.parametrize("name", ["corner diff", "smooth 3.0"])
     def test_small_orders_keep_the_full_svd(self, name, n0):
-        # up to N0 = 128 the spectrum is a full SVD, bit for bit
+        # up to N0 = 128 the spectrum is a full SVD of the N0 block of the
+        # 2*N0 matrix, bit for bit
         build = CERTIFIED_CASES[name]
         spectrum = cd.convergence_horizon(build, n0)
-        small = cd.singular_spectrum(build(n0)).values
-        horizon, _ = _full_svd_horizon(small, build(2 * n0).matrix)
+        matrix = build(2 * n0).matrix
+        small = np.linalg.svd(matrix[:n0, :n0], compute_uv=False)
+        horizon, _ = _full_svd_horizon(small, matrix)
         assert spectrum.values.tobytes() == small.tobytes()
         assert spectrum.horizon == horizon
 
