@@ -31,9 +31,10 @@ leading values of the two truncations, each certified to an interval by one
 sketch; a comparison counts only when both intervals give one answer, so the
 horizon is always the one full SVDs of both matrices give.  The N0 sketch
 takes 128 columns and the spectrum holds its 128 values; the 2*N0 sketch
-takes only as many columns as the N0 values above the horizon floor, and
-every 2*N0 value past them lies in [0, e].  :func:`convergence_horizon`
-describes the doubling.
+takes one column per N0 value above the horizon floor and ``_OVERSAMPLE``
+more, and the scan reads its first 128 values.  Past the floor the N0
+intervals start at 0, so no comparison there passes.
+:func:`convergence_horizon` describes the doubling.
 
 A table is filled one column per contiguous row of a buffer and returned as
 its transpose, so every truncation is a Fortran-ordered (column-contiguous)
@@ -62,10 +63,12 @@ from .series import Symbol, evaluate, taylor_array, validate_self_map
 _VALIDATION_SAMPLES = 2048
 _HORIZON_RTOL = 1e-2
 _HORIZON_FLOOR = 1e-14  # relative to sigma_1 of the 2*N0 spectrum
-# leading values of the N0 and 2*N0 matrices: sketch size, power iterations,
-# fixed sketch seed, and the rounding slack (relative to sigma_1) that widens
-# every certified interval
+# leading values of the N0 and 2*N0 matrices: sketch size, the 2*N0
+# sketch's oversampling past its rank, power iterations, fixed sketch seed,
+# and the rounding slack (relative to sigma_1) that widens every certified
+# interval
 _SKETCH_RANK = 128
+_OVERSAMPLE = 16
 _POWER_ITERATIONS = 2
 _SKETCH_SEED = 0
 _ROUNDING_SLACK = 1e-13
@@ -409,20 +412,24 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
     Above N0 = 128 each side is the leading values of a sketch
     (:func:`_leading_values`), each sigma_n in [s_n, sqrt(s_n**2 + e**2)]
     widened by 1e-13 sigma_1 for rounding.  The N0 side is the k = 128
-    values before any power pass.  The 2*N0 sketch takes one column per N0
-    value s_n above the horizon floor (1e-14 s_1), at least one and at most
-    k: the range finder needs only as many columns as there are values to
-    resolve.  Past them s_n = 0, so those 2*N0 values lie in [0, e], and the
-    scan compares k values on both sides.  A comparison there never passes
-    (the N0 interval reaches up to the rounding slack, far above the band of
-    1% of the floor around 0), so an all-pass over the sketched values is
-    never read as a horizon.  The 2*N0 intervals are scanned after each
-    pass in turn, until the scan decides a horizon below k (a horizon of k
-    may reach past the values held), and the spectrum then holds the k
-    values s_n of the N0 side.  Otherwise, and for N0 <= 128, full SVDs of
-    the 2*N0 matrix and its block give exact values, which always decide,
-    and the spectrum holds all N0 values.  So the horizon is the one full
-    SVDs give.
+    values before any power pass.  The 2*N0 sketch takes rank + 16
+    (``_OVERSAMPLE``) columns, rank being the number of N0 values s_n above
+    the horizon floor (1e-14 s_1), at least one and at most k: the range
+    finder needs a column per value to resolve, and the oversampling
+    (Halko, Martinsson & Tropp, Sec. 4.2) lets it resolve them before any
+    power pass.  The scan compares k values on both sides: the first k of
+    the 2*N0 values, zero-padded when the sketch holds fewer (a padded s_n
+    gives [0, e]).  Past rank every N0 value is at most 1e-14 s_1, below the
+    1e-13 s_1 slack, so its interval starts at 0, and a comparison there
+    never passes (the 2*N0 interval reaches up to the slack, far above the
+    band of 1% of the floor around 0); so an all-pass over the sketched
+    values is never read as a horizon.  The 2*N0 intervals are scanned
+    after each pass in turn, until the scan decides a horizon below k (a
+    horizon of k may reach past the values held), and the spectrum then
+    holds the k values s_n of the N0 side.  Otherwise, and for N0 <= 128,
+    full SVDs of the 2*N0 matrix and its block give exact values, which
+    always decide, and the spectrum holds all N0 values.  So the horizon is
+    the one full SVDs give.
 
     A pass is certified only while sigma_n stays above about 1e-11 sigma_1
     (the slack over the 1% tolerance), so exact truncations such as a
@@ -440,12 +447,14 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
             small_lo, small_hi = _weyl_intervals(s_small, e)
             rank = max(1, int(np.count_nonzero(
                 s_small > _HORIZON_FLOOR * s_small[0])))
-            # stopped at the first power pass that decides; past rank,
-            # s_j = 0, so sigma_j lies in [0, e]
-            for s, e in _leading_values(big.matrix, rank):
-                padded = np.pad(s, (0, _SKETCH_RANK - rank))
+            # stopped at the first power pass that decides; the first k
+            # values a side are scanned, zero-padded when the sketch holds
+            # fewer
+            for s, e in _leading_values(big.matrix, rank + _OVERSAMPLE):
+                s = np.pad(s[:_SKETCH_RANK],
+                           (0, max(0, _SKETCH_RANK - len(s))))
                 horizon = _scan_horizon(small_lo, small_hi,
-                                        *_weyl_intervals(padded, e))
+                                        *_weyl_intervals(s, e))
                 if horizon is not None and horizon < _SKETCH_RANK:
                     return SingularSpectrum(s_small, order=n0,
                                             horizon=horizon)

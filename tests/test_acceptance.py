@@ -1,4 +1,5 @@
-"""Acceptance criteria, one test per criterion, one printed verdict line each.
+"""Acceptance criteria, one test per criterion, one printed verdict line each,
+and a guard on the sketches behind the smooth runs they share.
 
 Heavy spectra (truncations up to 4096 for the doubling diagnostics) are
 computed once in session fixtures and shared across criteria.  Run with
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import compdiff as cd
+from compdiff import operators
 from compdiff.experiments import _run_triangular, trusted_separation
 from compdiff.series import eval_array
 from oracles import hs_parseval_sum
@@ -32,12 +34,28 @@ def _verdict(name: str, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="session")
 def smooth_results():
+    """Per alpha: the result, its wall time, and ``[order, columns, results
+    yielded]`` of every sketch its doubling took (one result per power pass
+    run, the pass-0 one first)."""
     out = {}
+    real_leading = operators._leading_values
     for alpha in SMOOTH_ALPHAS:
+        sketches = []
+
+        def spy_leading(matrix, k):
+            sketch = [matrix.shape[0], k, 0]
+            sketches.append(sketch)
+            for passed in real_leading(matrix, k):
+                sketch[2] += 1
+                yield passed
+
         t0 = time.monotonic()
-        result = cd.run_smooth_perturbation(alpha, SMOOTH_C, n_trunc=1024,
-                                            window=(8, 64), certificates=True)
-        out[alpha] = (result, time.monotonic() - t0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_leading_values", spy_leading)
+            result = cd.run_smooth_perturbation(
+                alpha, SMOOTH_C, n_trunc=1024, window=(8, 64),
+                certificates=True)
+        out[alpha] = (result, time.monotonic() - t0, sketches)
     return out
 
 
@@ -102,13 +120,24 @@ def test_criterion_3_smooth_power_rate(smooth_results):
     ok = True
     details = []
     for alpha in SMOOTH_ALPHAS:
-        result, elapsed = smooth_results[alpha]
+        result, elapsed, _ = smooth_results[alpha]
         p = result.fits["sigma_power"].params["p"]
         in_band = abs(p - (alpha - 2)) <= 0.5
         ok &= in_band and elapsed <= 600
         details.append(f"alpha={alpha}: p={p:.3f} target={alpha - 2} "
                        f"elapsed={elapsed:.0f}s")
     assert _verdict("criterion 3 (smooth power rate)", ok, "; ".join(details))
+
+
+def test_smooth_doublings_decide_before_any_power_pass(smooth_results):
+    # the 2*N0 sketch takes the 128 N0 values above the floor and 16 more
+    # columns, and one result, before any power pass, decides each horizon;
+    # with 128 columns alpha = 3 (the smooth benchmark's seed 0) and 4 need
+    # a power pass
+    for alpha in SMOOTH_ALPHAS:
+        _, _, sketches = smooth_results[alpha]
+        assert sketches == [[1024, 128, 1], [2048, 144, 1]]
+    assert smooth_results[3.0][0].spectra["difference"].horizon == 35
 
 
 def _separation_checks(sep: dict) -> dict:
@@ -175,7 +204,7 @@ def test_criterion_5_certificates_track_spectra(smooth_results):
     ok = True
     details = []
     for alpha in SMOOTH_ALPHAS:
-        result, _ = smooth_results[alpha]
+        result, _, _ = smooth_results[alpha]
         slopes = {label: result.fits[label].params["p"]
                   for label in ("sigma_power", "lower_power", "upper_power")}
         gap = max(abs(a - b) for a in slopes.values() for b in slopes.values())

@@ -533,7 +533,7 @@ def _spy_on_scans(mp):
 
 
 def _sketch_rank(s):
-    """Columns of the 2*N0 sketch: the N0 values above the horizon floor."""
+    """The 2*N0 sketch's rank: the N0 values above the horizon floor."""
     return max(1, int(np.count_nonzero(s > 1e-14 * s[0])))
 
 
@@ -565,12 +565,13 @@ class TestCertifiedHorizon:
         spectrum, calls, horizon, full = certified_runs[name, n0]
         assert spectrum.horizon == horizon
         # decided on two sketches without a full SVD: N0 with k columns,
-        # then 2*N0 with one column per N0 value above the horizon floor
+        # then 2*N0 with one column per N0 value above the horizon floor,
+        # oversampled
         k = operators._SKETCH_RANK
         (s, _), = calls["leading"][0][2]
         rank = _sketch_rank(s)
         assert [(order, size) for order, size, _ in calls["leading"]] == [
-            (n0, k), (2 * n0, rank)]
+            (n0, k), (2 * n0, rank + operators._OVERSAMPLE)]
         assert calls["svd"] == []
         # each before its first power pass: a sketch that ran on past the
         # pass it needed would yield more
@@ -640,7 +641,7 @@ class TestCertifiedHorizon:
         assert peaks[0] <= peaks[1]
 
     @pytest.mark.parametrize("ratio, step, deciding", [
-        (0.9, 40, 0), (0.96, 30, 1), (0.963, 40, 2)])
+        (0.96, 30, 0), (0.963, 40, 1), (0.97, 31, 2)])
     def test_stops_at_the_first_deciding_pass(self, monkeypatch, ratio,
                                               step, deciding):
         # sigma_n = ratio**n at both orders except that the 2*N0 values rise
@@ -703,26 +704,29 @@ class TestCertifiedHorizon:
         # exact truncations: sigma_n = 0.5**n at both orders, so the passes
         # reach below the level (about 1e-11 sigma_1) where the rounding
         # slack lets a pass be certified; both sketches, the 2*N0 one with
-        # the 47 columns of the values above the floor through every power
-        # pass, then full SVDs at both orders
+        # the 47 columns of the values above the floor and 16 more through
+        # every power pass, then full SVDs at both orders
         calls = _spy_on_spectra(monkeypatch)
         scans = _spy_on_scans(monkeypatch)
         build = lambda m: cd.composition_matrix(cd.dilation(0.5), m)
         spectrum = cd.convergence_horizon(build, n0)
-        (order0, k, small_passes), (order1, rank, passes) = calls["leading"]
+        (order0, k, small_passes), (order1, cols, passes) = calls["leading"]
         assert (order0, order1, k) == (n0, 2 * n0, operators._SKETCH_RANK)
-        assert rank == _sketch_rank(small_passes[0][0]) == 47
+        rank = _sketch_rank(small_passes[0][0])
+        assert rank == 47 and cols == rank + operators._OVERSAMPLE == 63
         assert len(small_passes) == 1
         assert len(passes) == operators._POWER_ITERATIONS + 1
         assert calls["svd"] == [2 * n0, n0]
-        # every pass scans k values a side; past rank the 2*N0 intervals
-        # are [0, e] widened by the slack (s_j = 0 past the sketch)
+        # every pass scans k values a side; past the sketched columns the
+        # 2*N0 intervals are [0, e] widened by the slack (zero padding), and
+        # past rank the N0 intervals start at 0
         sketch_scans = scans[:len(passes)]
-        for (s, e), (_, _, lo, hi) in zip(passes, sketch_scans):
-            assert len(lo) == len(hi) == k
+        for (s, e), (small_lo, _, lo, hi) in zip(passes, sketch_scans):
+            assert len(s) == cols and len(lo) == len(hi) == k
             slack = 1e-13 * np.sqrt(s[0] ** 2 + e ** 2)
-            assert np.all(lo[rank:] == 0.0)
-            np.testing.assert_allclose(hi[rank:], e + slack, rtol=1e-15)
+            assert np.all(lo[cols:] == 0.0)
+            np.testing.assert_allclose(hi[cols:], e + slack, rtol=1e-15)
+            assert np.all(small_lo[rank:] == 0.0)
         matrix = build(2 * n0).matrix
         small = np.linalg.svd(matrix[:n0, :n0], compute_uv=False)
         assert spectrum.values.tobytes() == small.tobytes()
@@ -732,11 +736,14 @@ class TestCertifiedHorizon:
     def test_all_pass_over_the_reduced_sketch_is_no_horizon(self,
                                                             monkeypatch):
         # 40 values above the floor and a tail of 1e-15 sigma_1, the same
-        # at both orders: the 2*N0 sketch takes 40 columns and every one of
-        # its 40 comparisons passes, but the values past them are only
-        # known to lie in [0, e], so no pass decides, and full SVDs give the
-        # horizon N0, not 40
+        # at both orders: the 2*N0 sketch takes the 40 columns and 16 more,
+        # whose values are the non-zero tail, and every one of the first 40
+        # comparisons passes; but past rank the N0 values lie below the
+        # rounding slack, so their intervals start at 0 and no comparison
+        # there passes.  No pass decides, and full SVDs give the horizon N0,
+        # not 40
         calls = _spy_on_spectra(monkeypatch)
+        scans = _spy_on_scans(monkeypatch)
 
         def values_at(m):
             v = np.full(m, 1e-15)
@@ -744,13 +751,21 @@ class TestCertifiedHorizon:
             return v
 
         spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
-        (n0, k, small_passes), (n1, rank, passes) = calls["leading"]
+        (n0, k, small_passes), (n1, cols, passes) = calls["leading"]
+        rank = _sketch_rank(small_passes[0][0])
         assert (n0, n1, k, rank) == (256, 512, operators._SKETCH_RANK, 40)
-        lo, hi = operators._weyl_intervals(*passes[0])
-        small_lo, small_hi = operators._weyl_intervals(*small_passes[0])
-        assert operators._scan_horizon(small_lo[:rank], small_hi[:rank],
-                                       lo, hi) == rank
+        assert cols == rank + operators._OVERSAMPLE == 56
         assert len(passes) == operators._POWER_ITERATIONS + 1
+        for (s, _), (small_lo, small_hi, lo, hi) in zip(passes, scans):
+            assert len(s) == cols and np.all(s[rank:] > 0.0)
+            assert operators._scan_horizon(small_lo[:rank], small_hi[:rank],
+                                           lo[:rank], hi[:rank]) == rank
+            # the band grows with the floor: a comparison that fails at the
+            # highest floor fails at every lower one
+            floor = 1e-14 * hi[0]
+            assert np.all(small_lo[rank:] == 0.0)
+            assert not any(operators._passes(a, b, floor)
+                           for a, b in zip(small_lo[rank:], hi[rank:]))
         assert calls["svd"] == [512, 256]
         assert spectrum.horizon == len(spectrum) == 256
 
