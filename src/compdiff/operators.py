@@ -28,12 +28,13 @@ beyond the horizon should be fed into fits or certificates.
 A doubling builds once, at 2*N0: the N0 truncation is the top-left block of
 the 2*N0 one, read as a view.  Above N = 128 the horizon compares the
 leading values of the two truncations, each certified to an interval by one
-sketch; a comparison counts only when both intervals give one answer, so the
-horizon is always the one full SVDs of both matrices give.  The N0 sketch
-takes 128 columns and the spectrum holds its 128 values; the 2*N0 sketch
-takes one column per N0 value above the horizon floor and ``_OVERSAMPLE``
-more, and the scan reads its first 128 values.  Past the floor the N0
-intervals start at 0, so no comparison there passes.
+sketch, with no power pass; a comparison counts only when both intervals
+give one answer, and a scan the sketches leave open is settled by full SVDs,
+so the horizon is always the one full SVDs of both matrices give.  The N0
+sketch takes 128 columns and the spectrum holds its 128 values; the 2*N0
+sketch takes one column per N0 value above the horizon floor and
+``_OVERSAMPLE`` more, and the scan reads its first 128 values.  Past the
+floor the N0 intervals start at 0, so no comparison there passes.
 :func:`convergence_horizon` describes the doubling.
 
 A table is filled one column per contiguous row of a buffer and returned as
@@ -63,13 +64,11 @@ from .series import Symbol, evaluate, taylor_array, validate_self_map
 _VALIDATION_SAMPLES = 2048
 _HORIZON_RTOL = 1e-2
 _HORIZON_FLOOR = 1e-14  # relative to sigma_1 of the 2*N0 spectrum
-# leading values of the N0 and 2*N0 matrices: sketch size, the 2*N0
-# sketch's oversampling past its rank, power iterations, fixed sketch seed,
-# and the rounding slack (relative to sigma_1) that widens every certified
-# interval
+# leading values of the N0 and 2*N0 matrices, one sketch each: sketch size,
+# the 2*N0 sketch's oversampling past its rank, fixed sketch seed, and the
+# rounding slack (relative to sigma_1) that widens every certified interval
 _SKETCH_RANK = 128
 _OVERSAMPLE = 16
-_POWER_ITERATIONS = 2
 _SKETCH_SEED = 0
 _ROUNDING_SLACK = 1e-13
 # columns per batched inverse FFT of the power-table build (n > 128)
@@ -316,49 +315,30 @@ def tensor_spectrum(s: SingularSpectrum, t: SingularSpectrum,
     return SingularSpectrum(values, order=s.order * t.order, horizon=horizon)
 
 
-def _leading_values(matrix: np.ndarray, k: int):
-    """Leading singular values of a square matrix A, with a certified error,
-    after each power pass.
+def _leading_values(matrix: np.ndarray, k: int) -> tuple:
+    """Leading singular values of a square matrix A, with a certified error.
 
-    Randomized subspace iteration (Halko, Martinsson & Tropp, SIAM Rev. 53,
-    2011, Alg. 4.4): a fixed-seed Gaussian sketch and a QR give an orthonormal
-    Q with k columns; each of ``_POWER_ITERATIONS`` passes through A^H and A,
-    with a QR after every product, refines it.  For every Q, with B = Q^H A
-    and E = A - Q B, A^H A = B^H B + E^H E exactly, so by Weyl's inequality
-    sigma_j(A) lies in [s_j, sqrt(s_j**2 + e**2)], where s = sigma(B)
-    (s_j = 0 for j > k) and e = ||E||_F.  Yields ``(s, e)`` after 0, 1, ...,
-    ``_POWER_ITERATIONS`` passes, so a caller can stop at the first pass that
-    tells it enough; the last is the result of a fixed run of every pass, bit
-    for bit.
-
-    A pass reads A^H Q as B^H = (Q^H A)^H, so A itself is never conjugated
-    and B is never formed twice.  Memory: Q and B are dropped before each QR,
-    and E is formed in column blocks in one preallocated n x k buffer.
+    The randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53,
+    2011, Alg. 4.1): a fixed-seed Gaussian sketch and a QR give an
+    orthonormal Q with k columns.  With B = Q^H A and E = A - Q B,
+    A^H A = B^H B + E^H E exactly, so by Weyl's inequality sigma_j(A) lies
+    in [s_j, sqrt(s_j**2 + e**2)], where s = sigma(B) (s_j = 0 for j > k)
+    and e = ||E||_F.  Returns ``(s, e)``.  E is formed in column blocks in
+    one preallocated n x k buffer.
     """
     n = matrix.shape[1]
     rng = np.random.default_rng(_SKETCH_SEED)
     q, _ = np.linalg.qr(matrix @ rng.standard_normal((n, k)))
     buf = np.empty(n * k, dtype=np.result_type(matrix, q))
-    for done in range(_POWER_ITERATIONS + 1):
-        b = q.conj().T @ matrix
-        e_sq = 0.0
-        for start in range(0, n, k):
-            cols = slice(start, start + k)
-            block = buf[:n * min(k, n - start)].reshape(n, -1)
-            np.matmul(q, b[:, cols], out=block)
-            np.subtract(matrix[:, cols], block, out=block)
-            e_sq += float(np.linalg.norm(block)) ** 2
-        yield np.linalg.svd(b, compute_uv=False), math.sqrt(e_sq)
-        if done == _POWER_ITERATIONS:
-            return
-        # the next pass; the old Q and B are dropped before each QR
-        y = b.conj().T
-        del q, b
-        q, _ = np.linalg.qr(y)
-        y = matrix @ q
-        del q
-        q, _ = np.linalg.qr(y)
-        del y
+    b = q.conj().T @ matrix
+    e_sq = 0.0
+    for start in range(0, n, k):
+        cols = slice(start, start + k)
+        block = buf[:n * min(k, n - start)].reshape(n, -1)
+        np.matmul(q, b[:, cols], out=block)
+        np.subtract(matrix[:, cols], block, out=block)
+        e_sq += float(np.linalg.norm(block)) ** 2
+    return np.linalg.svd(b, compute_uv=False), math.sqrt(e_sq)
 
 
 def _passes(a: float, b: float, floor: float) -> bool:
@@ -409,32 +389,25 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
     the N0 and 2*N0 truncations for every n <= n*.  ``build`` runs once, at
     2*N0: the N0 truncation P_N0 T P_N0 is the top-left N0 x N0 block of
     P_2N0 T P_2N0, and is read as a view of it, never copied or built.
-    Above N0 = 128 each side is the leading values of a sketch
+    Above N0 = 128 each side is the leading values of one sketch
     (:func:`_leading_values`), each sigma_n in [s_n, sqrt(s_n**2 + e**2)]
-    widened by 1e-13 sigma_1 for rounding.  The N0 side is the k = 128
-    values before any power pass.  The 2*N0 sketch takes rank + 16
-    (``_OVERSAMPLE``) columns, rank being the number of N0 values s_n above
-    the horizon floor (1e-14 s_1), at least one and at most k: the range
-    finder needs a column per value to resolve, and the oversampling
-    (Halko, Martinsson & Tropp, Sec. 4.2) lets it resolve them before any
-    power pass.  The scan compares k values on both sides: the first k of
-    the 2*N0 values, zero-padded when the sketch holds fewer (a padded s_n
-    gives [0, e]).  Past rank every N0 value is at most 1e-14 s_1, below the
-    1e-13 s_1 slack, so its interval starts at 0, and a comparison there
-    never passes (the 2*N0 interval reaches up to the slack, far above the
-    band of 1% of the floor around 0); so an all-pass over the sketched
-    values is never read as a horizon.  The 2*N0 intervals are scanned
-    after each pass in turn, until the scan decides a horizon below k (a
-    horizon of k may reach past the values held), and the spectrum then
-    holds the k values s_n of the N0 side.  Otherwise, and for N0 <= 128,
-    full SVDs of the 2*N0 matrix and its block give exact values, which
-    always decide, and the spectrum holds all N0 values.  So the horizon is
-    the one full SVDs give.
-
-    A pass is certified only while sigma_n stays above about 1e-11 sigma_1
-    (the slack over the 1% tolerance), so exact truncations such as a
-    dilation's pay both sketches on top of the full SVDs; the README lists
-    the power passes the benchmark matrices need.  A non-finite entry
+    widened by 1e-13 sigma_1 for rounding.  The N0 sketch takes k = 128
+    columns.  The 2*N0 sketch takes rank + 16 (``_OVERSAMPLE``) columns,
+    rank being the number of N0 values s_n above the horizon floor
+    (1e-14 s_1), at least one and at most k: the range finder needs a column
+    per value to resolve, and the oversampling (Halko, Martinsson & Tropp,
+    Sec. 4.2) lets it resolve them without a power pass.  The scan compares
+    k values on both sides: the first k of the 2*N0 values, zero-padded when
+    the sketch holds fewer (a padded s_n gives [0, e]).  Past rank every N0
+    value is at most 1e-14 s_1, below the 1e-13 s_1 slack, so its interval
+    starts at 0, and a comparison there never passes (the 2*N0 interval
+    reaches up to the slack, far above the band of 1% of the floor around
+    0); so an all-pass over the sketched values is never read as a horizon.
+    When the scan decides a horizon below k (a horizon of k may reach past
+    the values held), the spectrum holds the k values s_n of the N0 side.
+    Otherwise, and for N0 <= 128, full SVDs of the 2*N0 matrix and its block
+    give exact values, which always decide, and the spectrum holds all N0
+    values.  So the horizon is the one full SVDs give.  A non-finite entry
     anywhere in the 2*N0 matrix raises before any SVD.
     """
     if n0 < 16:
@@ -443,21 +416,18 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
     small = TruncatedOperator(big.matrix[:n0, :n0])
     if n0 > _SKETCH_RANK:
         try:
-            s_small, e = next(_leading_values(small.matrix, _SKETCH_RANK))
+            s_small, e = _leading_values(small.matrix, _SKETCH_RANK)
             small_lo, small_hi = _weyl_intervals(s_small, e)
             rank = max(1, int(np.count_nonzero(
                 s_small > _HORIZON_FLOOR * s_small[0])))
-            # stopped at the first power pass that decides; the first k
-            # values a side are scanned, zero-padded when the sketch holds
-            # fewer
-            for s, e in _leading_values(big.matrix, rank + _OVERSAMPLE):
-                s = np.pad(s[:_SKETCH_RANK],
-                           (0, max(0, _SKETCH_RANK - len(s))))
-                horizon = _scan_horizon(small_lo, small_hi,
-                                        *_weyl_intervals(s, e))
-                if horizon is not None and horizon < _SKETCH_RANK:
-                    return SingularSpectrum(s_small, order=n0,
-                                            horizon=horizon)
+            # the first k values a side are scanned, zero-padded when the
+            # 2*N0 sketch holds fewer
+            s, e = _leading_values(big.matrix, rank + _OVERSAMPLE)
+            s = np.pad(s[:_SKETCH_RANK], (0, max(0, _SKETCH_RANK - len(s))))
+            horizon = _scan_horizon(small_lo, small_hi,
+                                    *_weyl_intervals(s, e))
+            if horizon is not None and horizon < _SKETCH_RANK:
+                return SingularSpectrum(s_small, order=n0, horizon=horizon)
         except np.linalg.LinAlgError:
             pass
     # the exact values of full SVDs always decide

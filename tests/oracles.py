@@ -11,8 +11,8 @@ import numpy as np
 from compdiff.bounds import _SUP_SAMPLES, _sup_values, boundary_sup
 from compdiff.hardy import (as_points, cumulative_hyperbolic_length,
                             pseudo_distance_array)
-from compdiff.operators import (_POWER_ITERATIONS, _SKETCH_SEED, _table,
-                                difference_matrix, tensor_spectrum)
+from compdiff.operators import (_SKETCH_SEED, _table, difference_matrix,
+                                tensor_spectrum)
 from compdiff.series import eval_array
 
 
@@ -62,20 +62,16 @@ def power_table_by_convolution(base, first, n, cols):
     return out
 
 
-def leading_values_all_passes(matrix, k):
-    """Randomized subspace iteration run through every power pass at once.
+def leading_values_one_sketch(matrix, k):
+    """The randomized range finder with E in freshly allocated blocks.
 
-    The fixed-pass form of ``operators._leading_values``: the same seed, the
-    same products and QRs, A^H Q formed afresh each pass and E in freshly
-    allocated column blocks.  Returns ``(sigma(Q^H A), ||A - Q Q^H A||_F)``
-    for the final Q only.
+    The unbuffered form of ``operators._leading_values``: the same seed, the
+    same sketch, QR and products, E formed one fresh column block at a time.
+    Returns ``(sigma(Q^H A), ||A - Q Q^H A||_F)``.
     """
     n = matrix.shape[1]
     rng = np.random.default_rng(_SKETCH_SEED)
     q, _ = np.linalg.qr(matrix @ rng.standard_normal((n, k)))
-    for _ in range(_POWER_ITERATIONS):
-        q, _ = np.linalg.qr((q.conj().T @ matrix).conj().T)
-        q, _ = np.linalg.qr(matrix @ q)
     b = q.conj().T @ matrix
     e_sq = 0.0
     for start in range(0, n, k):

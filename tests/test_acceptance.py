@@ -1,11 +1,13 @@
 """Acceptance criteria, one test per criterion, one printed verdict line each,
-and a guard on the sketches behind the smooth runs they share.
+and a guard that every doubling behind the smooth, corner and weighted runs
+they share decides on one sketch a side, with no full SVD.
 
 Heavy spectra (truncations up to 4096 for the doubling diagnostics) are
 computed once in session fixtures and shared across criteria.  Run with
 ``pytest -s tests/test_acceptance.py`` to see the verdict lines as they pass.
 """
 
+import contextlib
 import math
 import time
 
@@ -19,6 +21,7 @@ from compdiff.series import eval_array
 from oracles import hs_parseval_sum
 
 SMOOTH_ALPHAS = (2.5, 3.0, 4.0)
+WEIGHTED_ALPHAS = (1.0, 2.0)
 SMOOTH_C = 0.005
 CORNER_C = 0.01
 
@@ -32,30 +35,40 @@ def _verdict(name: str, ok: bool, detail: str) -> bool:
 # shared heavy computations
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _recording_doublings():
+    """Record ``(order, columns)`` of every sketch and the order of every
+    full SVD that convergence_horizon takes inside the block."""
+    calls = {"sketches": [], "svd": []}
+    real_leading = operators._leading_values
+    real_svd = operators.singular_spectrum
+
+    def spy_leading(matrix, k):
+        calls["sketches"].append((matrix.shape[0], k))
+        return real_leading(matrix, k)
+
+    def spy_svd(op):
+        calls["svd"].append(op.order)
+        return real_svd(op)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_leading_values", spy_leading)
+        mp.setattr(operators, "singular_spectrum", spy_svd)
+        yield calls
+
+
 @pytest.fixture(scope="session")
 def smooth_results():
-    """Per alpha: the result, its wall time, and ``[order, columns, results
-    yielded]`` of every sketch its doubling took (one result per power pass
-    run, the pass-0 one first)."""
+    """Per alpha: the result, its wall time, and the sketches and full SVDs
+    of its doubling."""
     out = {}
-    real_leading = operators._leading_values
     for alpha in SMOOTH_ALPHAS:
-        sketches = []
-
-        def spy_leading(matrix, k):
-            sketch = [matrix.shape[0], k, 0]
-            sketches.append(sketch)
-            for passed in real_leading(matrix, k):
-                sketch[2] += 1
-                yield passed
-
         t0 = time.monotonic()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operators, "_leading_values", spy_leading)
+        with _recording_doublings() as calls:
             result = cd.run_smooth_perturbation(
                 alpha, SMOOTH_C, n_trunc=1024, window=(8, 64),
                 certificates=True)
-        out[alpha] = (result, time.monotonic() - t0, sketches)
+        out[alpha] = (result, time.monotonic() - t0, calls)
     return out
 
 
@@ -64,14 +77,29 @@ def corner_spectra():
     phi = cd.corner_map()
     psi = cd.corner_perturbation(CORNER_C)
     t0 = time.monotonic()
-    single = cd.convergence_horizon(
-        lambda m: cd.composition_matrix(phi, m), 2048)
-    perturbed = cd.convergence_horizon(
-        lambda m: cd.composition_matrix(psi, m), 2048)
-    diff = cd.convergence_horizon(
-        lambda m: cd.difference_matrix(phi, psi, m), 2048)
+    with _recording_doublings() as calls:
+        single = cd.convergence_horizon(
+            lambda m: cd.composition_matrix(phi, m), 2048)
+        perturbed = cd.convergence_horizon(
+            lambda m: cd.composition_matrix(psi, m), 2048)
+        diff = cd.convergence_horizon(
+            lambda m: cd.difference_matrix(phi, psi, m), 2048)
     return {"single": single, "perturbed": perturbed, "diff": diff,
-            "elapsed": time.monotonic() - t0}
+            "elapsed": time.monotonic() - t0, "doublings": calls}
+
+
+@pytest.fixture(scope="session")
+def weighted_results():
+    """Per alpha: the result, its wall time, and the sketches and full SVDs
+    of its doubling."""
+    out = {}
+    for alpha in WEIGHTED_ALPHAS:
+        t0 = time.monotonic()
+        with _recording_doublings() as calls:
+            result = cd.run_weighted_power(alpha, n_trunc=1024,
+                                           certificates=True)
+        out[alpha] = (result, time.monotonic() - t0, calls)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +157,33 @@ def test_criterion_3_smooth_power_rate(smooth_results):
     assert _verdict("criterion 3 (smooth power rate)", ok, "; ".join(details))
 
 
-def test_smooth_doublings_decide_before_any_power_pass(smooth_results):
-    # the 2*N0 sketch takes the 128 N0 values above the floor and 16 more
-    # columns, and one result, before any power pass, decides each horizon;
-    # with 128 columns alpha = 3 (the smooth benchmark's seed 0) and 4 need
-    # a power pass
-    for alpha in SMOOTH_ALPHAS:
-        _, _, sketches = smooth_results[alpha]
-        assert sketches == [[1024, 128, 1], [2048, 144, 1]]
+def _two_sketches(n0, rank):
+    """The sketches of a doubling the sketches decide: N0 with k columns,
+    then 2*N0 with one column per N0 value above the floor, oversampled."""
+    return [(n0, operators._SKETCH_RANK),
+            (2 * n0, rank + operators._OVERSAMPLE)]
+
+
+def test_acceptance_doublings_decide_on_two_sketches(
+        smooth_results, corner_spectra, weighted_results):
+    # every doubling behind the smooth, corner and weighted criteria
+    # decides on one sketch a side; a matrix pushed into the full-SVD
+    # fallback would take a full SVD and slow these runs down.  Without the
+    # 16 oversampling columns smooth alpha = 3 and 4 fall back
+    for results in (smooth_results, weighted_results):
+        for _, _, calls in results.values():
+            assert calls == {"sketches": _two_sketches(1024, 128), "svd": []}
     assert smooth_results[3.0][0].spectra["difference"].horizon == 35
+    calls = corner_spectra["doublings"]
+    assert calls["svd"] == []
+    expected = []
+    for name in ("single", "perturbed", "diff"):
+        # a decided spectrum holds the N0 sketch's values
+        values = corner_spectra[name].values
+        assert len(values) == operators._SKETCH_RANK
+        expected += _two_sketches(2048, int(np.count_nonzero(
+            values > 1e-14 * values[0])))
+    assert calls["sketches"] == expected
 
 
 def _separation_checks(sep: dict) -> dict:
@@ -216,13 +262,11 @@ def test_criterion_5_certificates_track_spectra(smooth_results):
     assert _verdict("criterion 5 (certificate slopes)", ok, "; ".join(details))
 
 
-def test_criterion_6_weighted_family():
+def test_criterion_6_weighted_family(weighted_results):
     ok = True
     details = []
-    for alpha in (1.0, 2.0):
-        t0 = time.monotonic()
-        result = cd.run_weighted_power(alpha, n_trunc=1024, certificates=True)
-        elapsed = time.monotonic() - t0
+    for alpha in WEIGHTED_ALPHAS:
+        result, elapsed, _ = weighted_results[alpha]
         p = result.fits["sigma_power"].params["p"]
         in_band = (alpha - 0.3) <= p <= (alpha + 0.4)
         ok &= in_band and elapsed <= 600

@@ -12,7 +12,7 @@ from compdiff import operators
 from compdiff.errors import (BoundaryFixedOrigin, HorizonExceeded, NotSelfMap,
                              NumericalBreakdown)
 from compdiff.series import IntPower, Symbol
-from oracles import (leading_values_all_passes, power_table_by_convolution,
+from oracles import (leading_values_one_sketch, power_table_by_convolution,
                      tensor_values_walk)
 
 RNG_SEED = 911
@@ -176,10 +176,10 @@ class TestTableLayout:
                          (block, np.asfortranarray(block),
                           np.ascontiguousarray(block))):
             for k in (40, 128):
-                for (s, e), *copies in zip(*(
-                        operators._leading_values(m, k) for m in matrices)):
-                    for s_c, e_c in copies:
-                        assert s.tobytes() == s_c.tobytes() and e == e_c
+                s, e = operators._leading_values(matrices[0], k)
+                for copy in matrices[1:]:
+                    s_c, e_c = operators._leading_values(copy, k)
+                    assert s.tobytes() == s_c.tobytes() and e == e_c
 
     def test_builders_return_fortran_order(self):
         for build, _, _ in _PUBLIC_BUILDS:
@@ -495,20 +495,17 @@ CERTIFIED_CASES = {
 
 
 def _spy_on_spectra(mp):
-    """Record the order and size of every sketch, every pass each sketch
-    yields, the SVD orders convergence_horizon uses, and the matrices it
-    sketches."""
+    """Record the order, size and ``(s, e)`` of every sketch, the SVD orders
+    convergence_horizon uses, and the matrices it sketches."""
     calls = {"leading": [], "svd": [], "matrices": []}
     real_leading = operators._leading_values
     real_svd = operators.singular_spectrum
 
     def spy_leading(matrix, k):
-        passes = []
-        calls["leading"].append((matrix.shape[0], k, passes))
+        out = real_leading(matrix, k)
+        calls["leading"].append((matrix.shape[0], k, out))
         calls["matrices"].append(matrix)
-        for out in real_leading(matrix, k):
-            passes.append(out)
-            yield out
+        return out
 
     def spy_svd(op):
         calls["svd"].append(op.order)
@@ -568,14 +565,11 @@ class TestCertifiedHorizon:
         # then 2*N0 with one column per N0 value above the horizon floor,
         # oversampled
         k = operators._SKETCH_RANK
-        (s, _), = calls["leading"][0][2]
+        _, _, (s, _) = calls["leading"][0]
         rank = _sketch_rank(s)
         assert [(order, size) for order, size, _ in calls["leading"]] == [
             (n0, k), (2 * n0, rank + operators._OVERSAMPLE)]
         assert calls["svd"] == []
-        # each before its first power pass: a sketch that ran on past the
-        # pass it needed would yield more
-        assert [len(passes) for *_, passes in calls["leading"]] == [1, 1]
         # the spectrum holds the N0 sketch's k values, the lower ends of
         # their intervals, and matches LAPACK inside the horizon
         assert spectrum.order == n0
@@ -588,13 +582,12 @@ class TestCertifiedHorizon:
     def test_full_svd_values_inside_weyl_intervals(self, certified_runs,
                                                    name, n0):
         _, calls, _, full = certified_runs[name, n0]
-        for order, k, passes in calls["leading"]:
+        for order, k, (s, e) in calls["leading"]:
             exact = full[order]
             slack = 1e-13 * exact[0]
-            for s, e in passes:
-                assert np.all(exact[:k] >= s - slack)
-                assert np.all(exact[:k] <= np.sqrt(s ** 2 + e ** 2) + slack)
-                assert np.all(exact[k:] <= e + slack)
+            assert np.all(exact[:k] >= s - slack)
+            assert np.all(exact[:k] <= np.sqrt(s ** 2 + e ** 2) + slack)
+            assert np.all(exact[k:] <= e + slack)
 
     def test_complex_and_real_sketches(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -602,35 +595,34 @@ class TestCertifiedHorizon:
                          + 1j * rng.normal(size=(300, 300)))[0]
         values = 0.9 ** np.arange(300)
         for matrix in (u * values, np.real(u) * values):
-            passes = list(operators._leading_values(matrix, 128))
+            s, e = operators._leading_values(matrix, 128)
             full = np.linalg.svd(matrix, compute_uv=False)
-            assert len(passes) == operators._POWER_ITERATIONS + 1
-            for s, e in passes:
-                assert s.dtype == np.float64 and len(s) == 128
-                assert np.all(full[:128] >= s - 1e-13)
-                assert np.all(full[:128] <= np.sqrt(s ** 2 + e ** 2) + 1e-13)
+            assert s.dtype == np.float64 and len(s) == 128
+            assert np.all(full[:128] >= s - 1e-13)
+            assert np.all(full[:128] <= np.sqrt(s ** 2 + e ** 2) + 1e-13)
 
-    def test_last_pass_is_the_all_passes_result_bit_for_bit(self):
+    def test_sketch_is_the_unbuffered_oracle_bit_for_bit(self):
         rng = np.random.default_rng(RNG_SEED)
         # 600 columns: the last residual block is narrower than k
         u = np.linalg.qr(rng.normal(size=(600, 600))
                          + 1j * rng.normal(size=(600, 600)))[0]
         values = 0.97 ** np.arange(600)
         for matrix in (u * values, np.real(u) * values):
-            *_, (s, e) = operators._leading_values(matrix, 128)
-            s_ref, e_ref = leading_values_all_passes(matrix, 128)
+            s, e = operators._leading_values(matrix, 128)
+            s_ref, e_ref = leading_values_one_sketch(matrix, 128)
             assert s.tobytes() == s_ref.tobytes()
             assert e == e_ref
 
-    def test_all_passes_peak_no_higher_than_one_fixed_run(self):
-        # a generator that kept Q and B alive across the next QR, or
-        # allocated each residual block afresh, peaks above the oracle
+    def test_peak_below_the_unbuffered_oracle(self):
+        # the residual reuses one n x k buffer where the oracle allocates
+        # two blocks per step; a sketch that allocated each residual block
+        # afresh would peak as high as the oracle
         matrix = cd.difference_matrix(
             cd.half_map(), cd.power_perturbation(3, 0.005), 1024).matrix
         assert matrix.dtype == np.complex128
         peaks = []
-        for run in (lambda: list(operators._leading_values(matrix, 128)),
-                    lambda: leading_values_all_passes(matrix, 128)):
+        for run in (lambda: operators._leading_values(matrix, 128),
+                    lambda: leading_values_one_sketch(matrix, 128)):
             tracemalloc.start()
             try:
                 run()
@@ -638,17 +630,18 @@ class TestCertifiedHorizon:
             finally:
                 tracemalloc.stop()
             peaks.append(peak)
-        assert peaks[0] <= peaks[1]
+        assert peaks[0] < peaks[1]
 
-    @pytest.mark.parametrize("ratio, step, deciding", [
-        (0.96, 30, 0), (0.963, 40, 1), (0.97, 31, 2)])
-    def test_stops_at_the_first_deciding_pass(self, monkeypatch, ratio,
-                                              step, deciding):
+    @pytest.mark.parametrize("ratio, step, svd", [
+        (0.96, 30, []), (0.963, 40, [512, 256]), (0.97, 31, [512, 256])])
+    def test_sketches_decide_or_fall_back(self, monkeypatch, ratio, step,
+                                          svd):
         # sigma_n = ratio**n at both orders except that the 2*N0 values rise
         # by 3% from index ``step`` on (still non-increasing); the slower
-        # the decay, the more passes the 2*N0 intervals need before they
-        # decide the rise.  The N0 block has rank k, so its sketch is exact
-        # before any pass
+        # the decay, the wider the 2*N0 intervals near the rise.  At 0.96
+        # the sketches decide it; at 0.963 and 0.97 they leave it open, and
+        # full SVDs give the same horizon and all N0 values.  The N0 block
+        # has rank k, so its sketch is exact
         calls = _spy_on_spectra(monkeypatch)
         a = ratio ** np.arange(256.0)
         b = a.copy()
@@ -656,27 +649,23 @@ class TestCertifiedHorizon:
         a[operators._SKETCH_RANK:] = 0.0
 
         spectrum = cd.convergence_horizon(_nested_build(a, b), 256)
-        (n0, _, small_passes), (n1, _, passes) = calls["leading"]
-        assert (n0, n1) == (256, 512)
-        assert len(small_passes) == 1
-        assert len(passes) == deciding + 1
-        assert calls["svd"] == []
+        assert [order for order, _, _ in calls["leading"]] == [256, 512]
+        assert calls["svd"] == svd
         assert spectrum.horizon == step
+        assert len(spectrum) == (256 if svd else operators._SKETCH_RANK)
 
     def test_loose_n0_sketch_falls_back(self, monkeypatch):
         # sigma_n = 0.965**n, the 2*N0 values raised by 3% from index 20:
-        # exact N0 values would decide on the first 2*N0 power pass, but the
-        # N0 sketch's intervals before any power pass are wider than the 1%
-        # test near the rise, so no 2*N0 pass decides and full SVDs give
-        # the horizon
+        # the N0 sketch's intervals are wider than the 1% test near the
+        # rise, so the 2*N0 sketch cannot decide it, and full SVDs give the
+        # horizon after both sketches
         calls = _spy_on_spectra(monkeypatch)
         a = 0.965 ** np.arange(256.0)
         b = a.copy()
         b[20:] *= 1.03
 
         spectrum = cd.convergence_horizon(_nested_build(a, b), 256)
-        assert [len(passes) for *_, passes in calls["leading"]] == [
-            1, operators._POWER_ITERATIONS + 1]
+        assert [order for order, _, _ in calls["leading"]] == [256, 512]
         assert calls["svd"] == [512, 256]
         assert spectrum.horizon == 20 and len(spectrum) == 256
 
@@ -692,41 +681,36 @@ class TestCertifiedHorizon:
             return v
 
         spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
-        (n0, k, small_passes), (n1, _, passes) = calls["leading"]
+        (n0, k, _), (n1, _, _) = calls["leading"]
         assert (n0, n1, k) == (256, 512, 128)
-        assert len(small_passes) == 1
-        assert len(passes) == operators._POWER_ITERATIONS + 1
         assert calls["svd"] == [512, 256]
         assert spectrum.horizon == len(spectrum) == 256
 
     @pytest.mark.parametrize("n0", [256, 512])
     def test_dilation_falls_back_after_both_sketches(self, monkeypatch, n0):
-        # exact truncations: sigma_n = 0.5**n at both orders, so the passes
-        # reach below the level (about 1e-11 sigma_1) where the rounding
-        # slack lets a pass be certified; both sketches, the 2*N0 one with
-        # the 47 columns of the values above the floor and 16 more through
-        # every power pass, then full SVDs at both orders
+        # exact truncations: sigma_n = 0.5**n at both orders, so the horizon
+        # reaches below the level (about 1e-11 sigma_1) where the rounding
+        # slack lets a comparison be certified; both sketches, the 2*N0 one
+        # with the 47 columns of the values above the floor and 16 more,
+        # then full SVDs at both orders
         calls = _spy_on_spectra(monkeypatch)
         scans = _spy_on_scans(monkeypatch)
         build = lambda m: cd.composition_matrix(cd.dilation(0.5), m)
         spectrum = cd.convergence_horizon(build, n0)
-        (order0, k, small_passes), (order1, cols, passes) = calls["leading"]
+        (order0, k, (s_small, _)), (order1, cols, (s, e)) = calls["leading"]
         assert (order0, order1, k) == (n0, 2 * n0, operators._SKETCH_RANK)
-        rank = _sketch_rank(small_passes[0][0])
+        rank = _sketch_rank(s_small)
         assert rank == 47 and cols == rank + operators._OVERSAMPLE == 63
-        assert len(small_passes) == 1
-        assert len(passes) == operators._POWER_ITERATIONS + 1
         assert calls["svd"] == [2 * n0, n0]
-        # every pass scans k values a side; past the sketched columns the
-        # 2*N0 intervals are [0, e] widened by the slack (zero padding), and
-        # past rank the N0 intervals start at 0
-        sketch_scans = scans[:len(passes)]
-        for (s, e), (small_lo, _, lo, hi) in zip(passes, sketch_scans):
-            assert len(s) == cols and len(lo) == len(hi) == k
-            slack = 1e-13 * np.sqrt(s[0] ** 2 + e ** 2)
-            assert np.all(lo[cols:] == 0.0)
-            np.testing.assert_allclose(hi[cols:], e + slack, rtol=1e-15)
-            assert np.all(small_lo[rank:] == 0.0)
+        # the sketch scan reads k values a side; past the sketched columns
+        # the 2*N0 intervals are [0, e] widened by the slack (zero padding),
+        # and past rank the N0 intervals start at 0
+        small_lo, _, lo, hi = scans[0]
+        assert len(s) == cols and len(lo) == len(hi) == k
+        slack = 1e-13 * np.sqrt(s[0] ** 2 + e ** 2)
+        assert np.all(lo[cols:] == 0.0)
+        np.testing.assert_allclose(hi[cols:], e + slack, rtol=1e-15)
+        assert np.all(small_lo[rank:] == 0.0)
         matrix = build(2 * n0).matrix
         small = np.linalg.svd(matrix[:n0, :n0], compute_uv=False)
         assert spectrum.values.tobytes() == small.tobytes()
@@ -740,8 +724,8 @@ class TestCertifiedHorizon:
         # whose values are the non-zero tail, and every one of the first 40
         # comparisons passes; but past rank the N0 values lie below the
         # rounding slack, so their intervals start at 0 and no comparison
-        # there passes.  No pass decides, and full SVDs give the horizon N0,
-        # not 40
+        # there passes.  The sketches do not decide, and full SVDs give the
+        # horizon N0, not 40
         calls = _spy_on_spectra(monkeypatch)
         scans = _spy_on_scans(monkeypatch)
 
@@ -751,21 +735,20 @@ class TestCertifiedHorizon:
             return v
 
         spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
-        (n0, k, small_passes), (n1, cols, passes) = calls["leading"]
-        rank = _sketch_rank(small_passes[0][0])
+        (n0, k, (s_small, _)), (n1, cols, (s, _)) = calls["leading"]
+        rank = _sketch_rank(s_small)
         assert (n0, n1, k, rank) == (256, 512, operators._SKETCH_RANK, 40)
         assert cols == rank + operators._OVERSAMPLE == 56
-        assert len(passes) == operators._POWER_ITERATIONS + 1
-        for (s, _), (small_lo, small_hi, lo, hi) in zip(passes, scans):
-            assert len(s) == cols and np.all(s[rank:] > 0.0)
-            assert operators._scan_horizon(small_lo[:rank], small_hi[:rank],
-                                           lo[:rank], hi[:rank]) == rank
-            # the band grows with the floor: a comparison that fails at the
-            # highest floor fails at every lower one
-            floor = 1e-14 * hi[0]
-            assert np.all(small_lo[rank:] == 0.0)
-            assert not any(operators._passes(a, b, floor)
-                           for a, b in zip(small_lo[rank:], hi[rank:]))
+        small_lo, small_hi, lo, hi = scans[0]
+        assert len(s) == cols and np.all(s[rank:] > 0.0)
+        assert operators._scan_horizon(small_lo[:rank], small_hi[:rank],
+                                       lo[:rank], hi[:rank]) == rank
+        # the band grows with the floor: a comparison that fails at the
+        # highest floor fails at every lower one
+        floor = 1e-14 * hi[0]
+        assert np.all(small_lo[rank:] == 0.0)
+        assert not any(operators._passes(a, b, floor)
+                       for a, b in zip(small_lo[rank:], hi[rank:]))
         assert calls["svd"] == [512, 256]
         assert spectrum.horizon == len(spectrum) == 256
 
