@@ -360,19 +360,14 @@ def _blaschke_peak_candidates(zeros: np.ndarray, curve: np.ndarray,
     return re + 1j * im
 
 
-@functools.lru_cache(maxsize=8)
-def _coarse_positions(side: int) -> np.ndarray:
-    """Mask of the ``sup_grid(side)`` points inside ``sup_grid(2 * side)``.
-
-    Coarse exponent m / (side/128) equals fine exponent 2m / (2 side/128)
-    exactly, so coarse point i sits at fine position 2i on the negative half
-    and at 2 side + 2i + 1 on the positive half, bit for bit.
-    """
-    mask = np.zeros(4 * side, dtype=bool)
-    mask[0:2 * side:2] = True
-    mask[2 * side + 1::2] = True
-    mask.setflags(write=False)
-    return mask
+# mask of the sup_grid(side) points inside sup_grid(2 * side), side =
+# _SUP_SAMPLES: coarse exponent m / (side/128) equals fine exponent
+# 2m / (2 side/128) exactly, so coarse point i sits at fine position 2i on the
+# negative half and at 2 side + 2i + 1 on the positive half, bit for bit
+_COARSE_POSITIONS = np.zeros(4 * _SUP_SAMPLES, dtype=bool)
+_COARSE_POSITIONS[0:2 * _SUP_SAMPLES:2] = True
+_COARSE_POSITIONS[2 * _SUP_SAMPLES + 1::2] = True
+_COARSE_POSITIONS.setflags(write=False)
 
 
 def _refined_sup(values: np.ndarray, kept: np.ndarray,
@@ -385,7 +380,7 @@ def _refined_sup(values: np.ndarray, kept: np.ndarray,
     counts for each grid that keeps a point; a grid that keeps none has sup 0,
     and ``empty`` says the fine grid keeps none.
     """
-    coarse_values = values[_coarse_positions(_SUP_SAMPLES)[kept]]
+    coarse_values = values[_COARSE_POSITIONS[kept]]
     fine = max(float(values.max()), peak) if values.size else 0.0
     coarse = max(float(coarse_values.max()), peak) if coarse_values.size else 0.0
     return coarse, fine, not values.size

@@ -31,9 +31,9 @@ from .bounds import (hs_norm, lower_certificate, optimize_upper,
                      optimize_weighted_upper, sequence_boundary_pinch,
                      sequence_radial, weighted_lower_certificate)
 from .errors import CompdiffError, ParseError
-from .experiments import (DEFAULT_R_GRID, bidisc_driver, fit_decay,
-                          run_corner_perturbation, run_smooth_perturbation,
-                          run_weighted_power)
+from .experiments import (DEFAULT_R_GRID, _write_json, bidisc_driver,
+                          fit_decay, run_corner_perturbation,
+                          run_smooth_perturbation, run_weighted_power)
 from .operators import (composition_matrix, convergence_horizon,
                         difference_matrix, spectrum_from_csv, spectrum_to_csv,
                         weighted_composition_matrix)
@@ -171,13 +171,6 @@ def _set_blas_threads(count: int) -> None:
 def resolve_outdir(args) -> Path:
     out = args.out or os.environ.get(_ENV_OUTDIR) or "."
     return Path(out)
-
-
-def _write_json(path: Path, payload) -> None:
-    """Standard JSON: a non-finite number raises instead of being written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
 
 
 def _spectrum_run(args, build, label: str) -> Path:

@@ -139,12 +139,13 @@ def fit_decay(spectrum: SingularSpectrum, model: str, window: tuple,
               q: float = 0.0) -> DecayFit:
     """Fit a decay model to sigma_n over ``window = (n_lo, n_hi)`` inclusive.
 
-    The window must sit inside [2, horizon]; positive values only.
+    The window must sit inside [2, horizon]; positive values only.  A
+    spectrum without a horizon trusts no index (None counts as 0).
     """
     lo, hi = int(window[0]), int(window[1])
     if lo < 2 or hi < lo:
         raise ValueError(f"bad window {window}")
-    if spectrum.horizon is not None and hi > spectrum.horizon:
+    if hi > (spectrum.horizon or 0):
         raise WindowExceedsHorizon(
             f"window top {hi} exceeds horizon {spectrum.horizon}")
     if hi > len(spectrum):
@@ -189,8 +190,7 @@ class ExperimentResult:
             (out / fname).write_text(spectrum_to_csv(spectrum))
             spectra_files[label] = fname
         if self.certificates:
-            (out / "certificates.json").write_text(
-                json.dumps(self.certificates, indent=2, sort_keys=True) + "\n")
+            _write_json(out / "certificates.json", self.certificates)
         payload = {
             "name": self.name,
             "parameters": self.parameters,
@@ -200,9 +200,16 @@ class ExperimentResult:
             "spectra_files": spectra_files,
             "certificates_file": "certificates.json" if self.certificates else None,
         }
-        (out / "result.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "result.json", payload)
         return out / "result.json"
+
+
+def _write_json(path: Path, payload) -> None:
+    """Standard JSON, keys sorted, one trailing newline: a non-finite number
+    raises instead of being written."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _fit_from_source(source: dict, spectra: dict, model: str,
@@ -602,8 +609,9 @@ def _run_triangular(c: float = 0.01, n_trunc: int = 2048,
 
     The weights are the constant 1/2 and the dilation z -> z/2, both of
     sup-norm 1/2.  Every spectrum, given or built, must hold sigma at the
-    largest block size 2^max(K): a doubling spectrum above N = 128 holds
-    128 values (see :func:`convergence_horizon`), so there K <= 7.
+    largest block size 2^max(K), which ``len(spectrum)`` decides: a doubling
+    spectrum above N = 128 holds 128 values when the sketches decide and all
+    N values when full SVDs do (see :func:`convergence_horizon`).
     """
     largest = 2 ** max(k_range)  # every block reads sigma at its own size
     if largest > n_trunc:

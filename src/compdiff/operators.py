@@ -33,8 +33,8 @@ give one answer, and a scan the sketches leave open is settled by full SVDs,
 so the horizon is always the one full SVDs of both matrices give.  The N0
 sketch takes 128 columns and the spectrum holds its 128 values; the 2*N0
 sketch takes one column per N0 value above the horizon floor and
-``_OVERSAMPLE`` more, and the scan reads its first 128 values.  Past the
-floor the N0 intervals start at 0, so no comparison there passes.
+``_OVERSAMPLE`` more, and the scan compares the values both sides hold.
+Past the floor the N0 intervals start at 0, so no comparison there passes.
 :func:`convergence_horizon` describes the doubling.
 
 A table is filled one column per contiguous row of a buffer and returned as
@@ -149,60 +149,57 @@ class SingularSpectrum:
 # matrix builders
 # ---------------------------------------------------------------------------
 
-def _power_columns(base: np.ndarray, first: np.ndarray, n: int,
-                   cols: int) -> tuple:
-    """Columns first, first*base, first*base^2, ... truncated to n coefficients.
+def _power_columns(base: np.ndarray, first: np.ndarray, n: int) -> tuple:
+    """Columns first, first*base, ..., first*base^(n-1) truncated to n
+    coefficients.
 
     Returns ``(dtype, blocks)``: float64 when both inputs have exactly zero
     imaginary parts, complex128 otherwise, and an iterator over blocks of
     consecutive columns (see :func:`_powers`), one column per row of an
-    ``(m, n)`` array, ``cols`` columns in all, so a caller can store or
-    combine each block as it comes.
+    ``(m, n)`` array, n columns in all, so a caller can store or combine
+    each block as it comes.
     """
     real = not (np.any(np.imag(base)) or np.any(np.imag(first)))
     if real:
         base, first = np.real(base), np.real(first)
-    return (float if real else complex), _powers(base, first, n, cols, real)
+    return (float if real else complex), _powers(base, first, n, real)
 
 
-def _powers(base: np.ndarray, first: np.ndarray, n: int, cols: int,
-            real: bool):
+def _powers(base: np.ndarray, first: np.ndarray, n: int, real: bool):
     """The blocks of :func:`_power_columns`.
 
     The first block is the column ``first``.  Up to n = 128 every later
     block is one column, the truncated product of the one before it with
     ``base`` (``np.convolve``).  Above, every later block holds the next
-    B = ``_BLOCK`` columns: truncation commutes with these lower-triangular
-    Toeplitz products, so column k + j is trunc(col_k * P_j) with
-    P_j = trunc(base^j), and a block is one forward FFT of its anchor col_k,
-    the last column before it, times the precomputed transforms of
-    P_1 ... P_B, and one batched inverse FFT.  The linear product has
-    2n - 1 <= ``size`` coefficients, so the cyclic one does not alias.
+    B = ``_BLOCK`` columns, the last block the rest: truncation commutes
+    with these lower-triangular Toeplitz products, so column k + j is
+    trunc(col_k * P_j) with P_j = trunc(base^j), and a block is one forward
+    FFT of its anchor col_k, the last column before it, times the
+    precomputed transforms of P_1 ... P_B, and one batched inverse FFT.  The
+    linear product has 2n - 1 <= ``size`` coefficients, so the cyclic one
+    does not alias.  n > 128 leaves n - 1 > B columns after the first.
     """
     yield first[None]
     col = first
     if n <= 128:
-        for _ in range(1, cols):
+        for _ in range(1, n):
             col = np.convolve(col, base)[:n]
             yield col[None]
-        return
-    if cols == 1:
         return
     size = 1 << (2 * n - 1).bit_length()
     # size is even, so irfft's default output length is size
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    steps = min(_BLOCK, cols - 1)
-    # P_1 ... P_steps by the one-column recursion, transformed once
-    trunc = np.empty((steps, n), dtype=base.dtype)
+    # P_1 ... P_B by the one-column recursion, transformed once
+    trunc = np.empty((_BLOCK, n), dtype=base.dtype)
     trunc[0] = base
     fbase = fft(base, size)
-    for j in range(1, steps):
+    for j in range(1, _BLOCK):
         trunc[j] = ifft(fft(trunc[j - 1], size) * fbase)[:n]
     ftrunc = fft(trunc, size, axis=1)
     del trunc, fbase
     prod = np.empty_like(ftrunc)
-    for k in range(1, cols, steps):
-        m = min(steps, cols - k)
+    for k in range(1, n, _BLOCK):
+        m = min(_BLOCK, n - k)
         np.multiply(fft(col, size), ftrunc[:m], out=prod[:m])
         block = ifft(prod[:m], axis=1)[:, :n]
         yield block
@@ -215,22 +212,22 @@ def _unit(n: int) -> np.ndarray:
     return first
 
 
-def _table(terms, n: int, cols: int) -> np.ndarray:
-    """n x cols table of the first term minus the second, if there is one.
+def _table(terms, n: int) -> np.ndarray:
+    """n x n table of the first term minus the second, if there is one.
 
     Column k of a term ``(omega, phi)`` holds taylor(omega * phi**k, n), with
     ``omega`` None read as 1.  Each term keeps its own real or complex
     arithmetic (see _power_columns); their block streams run in lockstep
-    (both split the columns alike) into one ``(cols, n)`` buffer of the
+    (both split the columns alike) into one ``(n, n)`` buffer of the
     result dtype, each block into contiguous rows, so no power table of a
     term is held.  Returns the buffer's transpose, a Fortran-ordered array.
     """
     dtypes, streams = zip(*(
         _power_columns(taylor_array(phi, n),
                        _unit(n) if omega is None else taylor_array(omega, n),
-                       n, cols)
+                       n)
         for omega, phi in terms))
-    out = np.empty((cols, n), dtype=np.result_type(*dtypes))
+    out = np.empty((n, n), dtype=np.result_type(*dtypes))
     k = 0
     for block, *minus in zip(*streams):
         dest = out[k:k + len(block)]
@@ -250,7 +247,7 @@ def _truncation(terms, n: int) -> TruncatedOperator:
         ensure_self_map(phi)
         if omega is not None:
             _ensure_bounded_weight(omega)
-    return TruncatedOperator(_table(terms, n, n))
+    return TruncatedOperator(_table(terms, n))
 
 
 def composition_matrix(phi: Symbol, n: int) -> TruncatedOperator:
@@ -366,7 +363,9 @@ def _scan_horizon(small_lo: np.ndarray, small_hi: np.ndarray, lo: np.ndarray,
     (a_lo, b_hi) at the lowest floor, and fails for all when a_lo lies above
     the band of b_hi, or a_hi below that of b_lo, at the highest floor.
     Returns None when a comparison before the first decided failure is not
-    decided; exact values (small_lo = small_hi, lo = hi) always decide.
+    decided; exact values (small_lo = small_hi, lo = hi) always decide.  The
+    scan stops at the shorter side, and an all-pass returns
+    ``len(small_lo)``, also when the 2*N0 side holds fewer values.
     """
     floor_lo, floor_hi = (_HORIZON_FLOOR * max(end[0], 1e-300)
                           for end in (lo, hi))
@@ -397,12 +396,12 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
     (1e-14 s_1), at least one and at most k: the range finder needs a column
     per value to resolve, and the oversampling (Halko, Martinsson & Tropp,
     Sec. 4.2) lets it resolve them without a power pass.  The scan compares
-    k values on both sides: the first k of the 2*N0 values, zero-padded when
-    the sketch holds fewer (a padded s_n gives [0, e]).  Past rank every N0
-    value is at most 1e-14 s_1, below the 1e-13 s_1 slack, so its interval
-    starts at 0, and a comparison there never passes (the 2*N0 interval
-    reaches up to the slack, far above the band of 1% of the floor around
-    0); so an all-pass over the sketched values is never read as a horizon.
+    the values both sides hold, at most k.  Past rank every N0 value is at
+    most 1e-14 s_1, below the 1e-13 s_1 slack, so its interval starts at 0,
+    and a comparison there never passes (the 2*N0 interval reaches up to
+    the slack, far above the band of 1% of the floor around 0).  An
+    all-pass returns k (see :func:`_scan_horizon`), which is never read as
+    a horizon.
     When the scan decides a horizon below k (a horizon of k may reach past
     the values held), the spectrum holds the k values s_n of the N0 side.
     Otherwise, and for N0 <= 128, full SVDs of the 2*N0 matrix and its block
@@ -420,10 +419,7 @@ def convergence_horizon(build: Callable[[int], TruncatedOperator],
             small_lo, small_hi = _weyl_intervals(s_small, e)
             rank = max(1, int(np.count_nonzero(
                 s_small > _HORIZON_FLOOR * s_small[0])))
-            # the first k values a side are scanned, zero-padded when the
-            # 2*N0 sketch holds fewer
             s, e = _leading_values(big.matrix, rank + _OVERSAMPLE)
-            s = np.pad(s[:_SKETCH_RANK], (0, max(0, _SKETCH_RANK - len(s))))
             horizon = _scan_horizon(small_lo, small_hi,
                                     *_weyl_intervals(s, e))
             if horizon is not None and horizon < _SKETCH_RANK:

@@ -11,9 +11,9 @@ import numpy as np
 from compdiff.bounds import _SUP_SAMPLES, _sup_values, boundary_sup
 from compdiff.hardy import (as_points, cumulative_hyperbolic_length,
                             pseudo_distance_array)
-from compdiff.operators import (_SKETCH_SEED, _table, difference_matrix,
+from compdiff.operators import (_SKETCH_SEED, difference_matrix,
                                 tensor_spectrum)
-from compdiff.series import eval_array
+from compdiff.series import eval_array, taylor_array
 
 
 def contour_coefficients(symbol, n, radius=0.5, oversampling=8):
@@ -60,6 +60,13 @@ def power_table_by_convolution(base, first, n, cols):
         col = np.convolve(col, base)[:n]
         out[:, k] = col
     return out
+
+
+def difference_table_by_convolution(phi, psi, n, cols):
+    """n x cols table with column k = trunc(phi**k - psi**k), by direct sums."""
+    unit = np.eye(1, n).ravel()
+    return (power_table_by_convolution(taylor_array(phi, n), unit, n, cols)
+            - power_table_by_convolution(taylor_array(psi, n), unit, n, cols))
 
 
 def leading_values_one_sketch(matrix, k):
@@ -120,7 +127,7 @@ def glued_difference_matrix(phi, psi, m):
     one-variable table replaces.
     """
     # column s holds the first m coefficients of phi**s - psi**s
-    diff = _table([(None, phi), (None, psi)], m, 2 * m - 1)
+    diff = difference_table_by_convolution(phi, psi, m, 2 * m - 1)
     out = np.zeros((m * m, m * m), dtype=diff.dtype)
     # rows (p, q=0) sit at index p*m; basis column j*m + k takes diff[:, j + k]
     j, k = divmod(np.arange(m * m), m)

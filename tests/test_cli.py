@@ -15,7 +15,8 @@ import pytest
 
 from compdiff import cli, experiments
 from compdiff.cli import build_parser, main
-from compdiff.operators import spectrum_from_csv
+from compdiff.operators import (SingularSpectrum, spectrum_from_csv,
+                                spectrum_to_csv)
 from compdiff.series import dilation
 from oracles import hs_parseval_sum
 
@@ -264,6 +265,16 @@ class TestExperimentAndFit:
         assert code == 0
         fit = json.loads(capsys.readouterr().out)
         assert fit["model"] == "root_exp" and 0 <= fit["r2"] <= 1
+
+    def test_fit_without_horizon_exits_3(self, tmp_path, capsys):
+        csv = tmp_path / "spectrum.csv"
+        csv.write_text(spectrum_to_csv(
+            SingularSpectrum(0.5 ** np.arange(32.0), order=32)))
+        code = main(["fit", "--csv", str(csv), "--model", "root_exp",
+                     "--window", "2:16"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "WindowExceedsHorizon" in captured.err and captured.out == ""
 
     def test_bidisc_glued(self, tmp_path, capsys):
         code = run(["bidisc", "--kind", "glued", "--N", "32"], tmp_path)

@@ -12,10 +12,10 @@ from compdiff.errors import WindowExceedsHorizon, ZeroInWindow
 from compdiff.experiments import (DecayFit, _derive_verdicts,
                                   _measurable_window, _run_glued, _run_split,
                                   _run_triangular, fit_series, recheck)
-from compdiff.operators import _table
 from compdiff.series import IntPower
 
-from oracles import glued_difference_matrix, kronecker_mismatch
+from oracles import (difference_table_by_convolution, glued_difference_matrix,
+                     kronecker_mismatch)
 
 
 class TestFitModels:
@@ -76,6 +76,13 @@ class TestFitDecay:
         spectrum = self._spectrum()
         with pytest.raises(WindowExceedsHorizon):
             cd.fit_decay(spectrum, "power", (8, 64))
+
+    def test_no_horizon_trusts_no_index(self):
+        # a spectrum without a horizon, as a plain SVD or a CSV with an empty
+        # horizon column gives it
+        spectrum = cd.SingularSpectrum(0.5 ** np.arange(32.0), order=32)
+        with pytest.raises(WindowExceedsHorizon, match="horizon None"):
+            cd.fit_decay(spectrum, "root_exp", (2, 16))
 
     def test_zero_in_window(self):
         # the spectrum of C_phi - C_phi, trusted to its order
@@ -314,7 +321,7 @@ class TestBidiscSplit:
 def _series_powers(symbol, m):
     """m x m table with column j the first m coefficients of symbol**j, from
     the series module's powers (repeated squaring), independent of the
-    column recursion of ``operators._table``."""
+    column recursion of ``oracles.power_table_by_convolution``."""
     return np.stack([
         cd.taylor_array(cd.Symbol("s^j", IntPower(symbol.expr, j)), m)
         for j in range(m)], axis=1)
@@ -339,7 +346,7 @@ def _glued_gap(m, weights):
     phi, psi = cd.corner_map(), cd.corner_perturbation(0.01)
     full = np.linalg.svd(glued_difference_matrix(phi, psi, m),
                          compute_uv=False)[:8]
-    table = _table([(None, phi), (None, psi)], m, 2 * m - 1)
+    table = difference_table_by_convolution(phi, psi, m, 2 * m - 1)
     scaled = np.linalg.svd(table * weights(np.arange(2 * m - 1)),
                            compute_uv=False)[:8]
     return float(np.abs(full - scaled).max() / full[0])
@@ -519,3 +526,11 @@ class TestResultPayload:
         for key in ("name", "parameters", "fits", "verdicts", "details",
                     "spectra_files"):
             assert key in payload
+
+    @pytest.mark.parametrize("slot", ["details", "certificates"])
+    def test_non_finite_value_raises(self, tmp_path, slot):
+        # the CLI's JSON writer: standard JSON, never NaN or Infinity
+        result = cd.ExperimentResult("probe", {})
+        getattr(result, slot)["value"] = math.inf
+        with pytest.raises(ValueError):
+            result.write(tmp_path)

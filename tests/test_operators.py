@@ -103,7 +103,7 @@ _TERM_SETS = {
 }
 
 
-def _oracle_table(terms, n, cols):
+def _oracle_table(terms, n):
     """The oracle table of ``terms`` and the largest entry of any term's table.
 
     A difference carries the rounding of its terms, so the scale of its
@@ -113,40 +113,39 @@ def _oracle_table(terms, n, cols):
     tables = [power_table_by_convolution(
         cd.taylor_array(phi, n),
         operators._unit(n) if omega is None else cd.taylor_array(omega, n),
-        n, cols) for omega, phi in terms]
+        n, n) for omega, phi in terms]
     scale = max(np.abs(t).max() for t in tables)
     return (tables[0] - tables[1] if len(tables) == 2 else tables[0]), scale
 
 
 class TestBlockedPowers:
-    # both orders on the FFT path; cols at the block edges, the square table
-    # and the glued oracle's 2n - 1; and the top-left n x n block of the 2n
-    # table, as a doubling reads its N0 side (n = 64 on the convolve path)
-    @pytest.mark.parametrize("n, cols, order", [
-        *(pytest.param(n, cols, n, id=f"{n}-{cols}") for n in (129, 300)
-          for cols in (1, 2, _B, _B + 1, 2 * _B + 1, n, 2 * n - 1)),
-        *(pytest.param(n, n, 2 * n, id=f"{n}-block-of-{2 * n}")
+    # square tables on the FFT path: n - 1 = 128 columns after the first in
+    # full blocks (129), a last block of one column (130) and of three
+    # (300); and the top-left n x n block of the 2n table, as a doubling
+    # reads its N0 side (n = 64 on the convolve path)
+    @pytest.mark.parametrize("n, order", [
+        *(pytest.param(n, n, id=f"{n}-{n}") for n in (129, 130, 300)),
+        *(pytest.param(n, 2 * n, id=f"{n}-block-of-{2 * n}")
           for n in (64, 129, 300))])
     @pytest.mark.parametrize("terms", list(_TERM_SETS))
-    def test_table_matches_convolution_oracle(self, terms, n, cols, order):
-        got = operators._table(_TERM_SETS[terms], order,
-                               cols if order == n else order)[:n, :cols]
-        expected, scale = _oracle_table(_TERM_SETS[terms], n, cols)
-        assert got.shape == (n, cols)
+    def test_table_matches_convolution_oracle(self, terms, n, order):
+        got = operators._table(_TERM_SETS[terms], order)[:n, :n]
+        expected, scale = _oracle_table(_TERM_SETS[terms], n)
+        assert got.shape == (n, n)
         assert np.abs(got - expected).max() <= 1e-14 * scale
 
 
-def _c_order_table(terms, n, cols):
+def _c_order_table(terms, n):
     """The table of ``terms`` from the same block streams as ``_table``,
-    each block written through a transposed view of a C-ordered n x cols
+    each block written through a transposed view of a C-ordered n x n
     buffer."""
     dtypes, streams = zip(*(
         operators._power_columns(
             cd.taylor_array(phi, n),
             operators._unit(n) if omega is None else cd.taylor_array(omega, n),
-            n, cols)
+            n)
         for omega, phi in terms))
-    out = np.empty((n, cols), dtype=np.result_type(*dtypes))
+    out = np.empty((n, n), dtype=np.result_type(*dtypes))
     k = 0
     for block, *minus in zip(*streams):
         out[:, k:k + len(block)].T[...] = block - minus[0] if minus else block
@@ -158,8 +157,8 @@ class TestTableLayout:
     @pytest.mark.parametrize("n", [64, 256])  # convolve and FFT paths
     @pytest.mark.parametrize("terms", list(_TERM_SETS))
     def test_fortran_table_equals_c_order_build(self, terms, n):
-        got = operators._table(_TERM_SETS[terms], n, n)
-        expected = _c_order_table(_TERM_SETS[terms], n, n)
+        got = operators._table(_TERM_SETS[terms], n)
+        expected = _c_order_table(_TERM_SETS[terms], n)
         assert got.flags.f_contiguous and expected.flags.c_contiguous
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
@@ -169,8 +168,8 @@ class TestTableLayout:
         # a table and its C-ordered copy; the top-left block of the 2n
         # table, a strided view as a doubling sketches it, and its Fortran-
         # and C-ordered copies
-        fortran = operators._table(_TERM_SETS[terms], 256, 256)
-        block = operators._table(_TERM_SETS[terms], 512, 512)[:256, :256]
+        fortran = operators._table(_TERM_SETS[terms], 256)
+        block = operators._table(_TERM_SETS[terms], 512)[:256, :256]
         assert not (block.flags.f_contiguous or block.flags.c_contiguous)
         for matrices in ((fortran, np.ascontiguousarray(fortran)),
                          (block, np.asfortranarray(block),
@@ -671,11 +670,14 @@ class TestCertifiedHorizon:
 
     def test_slow_tail_falls_back(self, monkeypatch):
         calls = _spy_on_spectra(monkeypatch)
+        scans = _spy_on_scans(monkeypatch)
 
         def values_at(m):
             # a flat tail of 1e-3 past index 128 and the same values at both
-            # orders: all 128 comparisons the sketches hold pass, so the
-            # horizon may reach past them, and the fallback runs full SVDs
+            # orders: the N0 sketch, with no column to spare for the tail,
+            # leaves intervals wider than the 1% test from the first index
+            # on, so the sketches leave the scan open, and the fallback runs
+            # full SVDs
             v = np.full(m, 1e-3)
             v[:128] = 0.99 ** np.arange(128)
             return v
@@ -683,6 +685,27 @@ class TestCertifiedHorizon:
         spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
         (n0, k, _), (n1, _, _) = calls["leading"]
         assert (n0, n1, k) == (256, 512, 128)
+        assert operators._scan_horizon(*scans[0]) is None
+        assert calls["svd"] == [512, 256]
+        assert spectrum.horizon == len(spectrum) == 256
+
+    def test_all_pass_over_k_values_falls_back(self, monkeypatch):
+        # rank 128 and the same values at both orders: both sketches are
+        # exact, all k = 128 comparisons pass and the scan returns k; the
+        # horizon may reach past the values held, so full SVDs give it (the
+        # zero tails agree, so it is N0)
+        calls = _spy_on_spectra(monkeypatch)
+        scans = _spy_on_scans(monkeypatch)
+
+        def values_at(m):
+            v = np.zeros(m)
+            v[:128] = 0.9 ** np.arange(128)
+            return v
+
+        spectrum = cd.convergence_horizon(_diagonal_build(values_at), 256)
+        (_, k, _), (_, cols, _) = calls["leading"]
+        assert (k, cols) == (128, 128 + operators._OVERSAMPLE)
+        assert operators._scan_horizon(*scans[0]) == k
         assert calls["svd"] == [512, 256]
         assert spectrum.horizon == len(spectrum) == 256
 
@@ -697,19 +720,15 @@ class TestCertifiedHorizon:
         scans = _spy_on_scans(monkeypatch)
         build = lambda m: cd.composition_matrix(cd.dilation(0.5), m)
         spectrum = cd.convergence_horizon(build, n0)
-        (order0, k, (s_small, _)), (order1, cols, (s, e)) = calls["leading"]
+        (order0, k, (s_small, _)), (order1, cols, (s, _)) = calls["leading"]
         assert (order0, order1, k) == (n0, 2 * n0, operators._SKETCH_RANK)
         rank = _sketch_rank(s_small)
         assert rank == 47 and cols == rank + operators._OVERSAMPLE == 63
         assert calls["svd"] == [2 * n0, n0]
-        # the sketch scan reads k values a side; past the sketched columns
-        # the 2*N0 intervals are [0, e] widened by the slack (zero padding),
-        # and past rank the N0 intervals start at 0
+        # the sketch scan reads k N0 values against the cols values of the
+        # 2*N0 sketch, and past rank the N0 intervals start at 0
         small_lo, _, lo, hi = scans[0]
-        assert len(s) == cols and len(lo) == len(hi) == k
-        slack = 1e-13 * np.sqrt(s[0] ** 2 + e ** 2)
-        assert np.all(lo[cols:] == 0.0)
-        np.testing.assert_allclose(hi[cols:], e + slack, rtol=1e-15)
+        assert len(s) == len(lo) == len(hi) == cols and len(small_lo) == k
         assert np.all(small_lo[rank:] == 0.0)
         matrix = build(2 * n0).matrix
         small = np.linalg.svd(matrix[:n0, :n0], compute_uv=False)
@@ -743,6 +762,10 @@ class TestCertifiedHorizon:
         assert len(s) == cols and np.all(s[rank:] > 0.0)
         assert operators._scan_horizon(small_lo[:rank], small_hi[:rank],
                                        lo[:rank], hi[:rank]) == rank
+        # an all-pass against a shorter 2*N0 side returns the N0 length, k,
+        # which is never read as a horizon
+        assert operators._scan_horizon(small_lo, small_hi,
+                                       lo[:rank], hi[:rank]) == k
         # the band grows with the floor: a comparison that fails at the
         # highest floor fails at every lower one
         floor = 1e-14 * hi[0]
