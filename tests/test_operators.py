@@ -103,7 +103,7 @@ _TERM_SETS = {
 }
 
 
-def _oracle_table(terms, n):
+def _oracle_table(terms, n, cols):
     """The oracle table of ``terms`` and the largest entry of any term's table.
 
     A difference carries the rounding of its terms, so the scale of its
@@ -113,7 +113,7 @@ def _oracle_table(terms, n):
     tables = [power_table_by_convolution(
         cd.taylor_array(phi, n),
         operators._unit(n) if omega is None else cd.taylor_array(omega, n),
-        n, n) for omega, phi in terms]
+        n, cols) for omega, phi in terms]
     scale = max(np.abs(t).max() for t in tables)
     return (tables[0] - tables[1] if len(tables) == 2 else tables[0]), scale
 
@@ -121,17 +121,22 @@ def _oracle_table(terms, n):
 class TestBlockedPowers:
     # square tables on the FFT path: n - 1 = 128 columns after the first in
     # full blocks (129), a last block of one column (130) and of three
-    # (300); and the top-left n x n block of the 2n table, as a doubling
-    # reads its N0 side (n = 64 on the convolve path)
-    @pytest.mark.parametrize("n, order", [
-        *(pytest.param(n, n, id=f"{n}-{n}") for n in (129, 130, 300)),
-        *(pytest.param(n, 2 * n, id=f"{n}-block-of-{2 * n}")
+    # (300). The leading n x cols block at the block edges, checked at the
+    # scale of its own columns; the top n rows of the (2n - 1) table, the
+    # glued oracle's n x (2n - 1) table; and the top-left n x n block of the
+    # 2n table, as a doubling reads its N0 side (n = 64 on the convolve path)
+    @pytest.mark.parametrize("n, cols, order", [
+        *(pytest.param(n, cols, max(n, cols), id=f"{n}-{cols}")
+          for n in (129, 300)
+          for cols in (1, 2, _B, _B + 1, 2 * _B + 1, n, 2 * n - 1)),
+        pytest.param(130, 130, 130, id="130-130"),
+        *(pytest.param(n, n, 2 * n, id=f"{n}-block-of-{2 * n}")
           for n in (64, 129, 300))])
     @pytest.mark.parametrize("terms", list(_TERM_SETS))
-    def test_table_matches_convolution_oracle(self, terms, n, order):
-        got = operators._table(_TERM_SETS[terms], order)[:n, :n]
-        expected, scale = _oracle_table(_TERM_SETS[terms], n)
-        assert got.shape == (n, n)
+    def test_table_matches_convolution_oracle(self, terms, n, cols, order):
+        got = operators._table(_TERM_SETS[terms], order)[:n, :cols]
+        expected, scale = _oracle_table(_TERM_SETS[terms], n, cols)
+        assert got.shape == (n, cols)
         assert np.abs(got - expected).max() <= 1e-14 * scale
 
 
