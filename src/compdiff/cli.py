@@ -8,7 +8,8 @@ Every argument takes one path.  argparse converts and checks each option
 parsers); a ``--config`` file becomes defaults of the chosen subcommand
 before a second parse, so file values pass the same converters and explicit
 flags always win; ``--dry-run`` stops after parsing, the config file and
-``--threads``.  The handlers receive converted values and only compute.
+``--threads``.  The handlers receive converted values, compute, and hand
+every file, serialised, to one writer, so a failed command writes nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.  Outputs are
 CSV/JSON files in the output directory (``--out`` or $COMPDIFF_OUTDIR, default
@@ -31,8 +32,8 @@ from .bounds import (hs_norm, lower_certificate, optimize_upper,
                      optimize_weighted_upper, sequence_boundary_pinch,
                      sequence_radial, weighted_lower_certificate)
 from .errors import CompdiffError, ParseError
-from .experiments import (DEFAULT_R_GRID, _write_json, bidisc_driver,
-                          fit_decay, run_corner_perturbation,
+from .experiments import (DEFAULT_R_GRID, _json_text, _write_outputs,
+                          bidisc_driver, fit_decay, run_corner_perturbation,
                           run_smooth_perturbation, run_weighted_power)
 from .operators import (composition_matrix, convergence_horizon,
                         difference_matrix, spectrum_from_csv, spectrum_to_csv,
@@ -173,16 +174,12 @@ def resolve_outdir(args) -> Path:
     return Path(out)
 
 
-def _spectrum_run(args, build, label: str) -> Path:
-    """Doubling spectrum of ``build`` at ``args.N``: write ``args.csv``, print
-    sigma_n at n = 1, 2, 4, ..., 256 up to ``len(spectrum)`` (128 values when
-    the sketches decide; values past the horizon are marked) and return the
-    CSV path."""
+def _spectrum_run(args, build, label: str) -> dict:
+    """Doubling spectrum of ``build`` at ``args.N``: print sigma_n at n = 1, 2,
+    4, ..., 256 up to ``len(spectrum)`` (128 values when the sketches decide;
+    values past the horizon are marked) and return ``{args.csv: CSV text}``
+    for the caller to write."""
     spectrum = convergence_horizon(build, args.N)
-    out = resolve_outdir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / args.csv
-    path.write_text(spectrum_to_csv(spectrum))
     print(f"{label}: N={spectrum.order} horizon={spectrum.horizon}")
     print("   n        sigma_n")
     shown = [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -190,7 +187,7 @@ def _spectrum_run(args, build, label: str) -> Path:
         if n <= len(spectrum):
             mark = "  past horizon" if n > spectrum.horizon else ""
             print(f"{n:4d}  {spectrum.sigma(n):.10e}{mark}")
-    return path
+    return {args.csv: spectrum_to_csv(spectrum)}
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +200,23 @@ def cmd_spectrum(args) -> int:
         build = lambda m: composition_matrix(symbol, m)  # noqa: E731
     else:
         build = lambda m: weighted_composition_matrix(weight, symbol, m)  # noqa: E731
-    csv_path = _spectrum_run(args, build, symbol.name)
-    print(f"wrote {csv_path}")
+    files = _spectrum_run(args, build, symbol.name)
+    print(f"wrote {_write_outputs(resolve_outdir(args), files) / args.csv}")
     return 0
 
 
 def cmd_diff_spectrum(args) -> int:
     phi, psi = args.phi, args.psi
-    csv_path = _spectrum_run(args, lambda m: difference_matrix(phi, psi, m),
-                             f"{phi.name} - {psi.name}")
-    print(f"wrote {csv_path}")
+    files = _spectrum_run(args, lambda m: difference_matrix(phi, psi, m),
+                          f"{phi.name} - {psi.name}")
+    print(f"wrote {_write_outputs(resolve_outdir(args), files) / args.csv}")
     return 0
 
 
 def cmd_lower_bound(args) -> int:
     cert = lower_certificate(args.phi, args.psi, args.sequence(args.n))
-    doc = cert.to_dict()
-    out = resolve_outdir(args)
-    _write_json(out / "lower_bound.json", doc)
+    out = _write_outputs(resolve_outdir(args),
+                         {"lower_bound.json": _json_text(cert.to_dict())})
     print(f"n={cert.n} delta_W={cert.fields['delta_W']:.6g} "
           f"inf_ratio={cert.fields['inf_ratio']:.6g}")
     print(f"value (with interpolation constants) = {cert.value_theorem:.6e}")
@@ -231,8 +227,8 @@ def cmd_lower_bound(args) -> int:
 
 def cmd_upper_bound(args) -> int:
     best = optimize_upper(args.phi, args.psi, args.n, args.r_grid)
-    out = resolve_outdir(args)
-    _write_json(out / "upper_bound.json", best.to_dict())
+    out = _write_outputs(resolve_outdir(args),
+                         {"upper_bound.json": _json_text(best.to_dict())})
     sups = best.fields
     print(f"n={best.n} best r={best.r:.8g} value={best.value:.6e}")
     print(f"sups: B.phi={sups['sup_B_phi']:.3e} B.psi={sups['sup_B_psi']:.3e} "
@@ -243,14 +239,13 @@ def cmd_upper_bound(args) -> int:
 
 def cmd_hs_norm(args) -> int:
     result = hs_norm(args.phi, args.psi)
-    out = resolve_outdir(args)
     # a divergent integral has no value; "diverged" says why
-    _write_json(out / "hs_norm.json", {
+    out = _write_outputs(resolve_outdir(args), {"hs_norm.json": _json_text({
         "value": None if result.diverged else result.value,
         "diverged": result.diverged,
         "converged": result.converged, "rounds": result.rounds,
         "samples": result.samples,
-    })
+    })})
     state = "divergent" if result.diverged else (
         "converged" if result.converged else "not converged")
     print(f"squared HS norm = {result.value:.8e} ({state})")
@@ -260,26 +255,24 @@ def cmd_hs_norm(args) -> int:
 
 def cmd_weighted(args) -> int:
     omega, phi = args.omega, args.phi
-    csv_path = _spectrum_run(
+    files = _spectrum_run(
         args, lambda m: weighted_composition_matrix(omega, phi, m),
         f"{omega.name} * C[{phi.name}]")
-    out = resolve_outdir(args)
-
     lower = weighted_lower_certificate(omega, phi,
                                        sequence_boundary_pinch(2 * args.n))
     best = optimize_weighted_upper(omega, phi, args.n, args.r_grid)
-    _write_json(out / "certificates.json",
-                {"lower": [lower.to_dict()], "upper": [best.to_dict()]})
+    files["certificates.json"] = _json_text(
+        {"lower": [lower.to_dict()], "upper": [best.to_dict()]})
+    out = _write_outputs(resolve_outdir(args), files)
     print(f"lower(n={args.n}) = {lower.value:.6e}   "
           f"upper(n={args.n}) = {best.value:.6e}")
-    print(f"wrote {csv_path} and {out / 'certificates.json'}")
+    print(f"wrote {out / args.csv} and {out / 'certificates.json'}")
     return 0
 
 
 def cmd_bidisc(args) -> int:
     result = args.run()
-    out = resolve_outdir(args)
-    path = result.write(out)
+    path = result.write(resolve_outdir(args))
     for label, spectrum in result.spectra.items():
         print(f"{label}: N={spectrum.order} horizon={spectrum.horizon}")
     print(f"bidisc {args.kind}: verdicts {result.verdicts}")
@@ -289,8 +282,7 @@ def cmd_bidisc(args) -> int:
 
 def cmd_experiment(args) -> int:
     result = args.run()
-    out = resolve_outdir(args)
-    path = result.write(out)
+    path = result.write(resolve_outdir(args))
     for name, ok in sorted(result.verdicts.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     print(f"wrote {path}")

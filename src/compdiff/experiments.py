@@ -182,16 +182,14 @@ class ExperimentResult:
         return self
 
     def write(self, outdir) -> Path:
-        out = Path(outdir)
-        out.mkdir(parents=True, exist_ok=True)
-        spectra_files = {}
+        files, spectra_files = {}, {}
         for i, (label, spectrum) in enumerate(self.spectra.items()):
             fname = "spectrum.csv" if i == 0 else f"spectrum_{label}.csv"
-            (out / fname).write_text(spectrum_to_csv(spectrum))
+            files[fname] = spectrum_to_csv(spectrum)
             spectra_files[label] = fname
         if self.certificates:
-            _write_json(out / "certificates.json", self.certificates)
-        payload = {
+            files["certificates.json"] = _json_text(self.certificates)
+        files["result.json"] = _json_text({
             "name": self.name,
             "parameters": self.parameters,
             "fits": {k: f.to_dict() for k, f in self.fits.items()},
@@ -199,17 +197,24 @@ class ExperimentResult:
             "details": self.details,
             "spectra_files": spectra_files,
             "certificates_file": "certificates.json" if self.certificates else None,
-        }
-        _write_json(out / "result.json", payload)
-        return out / "result.json"
+        })
+        return _write_outputs(outdir, files) / "result.json"
 
 
-def _write_json(path: Path, payload) -> None:
+def _json_text(payload) -> str:
     """Standard JSON, keys sorted, one trailing newline: a non-finite number
-    raises instead of being written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
+    raises instead of being serialised."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_outputs(outdir, files: dict) -> Path:
+    """Make ``outdir``, write ``files`` (name -> text) in order and return the
+    directory: the package's one writer, called once every file is serialised."""
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return out
 
 
 def _fit_from_source(source: dict, spectra: dict, model: str,

@@ -132,7 +132,8 @@ class TestHsNorm:
 
     def test_non_finite_values_are_not_written(self, tmp_path):
         with pytest.raises(ValueError):
-            cli._write_json(tmp_path / "out.json", {"value": math.inf})
+            cli._write_outputs(tmp_path,
+                               {"out.json": cli._json_text({"value": math.inf})})
         assert not (tmp_path / "out.json").exists()
 
     def test_not_self_map_exits_3(self, tmp_path, capsys):
@@ -446,6 +447,21 @@ class TestWeighted:
             "lower(n=8) = 1.353007e-02   upper(n=8) = 7.176139e-01",
         ]
         assert wrote.startswith("wrote ")
+
+    @pytest.mark.parametrize("phi, n, code, error", [
+        ("constant(c=0.5)", "4", 3, "CollidingImages"),
+        ("half_map", "1", 2, "pinch sequence needs n >= 4"),
+    ])
+    def test_failed_certificates_write_nothing(self, tmp_path, capsys, phi, n,
+                                               code, error):
+        # the spectrum succeeds and prints, a certificate fails after it
+        out = tmp_path / "out"
+        assert main(["weighted", "--omega", "weight_power(alpha=1)",
+                     "--phi", phi, "--N", "32", "--n", n,
+                     "--out", str(out)]) == code
+        printed = capsys.readouterr()
+        assert "sigma_n" in printed.out and error in printed.err
+        assert not out.exists()
 
 
 # one valid invocation of every subcommand

@@ -1,7 +1,9 @@
 """Decay fitting, experiment drivers, serialisation round trips."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,8 +531,48 @@ class TestResultPayload:
 
     @pytest.mark.parametrize("slot", ["details", "certificates"])
     def test_non_finite_value_raises(self, tmp_path, slot):
-        # the CLI's JSON writer: standard JSON, never NaN or Infinity
-        result = cd.ExperimentResult("probe", {})
+        # the CLI's JSON writer: standard JSON, never NaN or Infinity; every
+        # file is serialised first, so not even the spectrum CSV is written
+        result = cd.ExperimentResult(
+            "probe", {}, spectra={"s": cd.SingularSpectrum([1.0, 0.5], 2, 2)})
         getattr(result, slot)["value"] = math.inf
         with pytest.raises(ValueError):
             result.write(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_function_writes(self):
+        # every directory and file the package makes goes through
+        # experiments._write_outputs
+        writers = set()
+        for path in sorted(Path(cd.__file__).parent.glob("*.py")):
+            writers |= {(path.name, owner, line)
+                        for owner, line in _write_calls(ast.parse(path.read_text()))}
+        assert {(name, owner) for name, owner, _ in writers} == {
+            ("experiments.py", "_write_outputs")}, sorted(writers)
+
+
+_WRITE_CALLS = ("write_text", "write_bytes", "mkdir", "makedirs", "touch")
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """``open(path, mode)`` or ``path.open(mode)`` with a mode that writes,
+    appends or creates, or with a mode that is not a literal."""
+    positional = call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]
+    modes = positional + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or not isinstance(m.value, str)
+               or set(m.value) & set("wax+") for m in modes)
+
+
+def _write_calls(node, owner="<module>"):
+    """(enclosing function, line) of each call under ``node`` that makes a
+    directory or writes a file."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _write_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _WRITE_CALLS or (name == "open" and _opens_for_writing(child)):
+                yield owner, child.lineno
+        yield from _write_calls(child, owner)
