@@ -63,23 +63,16 @@ from .hardy import (
     pseudo_distance_array,
     uniform_separation,
 )
-from .operators import SingularSpectrum, ensure_self_map, operator_norm_bound
-from .series import Symbol, eval_array, eval_boundary, sup_grid
+from .operators import (SingularSpectrum, _self_map_report, ensure_self_map,
+                        operator_norm_bound)
+from .series import (_SUP_SAMPLES, Symbol, _sup_values, eval_array,
+                     eval_boundary, sup_grid)
 
 _IMAGE_COLLISION_TOL = 1e-14
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-_SUP_SAMPLES = 1 << 13          # per side; doubled once for the stability check
 _SUP_STABILITY = 0.02
 _HS_REL_TOL = 1e-6
 _HS_MAX_ROUNDS = 14
-
-
-@functools.lru_cache(maxsize=128)
-def _sup_values(symbol: Symbol, side: int) -> np.ndarray:
-    """Cached boundary values on the densified supremum grid."""
-    values = eval_boundary(symbol, sup_grid(side))
-    values.setflags(write=False)
-    return values
 
 
 @functools.lru_cache(maxsize=128)
@@ -92,9 +85,10 @@ def _sup_moduli(symbol: Symbol, side: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _composed_moduli(omega: Symbol, phi: Symbol) -> np.ndarray:
-    """Cached |omega o phi| on the fine supremum grid, non-finite values as 0."""
+    """Cached |omega o phi| on the fine supremum grid, non-finite values as
+    +inf (as in the self-map scan), so no sample lowers a supremum."""
     moduli = np.abs(eval_array(omega, _sup_values(phi, 2 * _SUP_SAMPLES)))
-    moduli[~np.isfinite(moduli)] = 0.0
+    moduli[~np.isfinite(moduli)] = np.inf
     moduli.setflags(write=False)
     return moduli
 
@@ -598,9 +592,10 @@ def hs_norm(phi: Symbol, psi: Symbol) -> HsIntegral:
 # ---------------------------------------------------------------------------
 
 def boundary_sup(symbol: Symbol) -> float:
-    """Sampled sup-norm on the circle (equals the disc sup-norm for H^inf)."""
-    moduli = _sup_moduli(symbol, _SUP_SAMPLES)
-    return float(moduli[np.isfinite(moduli)].max())
+    """Sampled sup-norm on the circle (equals the disc sup-norm for H^inf):
+    the ``max_modulus`` of the cached self-map scan, +inf when a sample is
+    not finite."""
+    return _self_map_report(symbol).max_modulus
 
 
 def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
@@ -611,8 +606,8 @@ def weighted_upper_certificate(omega: Symbol, phi: Symbol, n: int, r: float,
     delta0(r) = sup over {|phi| > r} of |omega(phi(e^{it}))|,
     with the plumbing bound ||T|| <= ||omega||_inf ||C_phi|| (flagged).
 
-    |omega o phi| (non-finite samples as 0) and |phi| are computed once per
-    symbol pair and process; each r builds only the mask {|phi| <= r}.
+    |omega o phi| (non-finite samples as +inf) and |phi| are computed once
+    per symbol pair and process; each r builds only the mask {|phi| <= r}.
     """
     _check_upper_args(n, r, zeros)
     inside = _sup_moduli(phi, 2 * _SUP_SAMPLES) <= r
@@ -696,9 +691,9 @@ def triangular_bound(u0: Symbol, u1: Symbol, phi0: Symbol, phi1: Symbol,
     sizes = [int(n) for n in block_sizes]
     if not sizes:
         raise ValueError("need at least one block size")
-    sup0 = boundary_sup(u0)
-    sup1 = boundary_sup(u1)
-    if sup0 > 1 + 1e-12 or sup1 > 1 + 1e-12:
+    report0, report1 = _self_map_report(u0), _self_map_report(u1)
+    sup0, sup1 = report0.max_modulus, report1.max_modulus
+    if not (report0.passed and report1.passed):
         raise WeightTooLarge(f"weight sup-norms {sup0:.6g}, {sup1:.6g} exceed 1")
 
     u0_v = _sup_values(u0, _SUP_SAMPLES)

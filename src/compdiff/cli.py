@@ -255,15 +255,19 @@ def cmd_hs_norm(args) -> int:
 
 def cmd_weighted(args) -> int:
     omega, phi = args.omega, args.phi
+    out = resolve_outdir(args)
+    if (os.path.abspath(out / args.csv)
+            == os.path.abspath(out / "certificates.json")):
+        raise ParseError(f"--csv {args.csv} would overwrite certificates.json")
+    points = sequence_boundary_pinch(2 * args.n)  # checks --n before any numerics
     files = _spectrum_run(
         args, lambda m: weighted_composition_matrix(omega, phi, m),
         f"{omega.name} * C[{phi.name}]")
-    lower = weighted_lower_certificate(omega, phi,
-                                       sequence_boundary_pinch(2 * args.n))
+    lower = weighted_lower_certificate(omega, phi, points)
     best = optimize_weighted_upper(omega, phi, args.n, args.r_grid)
     files["certificates.json"] = _json_text(
         {"lower": [lower.to_dict()], "upper": [best.to_dict()]})
-    out = _write_outputs(resolve_outdir(args), files)
+    _write_outputs(out, files)
     print(f"lower(n={args.n}) = {lower.value:.6e}   "
           f"upper(n={args.n}) = {best.value:.6e}")
     print(f"wrote {out / args.csv} and {out / 'certificates.json'}")

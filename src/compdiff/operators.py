@@ -61,7 +61,6 @@ from .errors import (
 )
 from .series import Symbol, evaluate, taylor_array, validate_self_map
 
-_VALIDATION_SAMPLES = 2048
 _HORIZON_RTOL = 1e-2
 _HORIZON_FLOOR = 1e-14  # relative to sigma_1 of the 2*N0 spectrum
 # leading values of the N0 and 2*N0 matrices, one sketch each: sketch size,
@@ -77,7 +76,7 @@ _BLOCK = 8
 
 @functools.lru_cache(maxsize=256)
 def _self_map_report(symbol: Symbol):
-    return validate_self_map(symbol, _VALIDATION_SAMPLES)
+    return validate_self_map(symbol)
 
 
 def ensure_self_map(symbol: Symbol) -> None:

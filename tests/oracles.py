@@ -8,12 +8,12 @@ import math
 
 import numpy as np
 
-from compdiff.bounds import _SUP_SAMPLES, _sup_values, boundary_sup
+from compdiff.bounds import boundary_sup
 from compdiff.hardy import (as_points, cumulative_hyperbolic_length,
                             pseudo_distance_array)
 from compdiff.operators import (_SKETCH_SEED, difference_matrix,
                                 tensor_spectrum)
-from compdiff.series import eval_array, taylor_array
+from compdiff.series import _SUP_SAMPLES, _sup_values, eval_array, taylor_array
 
 
 def contour_coefficients(symbol, n, radius=0.5, oversampling=8):
@@ -45,6 +45,21 @@ def hs_parseval_sum(phi, psi, n0=256, rel_tol=1e-6, max_doublings=5):
         prev = value
         n *= 2
     return prev
+
+
+def series_power(symbol, k, n):
+    """First n Taylor coefficients of symbol**k: the truncated series of
+    ``taylor_array(symbol, n)`` squared repeatedly with ``np.convolve``,
+    independent of the column recursion of the power-table build."""
+    base = taylor_array(symbol, n)
+    out = np.eye(1, n, dtype=complex).ravel()
+    while k:
+        if k & 1:
+            out = np.convolve(out, base)[:n]
+        k >>= 1
+        if k:
+            base = np.convolve(base, base)[:n]
+    return out
 
 
 def power_table_by_convolution(base, first, n, cols):

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import compdiff as cd
-from compdiff import bounds
+from compdiff import bounds, operators, series
 from compdiff.bounds import _level_curve, _sup_values, split_zeros
 from compdiff.errors import (CollidingImages, DisconnectedLevelSet, EmptyRange,
                              HorizonExceeded, ImageOnBoundary, NotSelfMap,
                              WeightTooLarge)
 from compdiff.hardy import cumulative_hyperbolic_length
-from compdiff.series import Const, Product, Sum, Var, eval_array, sup_grid
+from compdiff.series import (Const, OneMinusZPower, Product, Sum, Symbol, Var,
+                             eval_array, eval_boundary, sup_grid)
 from oracles import hs_parseval_sum, weighted_difference_bound
 
 
@@ -419,8 +420,6 @@ class TestFineGridSups:
     def test_mpmath_fallback_runs_on_the_fine_grid_only(self, monkeypatch):
         # the coarse w-sups are read off the fine grid's samples, so one
         # certificate pays the 64 mpmath points of one grid, not two
-        from compdiff import series
-
         calls = []
         real = series.boundary_rho_mp
 
@@ -526,7 +525,6 @@ class TestBoundaryArrayCaches:
         # the cached |omega o phi|, |phi| and |omega| against a recomputation
         # from the symbols, with no cache in between
         from compdiff.operators import operator_norm_bound
-        from compdiff.series import eval_boundary
 
         omega, phi = cd.weight_power(alpha), cd.half_map()
         side = bounds._SUP_SAMPLES
@@ -535,10 +533,11 @@ class TestBoundaryArrayCaches:
 
         phi_v = eval_boundary(phi, sup_grid(2 * side))
         om = np.abs(eval_array(omega, phi_v))
-        delta0 = _masked_sup(np.where(np.isfinite(om), om, 0.0),
+        # a non-finite sample reads as +inf, as in the self-map scan
+        delta0 = _masked_sup(np.where(np.isfinite(om), om, np.inf),
                              ~(np.abs(phi_v) <= r))
         om_sup = np.abs(eval_boundary(omega, sup_grid(side)))
-        omega_sup = float(om_sup[np.isfinite(om_sup)].max())
+        omega_sup = float(np.where(np.isfinite(om_sup), om_sup, np.inf).max())
         sup_b = _two_pass_weighted(omega, phi, zeros, r, side)[1][0]
         norm_phi = operator_norm_bound(phi)
         value = math.sqrt(sup_b ** 2 * (omega_sup * norm_phi) ** 2
@@ -623,18 +622,16 @@ class TestDisconnectedLevelSet:
     def test_odd_two_lobe_symbol_splits(self):
         # 0.3 z + 0.6 z^3: |phi| dips to 0.3 near t = +-pi/2 and the two
         # sublevel arcs map to disjoint neighbourhoods of -+0.3i
-        from compdiff.series import Const, IntPower, Product, Sum, Symbol, Var
         expr = Sum((Product((Const(0.3), Var())),
-                    Product((Const(0.6), IntPower(Var(), 3)))))
+                    Product((Const(0.6),) + (Var(),) * 3)))
         two_lobe = Symbol("two_lobe", expr)
         with pytest.raises(DisconnectedLevelSet):
             cd.blaschke_zeros_for_symbol(two_lobe, 0.35, 8)
 
     @staticmethod
     def _quintic(c5):
-        from compdiff.series import Const, IntPower, Product, Sum, Symbol, Var
         return Symbol("quintic", Sum((Product((Const(0.5), Var())),
-                                      Product((Const(c5), IntPower(Var(), 5))))))
+                                      Product((Const(c5),) + (Var(),) * 5))))
 
     @pytest.mark.parametrize("c5, kept", [(0.01, 326), (-0.01, 8168)],
                              ids=["inner", "wrapping"])
@@ -860,7 +857,8 @@ class TestWeightedDifferenceBound:
 
 
 class TestTriangularBound:
-    def _spectra(self):
+    @staticmethod
+    def _spectra():
         phi0, phi1 = cd.dilation(0.5), cd.dilation(0.25)
         s_diff = cd.convergence_horizon(
             lambda m: cd.difference_matrix(phi0, phi1, m), 16)
@@ -905,3 +903,54 @@ class TestTriangularBound:
         with pytest.raises(WeightTooLarge):
             cd.triangular_bound(cd.constant(1.2), cd.constant(0.5),
                                 phi0, phi1, [4], s_diff, s0, s1)
+
+
+class TestOneBoundaryScan:
+    """The self-map scan is the one sup-norm scan: ``boundary_sup`` and the
+    triangular weight check read its cached report."""
+
+    DRIVER_WEIGHTS = [*(cd.weight_power(a) for a in (0.5, 1, 1.6, 2, 4)),
+                      cd.constant(0.5), cd.dilation(0.5)]
+
+    @pytest.mark.parametrize("omega", DRIVER_WEIGHTS, ids=lambda s: s.name)
+    def test_sup_is_the_scan_maximum_bit_for_bit(self, omega):
+        direct = np.abs(eval_boundary(omega, sup_grid(bounds._SUP_SAMPLES)))
+        assert bounds.boundary_sup(omega) == direct.max()
+
+    def test_non_finite_weight_reads_unbounded(self):
+        # 0.5 + 1e-309 (1 - z)**-9: near z = 1 the power overflows and the
+        # product 1e-309 * inf is not finite, though every finite modulus
+        # stays below 0.53; a skipped sample would hide the blow-up
+        weight = Symbol("tiny_pole", Sum((
+            Const(0.5), Product((Const(1e-309), OneMinusZPower(-9.0))))))
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert bounds.boundary_sup(weight) == math.inf
+        moduli = np.abs(_sup_values(weight, bounds._SUP_SAMPLES))
+        finite = np.isfinite(moduli)
+        assert np.count_nonzero(~finite) == 1608
+        assert moduli[finite].max() == pytest.approx(0.5286, abs=1e-4)
+        phi0, phi1, s_diff, s0, s1 = TestTriangularBound._spectra()
+        with pytest.raises(WeightTooLarge):
+            cd.triangular_bound(weight, cd.constant(0.5), phi0, phi1, [4],
+                                s_diff, s0, s1)
+
+    def test_sup_and_triangular_evaluate_no_further_grid(self, monkeypatch):
+        phi0, phi1, s_diff, s0, s1 = TestTriangularBound._spectra()
+        u0, u1 = cd.constant(0.5), cd.dilation(0.5)
+        bounds._sup_values.cache_clear()
+        operators._self_map_report.cache_clear()
+        for u in (u0, u1, phi0, phi1):
+            operators._self_map_report(u)
+        evaluated = []
+        real = series.eval_boundary
+
+        def spy(symbol, t):
+            evaluated.append(symbol)
+            return real(symbol, t)
+
+        for module in (series, bounds):  # every binding of the evaluator
+            if module.eval_boundary is real:
+                monkeypatch.setattr(module, "eval_boundary", spy)
+        assert bounds.boundary_sup(u0) == operators._self_map_report(u0).max_modulus
+        cd.triangular_bound(u0, u1, phi0, phi1, [4, 6], s_diff, s0, s1)
+        assert evaluated == []

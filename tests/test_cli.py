@@ -448,19 +448,30 @@ class TestWeighted:
         ]
         assert wrote.startswith("wrote ")
 
-    @pytest.mark.parametrize("phi, n, code, error", [
-        ("constant(c=0.5)", "4", 3, "CollidingImages"),
-        ("half_map", "1", 2, "pinch sequence needs n >= 4"),
-    ])
-    def test_failed_certificates_write_nothing(self, tmp_path, capsys, phi, n,
-                                               code, error):
+    def test_failed_certificates_write_nothing(self, tmp_path, capsys):
         # the spectrum succeeds and prints, a certificate fails after it
         out = tmp_path / "out"
         assert main(["weighted", "--omega", "weight_power(alpha=1)",
-                     "--phi", phi, "--N", "32", "--n", n,
-                     "--out", str(out)]) == code
+                     "--phi", "constant(c=0.5)", "--N", "32", "--n", "4",
+                     "--out", str(out)]) == 3
         printed = capsys.readouterr()
-        assert "sigma_n" in printed.out and error in printed.err
+        assert "sigma_n" in printed.out and "CollidingImages" in printed.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--N", "1024", "--n", "1"], "pinch sequence needs n >= 4"),
+        (["--N", "32", "--n", "4", "--csv", "certificates.json"],
+         "would overwrite certificates.json"),
+        (["--N", "32", "--n", "4", "--csv", "./certificates.json"],
+         "would overwrite certificates.json"),
+    ], ids=["n=1", "csv", "csv-dot"])
+    def test_bad_configuration_fails_before_the_spectrum(self, tmp_path,
+                                                         capsys, argv, error):
+        out = tmp_path / "out"
+        assert main(["weighted", "--omega", "weight_power(alpha=1)",
+                     "--phi", "half_map", *argv, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert "sigma_n" not in printed.out and error in printed.err
         assert not out.exists()
 
 

@@ -14,10 +14,9 @@ from compdiff.errors import WindowExceedsHorizon, ZeroInWindow
 from compdiff.experiments import (DecayFit, _derive_verdicts,
                                   _measurable_window, _run_glued, _run_split,
                                   _run_triangular, fit_series, recheck)
-from compdiff.series import IntPower
 
 from oracles import (difference_table_by_convolution, glued_difference_matrix,
-                     kronecker_mismatch)
+                     kronecker_mismatch, series_power)
 
 
 class TestFitModels:
@@ -321,12 +320,10 @@ class TestBidiscSplit:
 
 
 def _series_powers(symbol, m):
-    """m x m table with column j the first m coefficients of symbol**j, from
-    the series module's powers (repeated squaring), independent of the
+    """m x m table with column j the first m coefficients of symbol**j, by
+    repeated squaring (``oracles.series_power``), independent of the
     column recursion of ``oracles.power_table_by_convolution``."""
-    return np.stack([
-        cd.taylor_array(cd.Symbol("s^j", IntPower(symbol.expr, j)), m)
-        for j in range(m)], axis=1)
+    return np.stack([series_power(symbol, j, m) for j in range(m)], axis=1)
 
 
 def _restriction_gap(glued, m=8):

@@ -11,9 +11,8 @@ import compdiff as cd
 from compdiff import operators
 from compdiff.errors import (BoundaryFixedOrigin, HorizonExceeded, NotSelfMap,
                              NumericalBreakdown)
-from compdiff.series import IntPower, Symbol
 from oracles import (leading_values_one_sketch, power_table_by_convolution,
-                     tensor_values_walk)
+                     series_power, tensor_values_walk)
 
 RNG_SEED = 911
 _B = operators._BLOCK  # columns per block of the FFT power build
@@ -47,8 +46,7 @@ class TestCompositionMatrix:
                           (cd.power_perturbation(3, 0.005), 300)):
             op = cd.composition_matrix(symbol, n)
             for k in (0, 1, 2, 5, _B - 1, _B, _B + 1, 2 * _B, n // 2, n - 1):
-                expected = cd.taylor_array(
-                    Symbol("p", IntPower(symbol.expr, k)), n)
+                expected = series_power(symbol, k, n)
                 np.testing.assert_allclose(op.matrix[:, k], expected,
                                            atol=1e-12, err_msg=f"{symbol.name} k={k}")
 
@@ -658,6 +656,32 @@ class TestCertifiedHorizon:
         assert spectrum.horizon == step
         assert len(spectrum) == (256 if svd else operators._SKETCH_RANK)
 
+    @pytest.mark.parametrize("failing", [1, 2], ids=["n0", "2n0"])
+    def test_sketch_failure_falls_back_to_full_svds(self, monkeypatch,
+                                                    failing):
+        # a LinAlgError from either sketch sends the doubling to full SVDs,
+        # which give the horizon and all N0 values that full SVDs give
+        real_leading = operators._leading_values
+        orders = []
+
+        def leading(matrix, k):
+            orders.append(matrix.shape[0])
+            if len(orders) == failing:
+                raise np.linalg.LinAlgError("sketch failed")
+            return real_leading(matrix, k)
+
+        monkeypatch.setattr(operators, "_leading_values", leading)
+        built = []
+        spectrum = cd.convergence_horizon(
+            lambda m: built.append(CERTIFIED_CASES["corner diff"](m))
+            or built[-1], 256)
+        matrix = built.pop().matrix
+        small = np.linalg.svd(matrix[:256, :256], compute_uv=False)
+        horizon, _ = _full_svd_horizon(small, matrix)
+        assert orders == [256, 512][:failing]
+        assert spectrum.horizon == horizon and len(spectrum) == 256
+        assert spectrum.values.tobytes() == small.tobytes()
+
     def test_loose_n0_sketch_falls_back(self, monkeypatch):
         # sigma_n = 0.965**n, the 2*N0 values raised by 3% from index 20:
         # the N0 sketch's intervals are wider than the 1% test near the
@@ -976,8 +1000,8 @@ class TestAlgebra:
         d = cd.difference_matrix(phi, psi, n).matrix
         total = 0.0
         for k in range(n):
-            a = cd.taylor_array(Symbol("a", IntPower(phi.expr, k)), n)
-            b = cd.taylor_array(Symbol("b", IntPower(psi.expr, k)), n)
+            a = series_power(phi, k, n)
+            b = series_power(psi, k, n)
             total += float(np.sum(np.abs(a - b) ** 2))
         assert float(np.linalg.norm(d) ** 2) == pytest.approx(total, rel=1e-10)
 

@@ -1,6 +1,7 @@
 """Symbol evaluation, Taylor arithmetic, validation and parsing."""
 
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -10,8 +11,9 @@ import pytest
 import compdiff as cd
 from compdiff.errors import (DivisionByZeroConstantTerm, ExpOfSingularSeries,
                              NonFinite, ParseError)
-from compdiff.series import (Const, Exp, OneMinusZPower, Product, Reciprocal,
-                             Symbol, Var, _eval, _series_exp, _taylor)
+from compdiff.series import (CATALOGUE, Const, Exp, Expr, OneMinusZPower,
+                             Product, Reciprocal, Symbol, Var, _eval,
+                             _series_exp, _taylor)
 from oracles import contour_coefficients
 
 CHI = Symbol("flat_perturbation", Exp(Product((Const(-1.0), OneMinusZPower(-0.5)))))
@@ -201,22 +203,18 @@ class TestInvariants:
 
 class TestValidation:
     def test_half_map_passes(self):
-        report = cd.validate_self_map(cd.half_map(), 256)
+        report = cd.validate_self_map(cd.half_map())
         assert report.passed
         assert abs(report.max_modulus - 1) < 1e-9
 
     def test_dilation_two_fails(self):
-        report = cd.validate_self_map(cd.dilation(2), 256)
+        report = cd.validate_self_map(cd.dilation(2))
         assert not report.passed
         assert report.max_modulus == pytest.approx(2.0)
 
     def test_corner_perturbation_passes_with_expansion(self):
-        report = cd.validate_self_map(cd.corner_perturbation(0.01), 4096)
+        report = cd.validate_self_map(cd.corner_perturbation(0.01))
         assert report.passed
-
-    def test_minimum_samples(self):
-        with pytest.raises(ValueError):
-            cd.validate_self_map(cd.half_map(), 32)
 
 
 class TestCatalogue:
@@ -233,6 +231,26 @@ class TestCatalogue:
     def test_mobius_requires_interior_parameter(self):
         with pytest.raises(ValueError):
             cd.mobius(1.0)
+
+    def test_every_node_type_is_built_by_the_catalogue(self):
+        # a node no builder creates is reachable from tests alone
+        def node_types(expr):
+            yield type(expr)
+            for field in dataclasses.fields(expr):
+                value = getattr(expr, field.name)
+                for child in value if isinstance(value, tuple) else (value,):
+                    if isinstance(child, Expr):
+                        yield from node_types(child)
+
+        arguments = {"identity": {}, "constant": {"c": 0.5},
+                     "dilation": {"a": 0.5}, "half_map": {},
+                     "power_perturbation": {"alpha": 3, "c": 0.005},
+                     "corner_map": {}, "corner_perturbation": {"c": 0.01},
+                     "weight_power": {"alpha": 1}, "mobius": {"a": 0.5}}
+        assert arguments.keys() == CATALOGUE.keys()
+        built = {node for name, builder in CATALOGUE.items()
+                 for node in node_types(builder(**arguments[name]).expr)}
+        assert set(Expr.__subclasses__()) <= built
 
 
 class TestParser:
